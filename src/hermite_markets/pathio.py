@@ -28,20 +28,19 @@ class PathFormatError(ValueError):
     """A path CSV failed validation; the message carries the line number."""
 
 
-def _fmt(value):
-    return f"{value:.17g}"
+def _write_table(filename, label, times, table):
+    """Write ``t,<label>0,<label>1,...`` then one row per time, %.17g."""
+    rows = np.column_stack([times, table]).tolist()
+    width = len(rows[0])
+    line = ",".join(["%.17g"] * width) + "\n"
+    with open(filename, "w") as fh:
+        fh.write("t," + ",".join(f"{label}{i}" for i in range(width - 1)) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_path_csv(path, filename):
     """Write a SamplePath ensemble as ``t,p0,p1,...`` rows."""
-    values = path.values
-    times = path.times
-    with open(filename, "w") as fh:
-        fh.write("t," + ",".join(f"p{i}" for i in range(path.n_paths)) + "\n")
-        for k in range(path.steps + 1):
-            fh.write(_fmt(times[k]) + ","
-                     + ",".join(_fmt(values[i, k]) for i in range(path.n_paths))
-                     + "\n")
+    _write_table(filename, "p", path.times, path.values.T)
 
 
 def write_sidecar(filename, payload):
@@ -121,8 +120,4 @@ def write_surface_csv(surface, filename):
     sidecar (written separately by the caller) since column labels have
     no room for them.
     """
-    with open(filename, "w") as fh:
-        fh.write("t," + ",".join(f"x{i}" for i in range(len(surface.prices))) + "\n")
-        for k, t in enumerate(surface.times):
-            fh.write(_fmt(t) + ","
-                     + ",".join(_fmt(v) for v in surface.values[k]) + "\n")
+    _write_table(filename, "x", surface.times, surface.values)

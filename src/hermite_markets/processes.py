@@ -7,12 +7,16 @@ one Hurst index, and a Hermite-driven Ornstein-Uhlenbeck process.
 
 Construction notes
 ------------------
-FGN is sampled exactly by circulant embedding of its autocovariance (FFT).
-A rank-``kappa`` Hermite process with Hurst index ``H`` is approximated by
-partial sums of the rank-``kappa`` Hermite polynomial applied to an inner
-FGN whose Hurst index is ``(H - 1)/kappa + 1``; the sums run on a lattice
-``approx_factor`` times finer than the output grid and are renormalized so
-the variance at t = 1 is one.  For rank 1 the construction is exact in law.
+FGN is sampled exactly by circulant embedding of its autocovariance: each
+path's unit normals fill the Hermitian half of a spectrum, and one real
+inverse FFT maps them to the sequence.  A rank-``kappa`` Hermite process
+with Hurst index ``H``, ``kappa >= 2``, is approximated by partial sums of
+the rank-``kappa`` Hermite polynomial applied to an inner FGN whose Hurst
+index is ``(H - 1)/kappa + 1``; the sums run on a lattice ``approx_factor``
+times finer than the output grid and are renormalized so the variance at
+t = 1 is one.  Rank 1 (FBM) is drawn exactly on the output grid instead:
+the partial sums of a finer lattice, sampled on the grid, have the same
+law, so ``approx_factor`` plays no part.
 
 Every path derives its own random stream from ``(seed, path index,
 component index)``, so ensembles can be generated in any order, split
@@ -42,7 +46,7 @@ __all__ = [
     "gen_hou",
 ]
 
-# Bound on the complex workspace used per batched FFT (number of entries).
+# Bound on the rows x 2 count entries drawn and transformed per FFT batch.
 _CHUNK_ENTRIES = 1 << 23
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _EIG_TOL = -1e-10
@@ -80,6 +84,7 @@ class HermiteSpec:
         Hermite rank kappa >= 1.  Rank 1 is FBM, rank 2 Rosenblatt.
     approx_factor : int
         Inner lattice points per output step in the partial-sum scheme.
+        Ignored for rank 1, which is drawn exactly on the output grid.
     normalization : str
         'empirical' divides by the exact finite-lattice standard deviation
         of the raw partial sum; 'analytic' uses the closed-form limit
@@ -227,19 +232,27 @@ def _fgn_autocov(hurst, lags):
 
 
 @lru_cache(maxsize=64)
-def _circulant_eigenvalues(hurst, count):
-    acov = _fgn_autocov(hurst, np.arange(count))
-    row = np.empty(2 * count)
-    row[:count] = acov
-    row[count] = 0.0
-    row[count + 1:] = acov[1:][::-1]
-    eigs = np.fft.fft(row).real
+def _half_spectrum_scale(hurst, count):
+    """Per-frequency factors taking unit normals to the FGN half spectrum.
+
+    The circulant of size m = 2 count embeds the autocovariance with
+    gamma(count) in its middle (Davies-Harte): a 0 there loses nonnegative
+    definiteness for H near 1, and the eigenvalue check below still guards
+    this form.  The circulant is symmetric, so its eigenvalues are real and
+    mirror around count; the first count + 1 of them, times m for the
+    inverse FFT's 1/m, and halved in variance where a frequency carries a
+    real and an imaginary normal, are all the transform needs.
+    """
+    acov = _fgn_autocov(hurst, np.arange(count + 1))
+    row = np.concatenate([acov, acov[count - 1:0:-1]])
+    eigs = np.fft.rfft(row).real
     worst = eigs.min()
     if worst < _EIG_TOL:
         raise CirculantEmbeddingError(worst)
-    eigs = np.clip(eigs, 0.0, None)
-    eigs.setflags(write=False)
-    return eigs
+    scale = np.sqrt(np.clip(eigs, 0.0, None) * (2 * count))
+    scale[1:count] *= _INV_SQRT2
+    scale.setflags(write=False)
+    return scale
 
 
 def _chunk_slices(paths, count):
@@ -248,21 +261,39 @@ def _chunk_slices(paths, count):
         yield start, min(start + size, paths)
 
 
+def _fgn_draws(count, seed, path_indices, component):
+    """The 2 count standard normals of each path, one row per path index."""
+    draws = np.empty((len(path_indices), 2 * count))
+    for row, p in zip(draws, path_indices):
+        path_rng(seed, p, component).standard_normal(out=row)
+    return draws
+
+
+def _fgn_transform(hurst, draws):
+    """Exact FGN rows from rows of 2 count unit normals; linear in ``draws``.
+
+    Normal 0 and normal 1 are the real zero and Nyquist frequencies,
+    normals 2..count the real parts and count+1..2 count-1 the imaginary
+    parts of frequencies 1..count-1 (Davies-Harte, in real-FFT form).
+    """
+    rows, m = draws.shape
+    count = m // 2
+    scale = _half_spectrum_scale(hurst, count)
+    half = np.empty((rows, count + 1), dtype=np.complex128)
+    re, im = half.real, half.imag
+    re[:, 0] = draws[:, 0]
+    re[:, count] = draws[:, 1]
+    re[:, 1:count] = draws[:, 2:count + 1]
+    im[:, 0] = im[:, count] = 0.0
+    im[:, 1:count] = draws[:, count + 1:]
+    re *= scale
+    im *= scale
+    return np.fft.irfft(half, n=m, axis=1)[:, :count]
+
+
 def _fgn_block(hurst, count, seed, path_indices, component):
     """Exact FGN rows for the given absolute path indices."""
-    eigs = _circulant_eigenvalues(hurst, count)
-    root = np.sqrt(eigs)
-    m = 2 * count
-    z = np.empty((len(path_indices), m), dtype=np.complex128)
-    for row, p in enumerate(path_indices):
-        draws = path_rng(seed, p, component).standard_normal(m)
-        z[row, 0] = draws[0]
-        z[row, count] = draws[1]
-        if count > 1:
-            z[row, 1:count] = (draws[2:count + 1] + 1j * draws[count + 1:]) * _INV_SQRT2
-            z[row, count + 1:] = np.conj(z[row, count - 1:0:-1])
-    z *= root
-    return np.fft.ifft(z, axis=1).real[:, :count] * math.sqrt(m)
+    return _fgn_transform(hurst, _fgn_draws(count, seed, path_indices, component))
 
 
 def gen_fgn(inner_hurst, count, seed=0):
@@ -347,32 +378,39 @@ def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
 
 
 def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
-    """FBM by cumulative sums of scaled FGN; exact Gaussian law on the grid."""
+    """FBM by cumulative sums of scaled FGN; exact Gaussian law on the grid.
+
+    This is the rank-1 case of gen_hermite: ``spec.approx_factor`` has no
+    effect, and the paths equal gen_hermite's for the same seed.
+    """
     _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
     _require(spec.rank == 1, f"gen_fbm requires rank 1, got rank {spec.rank}")
     _check_grid(horizon, steps, paths)
-    scale = (horizon / steps) ** spec.hurst
-    values = np.zeros((paths, steps + 1))
-    for start, stop in _chunk_slices(paths, steps):
-        idx = [path_offset + i for i in range(start, stop)]
-        fgn = _fgn_block(spec.hurst, steps, seed, idx, component)
-        values[start:stop, 1:] = np.cumsum(fgn, axis=1)
-    values[:, 1:] *= scale
+    values = _hermite_values(spec, horizon, steps, paths, seed, component, path_offset)
     return SamplePath(horizon, steps, values, seed, "driver",
                       meta={"process": "fbm", "hurst": spec.hurst, "rank": 1,
                             "paths": paths, "path_offset": path_offset, "component": component})
 
 
 def _hermite_values(spec, horizon, steps, paths, seed, component, path_offset=0):
-    n_inner = spec.approx_factor * steps
-    scale = horizon ** spec.hurst * _partial_sum_scale(spec, n_inner)
+    if spec.rank == 1:
+        # Rank-1 partial sums are inner-lattice FBM sampled every
+        # approx_factor points, and both normalizations reduce to
+        # n_inner**-hurst; by self-similarity that is FBM drawn on the
+        # output grid, exactly in law, whatever approx_factor is.
+        factor = 1
+        scale = (horizon / steps) ** spec.hurst
+    else:
+        factor = spec.approx_factor
+        scale = horizon ** spec.hurst * _partial_sum_scale(spec, factor * steps)
+    n_inner = factor * steps
     values = np.zeros((paths, steps + 1))
-    take = slice(spec.approx_factor - 1, None, spec.approx_factor)
+    take = slice(factor - 1, None, factor)
     for start, stop in _chunk_slices(paths, n_inner):
-        idx = [path_offset + i for i in range(start, stop)]
+        idx = range(path_offset + start, path_offset + stop)
         fgn = _fgn_block(spec.inner_hurst, n_inner, seed, idx, component)
-        sums = np.cumsum(hermite_poly(spec.rank, fgn), axis=1)
-        values[start:stop, 1:] = sums[:, take]
+        terms = fgn if spec.rank == 1 else hermite_poly(spec.rank, fgn)
+        values[start:stop, 1:] = np.cumsum(terms, axis=1)[:, take]
     values[:, 1:] *= scale
     return values
 

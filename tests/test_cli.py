@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, exit codes, file formats, seeding."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hermite_markets.cli import main
 from hermite_markets.pathio import (
@@ -12,7 +17,7 @@ from hermite_markets.pathio import (
     read_sidecar,
     write_path_csv,
 )
-from hermite_markets import HermiteSpec, gen_fbm
+from hermite_markets import HermiteSpec, SamplePath, gen_fbm
 
 
 def _simulate(tmp_path, name="paths.csv", **overrides):
@@ -128,6 +133,22 @@ def test_csv_round_trip(tmp_path):
     assert back.horizon == path.horizon
     assert back.steps == path.steps
     assert np.allclose(back.values, path.values, rtol=0, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 9)),
+                     elements=st.floats(allow_nan=False, allow_infinity=False)),
+       horizon=st.floats(1e-3, 1e3))
+@example(values=np.array([[0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308]]),
+         horizon=1.0)
+def test_csv_round_trip_is_bitwise(values, horizon):
+    path = SamplePath(horizon, values.shape[1] - 1, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "rt.csv")
+        write_path_csv(path, target)
+        back = read_path_csv(target)
+    assert back.values.tobytes() == values.tobytes()
+    assert back.times.tobytes() == path.times.tobytes()
 
 
 def test_csv_malformed_field_is_located(tmp_path):

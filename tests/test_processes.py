@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats as sps
+from scipy.linalg import toeplitz
 
 from hermite_markets import (
     HermiteSpec,
@@ -15,7 +16,7 @@ from hermite_markets import (
     gen_hou,
     gen_mixed,
 )
-from hermite_markets.processes import gen_fgn, hermite_poly
+from hermite_markets.processes import _fgn_autocov, _fgn_transform, gen_fgn, hermite_poly
 from hermite_markets.stats import autocov_slope
 
 
@@ -55,6 +56,46 @@ def test_paths_start_at_zero():
         gen_hermite(HermiteSpec(0.7, 2), 1.0, 32, paths=3, seed=1),
     ):
         assert np.all(path.values[:, 0] == 0.0)
+
+
+# Pinned realizations, 3 paths x 8 steps at seed 2024 (t = 0 column
+# omitted): a change that moves them changes what every seed draws.
+_GOLDEN_FBM = [
+    [0.10402337136287, 0.011718364135488, -0.16800957454774, -0.32287351047176,
+     -0.58681234812008, -0.62746921814606, -0.83168108926071, -0.99926760972858],
+    [0.27317679033742, 0.54923155860524, 0.47417407665757, 0.37190790085215,
+     0.4107899096632, 0.85118847509987, 0.39867567894287, 0.30700674285672],
+    [-0.077287765021263, 0.086470945106679, -0.13153871068034, -0.10266219814465,
+     0.39719837158293, 0.57988868796693, 0.49139817105447, 0.66973782922612],
+]
+_GOLDEN_ROSENBLATT = [
+    [-0.12357161363161, 0.1461355684636, 0.048785297771146, -0.14916806515469,
+     -0.3414811042073, -0.33414298987073, -0.57416413097362, -0.75871128634148],
+    [0.0098499162709963, -0.00065363690714487, -0.20642052451139, -0.2087840473349,
+     0.07437392859363, 0.077924106745283, 0.01476178956246, -0.030578067966807],
+    [-0.13131196281621, -0.024224499974078, -0.1025406640603, -0.2825104112594,
+     -0.40878871176009, -0.47393288459801, -0.55199482931645, -0.44462351594436],
+]
+_GOLDEN_MIXED = [
+    [0.054478244538995, -0.042210958312728, -0.17215998669897, -0.28951017814991,
+     -0.58505774259029, -0.7534638046215, -0.99754432496747, -1.2417139482343],
+    [0.72872729548779, 1.087010424165, 1.1817321420042, 1.2448027703403,
+     1.1709464282602, 1.3421118260782, 0.97752832918778, 0.83908594164483],
+    [-0.03641434865213, 0.016905080142977, -0.065842553148729, 0.05449104267345,
+     0.32567555624268, 0.4389669615444, 0.26343888558025, 0.26476632428094],
+]
+
+
+def test_golden_realizations():
+    w = 1.0 / np.sqrt(2.0)
+    cases = [
+        (gen_fbm(HermiteSpec(0.7), 1.0, 8, paths=3, seed=2024), _GOLDEN_FBM),
+        (gen_hermite(HermiteSpec(0.7, 2), 1.0, 8, paths=3, seed=2024), _GOLDEN_ROSENBLATT),
+        (gen_mixed(MixedHermiteSpec(0.75, ((w, 1), (w, 2))), 1.0, 8, paths=3, seed=2024),
+         _GOLDEN_MIXED),
+    ]
+    for path, golden in cases:
+        np.testing.assert_allclose(path.values[:, 1:], golden, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +156,17 @@ def test_fgn_long_memory_slope():
     assert abs(slope - (2 * 0.9 - 2.0)) < 0.15
 
 
+@pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+@pytest.mark.parametrize("count", [1, 2, 3, 64, 257])
+def test_fgn_transform_covariance_is_exact(count, hurst):
+    # The transform is linear in the unit normals, so pushing the identity
+    # through it gives the matrix A with x = d @ A, whose covariance A'A
+    # must be the FGN Toeplitz matrix.  No sampling is involved.
+    a = _fgn_transform(hurst, np.eye(2 * count))
+    want = toeplitz(_fgn_autocov(hurst, np.arange(count)))
+    assert np.max(np.abs(a.T @ a - want)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # marginal law of the rank-1 process
 
@@ -147,6 +199,17 @@ def test_rank1_hermite_matches_fbm_in_law():
     a = gen_hermite(HermiteSpec(0.75, 1), 1.0, 64, paths=1500, seed=8)
     b = gen_fbm(HermiteSpec(0.75, 1), 1.0, 64, paths=1500, seed=9)
     assert sps.ks_2samp(a.values[:, -1], b.values[:, -1]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("approx_factor", [1, 5, 32])
+@pytest.mark.parametrize("normalization", ["empirical", "analytic"])
+def test_rank1_hermite_is_fbm(approx_factor, normalization):
+    # Rank 1 is drawn exactly on the output grid, so the partial-sum
+    # lattice setting plays no part and gen_hermite is gen_fbm.
+    spec = HermiteSpec(0.75, 1, approx_factor, normalization)
+    a = gen_hermite(spec, 2.0, 64, paths=3, seed=8, path_offset=1)
+    b = gen_fbm(HermiteSpec(0.75), 2.0, 64, paths=3, seed=8, path_offset=1)
+    assert np.array_equal(a.values, b.values)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +338,27 @@ def test_hou_starts_off_zero():
 
 
 def test_hou_stationary_variance():
-    # The warmed-up process is stationary with variance
-    # Gamma(2H + 1) / (2 lam^(2H)) when sigma = 1.
+    # The left-point recursion X_n = sum_k decay^(n-k) dB_k over the
+    # warm-up has the exact variance w' Cov(dB) w, w_k = decay^(n-k), with
+    # Cov(dB) the FGN Toeplitz matrix times dt^(2H).  The sample variance
+    # is compared to that; the discretization bias against the continuous
+    # stationary variance Gamma(2H + 1) / (2 lam^(2H)) is bounded apart.
     import math
 
-    h, lam = 0.75, 1.0
+    h, lam, horizon, steps = 0.75, 1.0, 4.0, 64
+    dt = horizon / steps
+    decay = math.exp(-lam * dt)
+    burn = math.ceil(20.0 / lam / dt)
     target = math.gamma(2 * h + 1.0) / (2.0 * lam ** (2 * h))
-    path = gen_hou(HouSpec(lam, 1.0), HermiteSpec(h), 4.0, 64, paths=3000, seed=15)
+    path = gen_hou(HouSpec(lam, 1.0), HermiteSpec(h), horizon, steps, paths=3000, seed=15)
     worst = 0.0
     for k in (0, 16, 48, 64):
+        n = burn + k
+        w = decay ** (n - np.arange(n))
+        exact = float(w @ toeplitz(_fgn_autocov(h, np.arange(n))) @ w) * dt ** (2 * h)
+        assert abs(exact / target - 1.0) < 0.07
         var = float(np.var(path.values[:, k]))
-        worst = max(worst, abs(var / target - 1.0))
+        worst = max(worst, abs(var / exact - 1.0))
     assert worst < 0.10
 
 
