@@ -130,52 +130,26 @@ def build_parser():
 # simulate
 
 def _make_generator(args, seed):
-    """Return (callable(paths, path_offset) -> SamplePath, sidecar payload)."""
-    payload = {
-        "process": args.process,
-        "hurst": args.hurst,
-        "horizon": args.horizon,
-        "steps": args.steps,
-        "paths": args.paths,
-        "seed": seed,
-    }
-    if args.process == "fbm":
-        spec = HermiteSpec(args.hurst, 1, args.approx_factor, args.normalization)
-        payload.update(rank=1, approx_factor=args.approx_factor,
-                       normalization=args.normalization)
-        return (lambda paths, offset: gen_fbm(spec, args.horizon, args.steps,
-                                              paths, seed, path_offset=offset),
-                payload)
-    if args.process == "hermite":
-        spec = HermiteSpec(args.hurst, args.rank, args.approx_factor,
-                           args.normalization)
-        payload.update(rank=args.rank, approx_factor=args.approx_factor,
-                       normalization=args.normalization)
-        return (lambda paths, offset: gen_hermite(spec, args.horizon, args.steps,
-                                                  paths, seed, path_offset=offset),
-                payload)
+    """Return callable(paths, path_offset) -> SamplePath for the chosen process."""
     if args.process == "mixed":
         if not args.weights or not args.ranks or len(args.weights) != len(args.ranks):
             raise ValueError("mixed process needs matching --weights and --ranks")
         spec = MixedHermiteSpec(args.hurst,
                                 tuple(zip(args.weights, args.ranks)),
                                 args.approx_factor, args.normalization)
-        payload.update(weights=args.weights, ranks=args.ranks,
-                       approx_factor=args.approx_factor,
-                       normalization=args.normalization)
-        return (lambda paths, offset: gen_mixed(spec, args.horizon, args.steps,
-                                                paths, seed, path_offset=offset),
-                payload)
-    # hou
+        return lambda paths, offset: gen_mixed(spec, args.horizon, args.steps,
+                                               paths, seed, path_offset=offset)
+    rank = 1 if args.process == "fbm" else args.rank
+    spec = HermiteSpec(args.hurst, rank, args.approx_factor, args.normalization)
+    if args.process == "fbm":
+        return lambda paths, offset: gen_fbm(spec, args.horizon, args.steps,
+                                             paths, seed, path_offset=offset)
+    if args.process == "hermite":
+        return lambda paths, offset: gen_hermite(spec, args.horizon, args.steps,
+                                                 paths, seed, path_offset=offset)
     hou = HouSpec(args.ou_lambda, args.ou_sigma)
-    driver = HermiteSpec(args.hurst, args.rank, args.approx_factor,
-                         args.normalization)
-    payload.update(rank=args.rank, approx_factor=args.approx_factor,
-                   normalization=args.normalization,
-                   ou_lambda=args.ou_lambda, ou_sigma=args.ou_sigma)
-    return (lambda paths, offset: gen_hou(hou, driver, args.horizon, args.steps,
-                                          paths, seed, path_offset=offset),
-            payload)
+    return lambda paths, offset: gen_hou(hou, spec, args.horizon, args.steps,
+                                         paths, seed, path_offset=offset)
 
 
 def _chunk_sizes(total, workers):
@@ -190,7 +164,7 @@ def _cmd_simulate(args):
         raise ValueError("--paths must be >= 1")
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
-    generate, payload = _make_generator(args, seed)
+    generate = _make_generator(args, seed)
     workers = min(args.workers, args.paths)
     if workers == 1:
         ensemble = generate(args.paths, 0)
@@ -202,9 +176,11 @@ def _cmd_simulate(args):
                                   zip(sizes, offsets)))
         ensemble = SamplePath(horizon=args.horizon, steps=args.steps,
                               values=np.vstack([p.values for p in parts]),
-                              seed=seed, kind=parts[0].kind, meta=parts[0].meta)
+                              seed=seed, kind=parts[0].kind,
+                              meta=dict(parts[0].meta, paths=args.paths))
     write_path_csv(ensemble, args.out)
-    write_sidecar(args.out, payload)
+    write_sidecar(args.out, dict(ensemble.meta, seed=seed, horizon=args.horizon,
+                                 steps=args.steps))
     print(f"wrote {args.paths} path(s) x {args.steps} steps to {args.out} "
           f"(seed {seed})")
     return 0
@@ -256,14 +232,12 @@ def _check_selfsim(path, hurst):
 
 
 def _check_lrd(path, hurst):
-    increments = np.diff(path.values, axis=1)
-    flat = increments - increments.mean()
-    lags = np.arange(2, 11)
-    acov = np.array([
-        float((flat[:, :-lag] * flat[:, lag:]).mean()) for lag in lags])
-    if (acov <= 0).any():
-        raise ValueError("autocovariance not positive at the probed lags")
-    slope = float(np.polyfit(np.log(lags), np.log(acov), 1)[0])
+    """Increment autocovariance slope over lags 2..10, by stats.autocov_slope.
+
+    Like the library, it does not remove the sample mean: the increments
+    are centred by construction.
+    """
+    slope = autocov_slope(path.values, np.arange(2, 11))
     target = 2.0 * hurst - 2.0
     return {"statistic": slope, "target": target, "tolerance": 0.3,
             "pass": abs(slope - target) < 0.3,
@@ -325,28 +299,26 @@ def _cmd_arb_demo(args):
     seed = _resolve_seed(args.seed)
     if args.tax < 0:
         raise ValueError("--tax must be nonnegative")
-    if args.case == "shiryaev":
+    if args.case in ("shiryaev", "fsquare"):
         driver = gen_fbm(HermiteSpec(args.hurst, 1), args.horizon, args.steps,
                          args.paths, seed)
-        report = shiryaev_demo(driver)
-    elif args.case == "fsquare":
-        driver = gen_fbm(HermiteSpec(args.hurst, 1), args.horizon, args.steps,
-                         args.paths, seed)
-        report = f_strategy_demo(lambda x: (x - 1.0) ** 2,
-                                 lambda x: 2.0 * (x - 1.0),
-                                 lambda x: 2.0 * np.ones_like(np.asarray(x, float)),
-                                 driver, args.tax, threshold_check=True)
-    elif args.case == "diffusion":
-        market = TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2)
-        tax = TaxSchedule.uniform(args.tax, 2) if args.tax else None
-        report = diffusion_arb_demo(market, args.paths, args.steps, args.horizon,
-                                    seed, tax)
+        if args.case == "shiryaev":
+            report = shiryaev_demo(driver)
+        else:
+            report = f_strategy_demo(lambda x: (x - 1.0) ** 2,
+                                     lambda x: 2.0 * (x - 1.0),
+                                     lambda x: 2.0 * np.ones_like(np.asarray(x, float)),
+                                     driver, args.tax, threshold_check=True)
     else:
-        market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2,
-                             sigma_h=0.3, hurst=args.hurst)
         tax = TaxSchedule.uniform(args.tax, 2) if args.tax else None
-        report = mixed_arb_demo(market, args.paths, args.steps, args.horizon,
-                                seed, tax)
+        if args.case == "diffusion":
+            report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
+                                        args.paths, args.steps, args.horizon, seed, tax)
+        else:
+            market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2,
+                                 sigma_h=0.3, hurst=args.hurst)
+            report = mixed_arb_demo(market, args.paths, args.steps, args.horizon,
+                                    seed, tax)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 

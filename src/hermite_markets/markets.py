@@ -17,10 +17,9 @@ transaction-tax term.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .processes import SamplePath
 
@@ -339,8 +338,8 @@ def synth_riskless_taxed(sigma, mu, tax):
 
     Solves sum(sigma phi) = 0 together with
     sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0.  Two assets reduce
-    to one parameter after elimination, found by bracketing on
-    (0, 1e3/min(c)]; more assets use a damped Gauss-Newton iteration.
+    to a quadratic in phi_1 after elimination, solved in closed form; more
+    assets use a damped Gauss-Newton iteration.
     """
     sigma = _as_float_array(sigma, "sigma")
     mu = _as_float_array(mu, "mu")
@@ -361,15 +360,7 @@ def synth_riskless_taxed(sigma, mu, tax):
         if sigma[1] == 0:
             raise InfeasibleMarketError("second exposure must be nonzero for elimination")
         ratio = -sigma[0] / sigma[1]
-
-        def balance(phi1):
-            phi = np.array([phi1, ratio * phi1])
-            return _taxed_balance(phi, intensities)
-
-        bound = 1e3 / intensities[intensities > 0].min()
-        if balance(bound) <= 0:
-            raise InfeasibleMarketError("no root inside the bracketing interval")
-        phi1 = brentq(balance, 0.0, bound, xtol=1e-15, rtol=8.9e-16)
+        phi1 = _taxed_pair_root(ratio, intensities)
         phi = np.array([phi1, ratio * phi1])
     else:
         phi = _taxed_newton(sigma, intensities)
@@ -378,6 +369,25 @@ def synth_riskless_taxed(sigma, mu, tax):
     if residual > 1e-10:
         raise InfeasibleMarketError(f"taxed synthesis did not converge (residual {residual:.3e})")
     return RisklessSynthesis(exponents=phi, rate=float(phi @ mu), kind="taxed")
+
+
+def _taxed_pair_root(ratio, intensities):
+    """The positive root phi_1 of the two-asset balance A phi_1^2 + B phi_1 - 1.
+
+    With phi = (phi_1, ratio phi_1), A = (c_0^2 + c_1^2 ratio^2)/2 >= 0 and
+    B = 1 + ratio - (c_0^2 + c_1^2 ratio)/2; the constant -1 leaves exactly
+    one positive root.  Each sign of B takes the form of the quadratic
+    formula that does not cancel; one Newton step on the balance as
+    evaluated then moves it the ulp or so to where the caller's residual
+    check reads smallest.
+    """
+    c0_sq, c1_sq = intensities ** 2
+    a = 0.5 * (c0_sq + c1_sq * ratio ** 2)
+    b = 1.0 + ratio - 0.5 * (c0_sq + c1_sq * ratio)
+    root = math.sqrt(b * b + 4.0 * a)
+    phi1 = 2.0 / (b + root) if b >= 0 else (root - b) / (2.0 * a)
+    balance = _taxed_balance(np.array([phi1, ratio * phi1]), intensities)
+    return phi1 - balance / (2.0 * a * phi1 + b)
 
 
 def _taxed_newton(sigma, intensities, max_iter=200):

@@ -389,6 +389,8 @@ def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     values = _hermite_values(spec, horizon, steps, paths, seed, component, path_offset)
     return SamplePath(horizon, steps, values, seed, "driver",
                       meta={"process": "fbm", "hurst": spec.hurst, "rank": 1,
+                            "approx_factor": spec.approx_factor,
+                            "normalization": spec.normalization,
                             "paths": paths, "path_offset": path_offset, "component": component})
 
 
@@ -479,7 +481,7 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
         ou[:, k + 1] = decay * (ou[:, k] + spec.sigma * deltas[:, k])
     return SamplePath(horizon, steps, ou[:, burn:].copy(), seed, "driver",
                       meta={"process": "hou", "hurst": hermite.hurst, "rank": hermite.rank,
-                            "lam": spec.lam, "sigma": spec.sigma,
+                            "ou_lambda": spec.lam, "ou_sigma": spec.sigma,
                             "history_truncation": spec.history_truncation,
                             "approx_factor": hermite.approx_factor,
                             "normalization": hermite.normalization,

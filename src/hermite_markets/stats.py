@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "theoretical_cov",
@@ -46,12 +45,12 @@ def norm_const(hurst, rank):
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
     h = float(hurst)
     if rank == 1:
-        num = 2.0 * h * _gamma(1.5 - h)
-        den = _gamma(0.5 + h) * _gamma(2.0 - 2.0 * h)
+        num = 2.0 * h * math.gamma(1.5 - h)
+        den = math.gamma(0.5 + h) * math.gamma(2.0 - 2.0 * h)
         return math.sqrt(num / den)
     if rank == 2:
-        return _gamma(1.0 + h / 2.0) * math.sqrt(h / 2.0 * (2.0 * h - 1.0)) / (
-            _gamma(h / 2.0) * _gamma(1.0 - h))
+        return math.gamma(1.0 + h / 2.0) * math.sqrt(h / 2.0 * (2.0 * h - 1.0)) / (
+            math.gamma(h / 2.0) * math.gamma(1.0 - h))
     raise ValueError(f"no closed form for rank {rank}; ranks 1 and 2 are supported")
 
 

@@ -10,13 +10,13 @@ assets, which is what the Monte Carlo demos accumulate.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import GridFunction
 from .markets import price_mixed_market
-from .processes import SamplePath, gen_bm, gen_fbm, gen_hermite, derive_seeds, HermiteSpec
+from .processes import SamplePath, gen_bm, gen_hermite, derive_seeds, HermiteSpec
 
 __all__ = [
     "TaxSchedule",
@@ -333,7 +333,8 @@ def power_pair_exponents(a, r, sigmas, tax):
     """Second exponents b making x^a y^b satisfy the taxed pricing identity.
 
     The identity reduces to a quadratic in b; both roots are returned in
-    ascending order.  A negative discriminant raises.
+    ascending order, each in a form of the quadratic formula that does not
+    cancel.  A negative discriminant raises.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     intensities = _intensities(tax, 2)
@@ -349,9 +350,9 @@ def power_pair_exponents(a, r, sigmas, tax):
     disc = linear ** 2 - 4.0 * lead * const
     if disc < 0:
         raise ValueError(f"no real exponent pair: discriminant {disc:.6e} < 0")
-    root = math.sqrt(disc)
-    pair = sorted(((-linear - root) / (2.0 * lead), (-linear + root) / (2.0 * lead)))
-    return tuple(pair)
+    q = -0.5 * (linear + math.copysign(math.sqrt(disc), linear))
+    # q is 0 only when linear and const are, and then both roots are 0
+    return tuple(sorted((q / lead, const / q if q else 0.0)))
 
 
 def power_pair_frictionless(a):
@@ -569,28 +570,15 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
         "min_terminal_value": float(g_values[:, -1].min()),
         "pair_residual_max": max(res_value, res_curv),
     }
+    invariant = (stats["initial_value_max_abs"] == 0.0
+                 and stats["min_terminal_value"] > 0.0
+                 and stats["pair_residual_max"] < 1e-8)
     intensities = _intensities(tax, 2) if tax is not None else np.zeros(2)
-    if intensities.any():
-        cost = running_cost(portfolio, np.stack([s_vals, v_vals]), intensities)
-        net = g_values - cost
-        losses = int((net[:, -1] < 0).sum())
-        low, high = wilson_ci(losses, paths)
-        stats["fraction_negative_net"] = losses / paths
-        stats["mean_cost"] = float(cost[:, -1].mean())
-        passed = bool(low > 0.0 and stats["min_terminal_value"] > 0.0
-                      and stats["pair_residual_max"] < 1e-8)
-        cost_mean, net_mean = cost.mean(axis=0), net.mean(axis=0)
-    else:
-        positives = int((g_values[:, -1] > 0).sum())
-        low, high = wilson_ci(positives, paths)
-        passed = bool(positives == paths and stats["initial_value_max_abs"] == 0.0
-                      and stats["pair_residual_max"] < 1e-8)
-        cost_mean, net_mean = np.zeros(steps + 1), g_values.mean(axis=0)
-    return TaxReport("diffusion_arbitrage",
-                     {"mu1": market.mu1, "mu2": market.mu2, "sigma": market.sigma1,
-                      "tax": intensities.tolist(), "steps": steps, "horizon": horizon},
-                     paths, seed, stats, low, high, passed,
-                     cost_path=cost_mean, net_path=net_mean)
+    return _arb_report("diffusion_arbitrage",
+                       {"mu1": market.mu1, "mu2": market.mu2, "sigma": market.sigma1,
+                        "tax": intensities.tolist(), "steps": steps, "horizon": horizon},
+                       seed, stats, invariant, portfolio, g_values, (s_vals, v_vals),
+                       intensities)
 
 
 def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
@@ -605,10 +593,7 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
         hermite = HermiteSpec(market.hurst, 1)
     w_seed, h_seed = derive_seeds(seed, 2)
     w = gen_bm(horizon, steps, paths, seed=w_seed)
-    if hermite.rank == 1:
-        h = gen_fbm(hermite, horizon, steps, paths, seed=h_seed)
-    else:
-        h = gen_hermite(hermite, horizon, steps, paths, seed=h_seed)
+    h = gen_hermite(hermite, horizon, steps, paths, seed=h_seed)
     assets = price_mixed_market(market, w, h)
     x_vals = assets.tilted.values
     y_vals = assets.unit_exposure.values
@@ -625,25 +610,39 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
         "min_value": float(values.min()),
         "pricing_residual_max": residual,
     }
+    invariant = (stats["initial_value_max_abs"] == 0.0
+                 and stats["min_value"] >= 0.0 and residual < 1e-8)
     intensities = _intensities(tax, 2) if tax is not None else np.zeros(2)
-    if intensities.any():
-        cost = running_cost(portfolio, np.stack([x_vals, y_vals]), intensities, times=t)
+    return _arb_report("mixed_arbitrage",
+                       {"r": market.r, "b": market.b, "rho": market.rho,
+                        "hurst": market.hurst, "tax": intensities.tolist(),
+                        "steps": steps, "horizon": horizon},
+                       seed, stats, invariant, portfolio, values, (x_vals, y_vals),
+                       intensities, times=t)
+
+
+def _arb_report(demo, parameters, seed, stats, invariant, portfolio, values, assets,
+                intensities, times=None):
+    """TaxReport of an arbitrage field's ``values`` charged the running tax.
+
+    Untaxed, the Wilson interval covers the share of paths ending positive
+    and the demo passes on ``invariant``.  Under a positive tax the cost is
+    charged on ``assets``, the interval covers the share whose net value
+    ends negative, and passing also needs that interval clear of 0.
+    """
+    paths = values.shape[0]
+    taxed = bool(intensities.any())
+    if taxed:
+        cost = running_cost(portfolio, np.stack(assets), intensities, times=times)
         net = values - cost
         losses = int((net[:, -1] < 0).sum())
         low, high = wilson_ci(losses, paths)
         stats["fraction_negative_net"] = losses / paths
         stats["mean_cost"] = float(cost[:, -1].mean())
-        passed = bool(low > 0.0 and stats["min_value"] >= 0.0 and residual < 1e-8)
         cost_mean, net_mean = cost.mean(axis=0), net.mean(axis=0)
     else:
-        positives = int((values[:, -1] > 0).sum())
-        low, high = wilson_ci(positives, paths)
-        passed = bool(stats["initial_value_max_abs"] == 0.0
-                      and stats["min_value"] >= 0.0 and residual < 1e-8)
-        cost_mean, net_mean = np.zeros(steps + 1), values.mean(axis=0)
-    return TaxReport("mixed_arbitrage",
-                     {"r": market.r, "b": market.b, "rho": market.rho,
-                      "hurst": market.hurst, "tax": intensities.tolist(),
-                      "steps": steps, "horizon": horizon},
-                     paths, seed, stats, low, high, passed,
+        low, high = wilson_ci(int((values[:, -1] > 0).sum()), paths)
+        cost_mean, net_mean = np.zeros(values.shape[1]), values.mean(axis=0)
+    passed = bool(invariant and (not taxed or low > 0.0))
+    return TaxReport(demo, parameters, paths, seed, stats, low, high, passed,
                      cost_path=cost_mean, net_path=net_mean)

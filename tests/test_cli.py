@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, file formats, seeding."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -56,24 +57,73 @@ def test_simulate_worker_count_irrelevant(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# One small simulate call per process, several flags off their defaults,
+# and the fields its sidecar must hold.  The sidecar may add provenance
+# (path_offset, component, history_truncation) and nothing else.
+_PROCESS_ARGV = {
+    "fbm": ["--process", "fbm", "--hurst", "0.7", "--steps", "32", "--paths", "5",
+            "--seed", "5"],
+    "hermite": ["--process", "hermite", "--hurst", "0.72", "--rank", "2",
+                "--steps", "32", "--paths", "5", "--seed", "5", "--approx-factor", "4"],
+    "mixed": ["--process", "mixed", "--hurst", "0.75", "--weights", "0.6,0.8",
+              "--ranks", "1,2", "--steps", "32", "--paths", "5", "--seed", "5",
+              "--approx-factor", "4", "--normalization", "analytic"],
+    "hou": ["--process", "hou", "--hurst", "0.75", "--ou-lambda", "2.0",
+            "--ou-sigma", "0.5", "--steps", "32", "--paths", "5", "--seed", "5",
+            "--horizon", "2.0", "--approx-factor", "4"],
+}
+_PROCESS_SIDECAR = {
+    "fbm": {"approx_factor": 32, "horizon": 1.0, "hurst": 0.7,
+            "normalization": "empirical", "paths": 5, "process": "fbm", "rank": 1,
+            "seed": 5, "steps": 32},
+    "hermite": {"approx_factor": 4, "horizon": 1.0, "hurst": 0.72,
+                "normalization": "empirical", "paths": 5, "process": "hermite",
+                "rank": 2, "seed": 5, "steps": 32},
+    "mixed": {"approx_factor": 4, "horizon": 1.0, "hurst": 0.75,
+              "normalization": "analytic", "paths": 5, "process": "mixed",
+              "ranks": [1, 2], "seed": 5, "steps": 32, "weights": [0.6, 0.8]},
+    "hou": {"approx_factor": 4, "horizon": 2.0, "hurst": 0.75,
+            "normalization": "empirical", "ou_lambda": 2.0, "ou_sigma": 0.5,
+            "paths": 5, "process": "hou", "rank": 1, "seed": 5, "steps": 32},
+}
+_PROVENANCE = {"path_offset", "component", "history_truncation"}
+
+
+def _simulate_process(tmp_path, process, name, *extra):
+    out = tmp_path / name
+    assert main(["simulate", "--out", str(out), *_PROCESS_ARGV[process], *extra]) == 0
+    return out
+
+
+@pytest.mark.parametrize("process", sorted(_PROCESS_ARGV))
+def test_simulate_sidecar_fields(tmp_path, process):
+    meta = read_sidecar(str(_simulate_process(tmp_path, process, "s.csv")))
+    want = _PROCESS_SIDECAR[process]
+    assert {key: meta.get(key) for key in want} == want
+    assert set(meta) - set(want) <= _PROVENANCE
+
+
+@pytest.mark.parametrize("process", sorted(_PROCESS_ARGV))
+def test_simulate_workers_write_same_files(tmp_path, process):
+    one = _simulate_process(tmp_path, process, "w1.csv", "--workers", "1")
+    two = _simulate_process(tmp_path, process, "w2.csv", "--workers", "2")
+    assert one.read_bytes() == two.read_bytes()
+    assert (tmp_path / "w1.csv.json").read_bytes() == (tmp_path / "w2.csv.json").read_bytes()
+
+
 def test_simulate_from_sidecar_reproduces_file(tmp_path):
-    # A sidecar holds everything needed to regenerate its CSV exactly.
-    first = _simulate(tmp_path, "orig.csv", process="hermite", rank="2",
-                      hurst="0.72", paths="9", steps="64")
-    meta = read_sidecar(str(first))
-    argv = ["simulate",
-            "--process", meta["process"],
-            "--hurst", str(meta["hurst"]),
-            "--rank", str(meta["rank"]),
-            "--steps", str(meta["steps"]),
-            "--horizon", str(meta["horizon"]),
-            "--paths", str(meta["paths"]),
-            "--seed", str(meta["seed"]),
-            "--approx-factor", str(meta["approx_factor"]),
-            "--normalization", meta["normalization"],
-            "--out", str(tmp_path / "again.csv")]
-    assert main(argv) == 0
-    assert (tmp_path / "again.csv").read_bytes() == first.read_bytes()
+    # A sidecar holds everything needed to regenerate its CSV exactly: each
+    # field but the provenance is the value of the flag of the same name.
+    for process in sorted(_PROCESS_ARGV):
+        first = _simulate_process(tmp_path, process, f"{process}.csv")
+        meta = read_sidecar(str(first))
+        argv = ["simulate", "--out", str(tmp_path / "again.csv")]
+        for key, value in meta.items():
+            if key not in _PROVENANCE:
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                argv += ["--" + key.replace("_", "-"), text]
+        assert main(argv) == 0
+        assert (tmp_path / "again.csv").read_bytes() == first.read_bytes()
 
 
 def test_simulate_rejects_low_hurst(tmp_path):
@@ -266,6 +316,38 @@ def test_arb_demo_mixed(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["pass"] is True
+
+
+# (case, --tax, --paths, exit code, sha256 of stdout) at 64 steps, seed 21:
+# pins every arb-demo report byte for byte, a failing one included.
+_GOLDEN_ARB_STDOUT = [
+    ("shiryaev", "0", "300", 0,
+     "87699868225eaa1ff220796923cdec816a4c1f07f885ea389f0703b3308acbca"),
+    ("shiryaev", "0.3", "300", 0,
+     "87699868225eaa1ff220796923cdec816a4c1f07f885ea389f0703b3308acbca"),
+    ("fsquare", "0", "300", 0,
+     "ec1a9ef32da241080c9d999f9245af55e2737fbe8bb8875ddbb3ab0466755919"),
+    ("fsquare", "0.3", "300", 0,
+     "efbc476fbb677a266cd75e076656f49421aec38d91461bd114442c7a52ad704b"),
+    ("diffusion", "0", "300", 0,
+     "1111922e0927d166a8bb4d53d9d4602d82c4b43b7bbfb1345cccef765fd7a54a"),
+    ("diffusion", "0.3", "300", 0,
+     "20bc76c517f16fe3f0637dc333271937409a28640f0029ea6ff8d04ac9aef011"),
+    ("mixed", "0", "300", 0,
+     "80024a84d43186a2bbd55260b133446dd41e2ceee74f3591c9213cc27ecf9b87"),
+    ("mixed", "0.3", "300", 0,
+     "1e04c11bf9220da1c940ed04afa8fb5a2df6a35f28b765d39a999a443bbfb6f0"),
+    ("mixed", "0.02", "40", 1,
+     "64bf45efd153fbf5254fe5ab9344d9ee05f602845285693c416c7e30b6ea4db0"),
+]
+
+
+@pytest.mark.parametrize("case, tax, paths, code, digest", _GOLDEN_ARB_STDOUT)
+def test_arb_demo_golden_stdout(capsys, case, tax, paths, code, digest):
+    capsys.readouterr()
+    assert main(["arb-demo", "--case", case, "--tax", tax, "--paths", paths,
+                 "--steps", "64", "--seed", "21"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_arb_demo_rejects_huge_tax():

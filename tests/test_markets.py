@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_markets import (
     HermiteSpec,
@@ -102,6 +104,38 @@ def test_taxed_synthesis_validates_shapes():
         synth_riskless_taxed([0.1, 0.3], [0.03, 0.04], [0.2])
     with pytest.raises(ValueError):
         synth_riskless_taxed([0.1, 0.3], [0.03, 0.04], [-0.1, 0.2])
+
+
+def _taxed_residual(sigma, c, phi):
+    balance = float(np.sum(phi) - 1.0 + 0.5 * np.sum(c**2 * phi * (phi - 1.0)))
+    return abs(balance) + abs(float(sigma @ phi))
+
+
+def test_taxed_synthesis_large_root_passes_residual_check():
+    # phi_1 is about 25784.67 here. The quadratic formula alone lands one
+    # ulp from the float where the balance, as evaluated, is smallest, and
+    # misses the 1e-10 residual check (4.7e-10).
+    sigma = np.array([-1.0383640820096394, -0.008988624172409018])
+    c = np.array([0.07353757660360533, 0.000510310582033613])
+    phi = synth_riskless_taxed(sigma, [0.02, 0.04], c).exponents
+    assert phi[0] == pytest.approx(25784.67206754937, rel=1e-14)
+    assert _taxed_residual(sigma, c, phi) < 1e-10
+
+
+# On these ranges the balance's terms stay below about 1e5, so their
+# rounding stays below the 1e-10 residual check.
+_EXPOSURE = st.floats(0.1, 2.0).flatmap(lambda v: st.sampled_from([v, -v]))
+_INTENSITY = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.tuples(_EXPOSURE, _EXPOSURE),
+       c=st.tuples(_INTENSITY, _INTENSITY).filter(any))
+def test_taxed_synthesis_two_assets_solves_balance(sigma, c):
+    sigma, c = np.array(sigma), np.array(c)
+    phi = synth_riskless_taxed(sigma, [0.02, 0.04], c).exponents
+    assert phi[0] > 0
+    assert _taxed_residual(sigma, c, phi) < 1e-10
 
 
 def test_bsm_synthetic_rate_value():

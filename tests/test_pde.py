@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_markets import (
     IllPosedProblemError,
@@ -217,6 +219,23 @@ def test_reduction_round_trip_identity():
     pts = np.array([[0.1, -0.2], [0.5, 0.3]])
     for tau in (0.2, 0.9):
         assert np.allclose(recovered(tau, pts), heat(tau, pts), rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+       rate=st.floats(-0.05, 0.2), maturity=st.floats(0.1, 5.0),
+       frac=st.floats(0.0, 1.0),
+       x=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)))
+def test_reduction_pull_back_inverts_push_forward(c, rate, maturity, frac, x):
+    red = reduce_to_heat(c, rate, maturity)
+
+    def price(t, x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] ** 2 * np.exp(t) + x[..., 1] + 1.0
+
+    t = frac * maturity
+    recovered = red.pull_back(red.push_forward(price))
+    assert recovered(t, np.array(x)) == pytest.approx(price(t, np.array(x)), rel=1e-12)
 
 
 def test_pulled_back_kernel_solves_taxed_equation():

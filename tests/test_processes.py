@@ -1,5 +1,7 @@
 """Generator-level checks: seeding, marginal laws, scaling, memory."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats as sps
@@ -16,7 +18,8 @@ from hermite_markets import (
     gen_hou,
     gen_mixed,
 )
-from hermite_markets.processes import _fgn_autocov, _fgn_transform, gen_fgn, hermite_poly
+from hermite_markets.processes import _fgn_autocov, _fgn_transform, _raw_sum_std, gen_fgn, \
+    hermite_poly
 from hermite_markets.stats import autocov_slope
 
 
@@ -165,6 +168,18 @@ def test_fgn_transform_covariance_is_exact(count, hurst):
     a = _fgn_transform(hurst, np.eye(2 * count))
     want = toeplitz(_fgn_autocov(hurst, np.arange(count)))
     assert np.max(np.abs(a.T @ a - want)) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 5, 64])
+def test_raw_sum_std_matches_double_sum(rank, count):
+    # Var sum_j He_k(xi_j) = sum_i sum_j k! rho(|i - j|)^k, summed term by
+    # term here instead of by lag.
+    for inner_hurst in (0.55, 0.8, 0.95):
+        lags = np.abs(np.subtract.outer(np.arange(count), np.arange(count)))
+        rho = _fgn_autocov(inner_hurst, lags)
+        want = math.sqrt(math.factorial(rank) * float(np.sum(rho ** rank)))
+        assert _raw_sum_std(inner_hurst, rank, count) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

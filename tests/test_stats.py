@@ -1,10 +1,15 @@
 """Covariance targets, normalization constants, QV statistics, Hurst fits."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.stats as sps
+
+import hermite_markets
 
 from hermite_markets import (
     HermiteSpec,
@@ -63,6 +68,19 @@ def test_norm_const_positive_both_ranks():
 def test_norm_const_rejects_high_rank():
     with pytest.raises(ValueError):
         norm_const(0.7, 3)
+
+
+def test_library_import_leaves_out_scipy_special_and_optimize():
+    # Closed forms replace scipy's gamma and root finder; only the CLI's
+    # checks still pull in scipy.stats, and with it both modules.
+    src = os.path.dirname(os.path.dirname(hermite_markets.__file__))
+    code = ("import sys, hermite_markets; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_rank1_scaling_factor_is_consistent():

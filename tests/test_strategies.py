@@ -1,9 +1,13 @@
 """Portfolio fields, tax accounting, and the arbitrage demonstrations."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hermite_markets import (
     HermiteSpec,
@@ -179,6 +183,28 @@ def test_power_pair_taxed_roots_satisfy_identity():
         worst = max(abs(float(taxed_bsm_residual(field, [x, y], r, sigmas, tax)))
                     for x, y in _points(6))
         assert worst < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-3.0, 3.0, allow_subnormal=False),
+       r=st.floats(0.0, 0.2, allow_subnormal=False),
+       sigmas=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+       tax=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_power_pair_roots_satisfy_taxed_identity(a, r, sigmas, tax):
+    try:
+        roots = power_pair_exponents(a, r, sigmas, tax)
+    except ValueError:
+        assume(False)
+    k1, k2 = (s ** 2 + r * c ** 2 for s, c in zip(sigmas, tax))
+    for b in roots:
+        field = power_portfolio([a, b])
+        for x, y in ((0.5, 2.0), (1.0, 1.0), (1.7, 0.6)):
+            g = x ** a * y ** b
+            # the sum of the operator's terms' sizes
+            scale = g * (r * (abs(a) + abs(b) + 1.0) + 0.5 * k1 * (a * a + abs(a))
+                         + 0.5 * k2 * (b * b + abs(b)))
+            residual = float(taxed_bsm_residual(field, [x, y], r, sigmas, tax))
+            assert abs(residual) <= 1e-12 * scale
 
 
 def test_power_pair_rejects_complex_roots():
@@ -359,3 +385,41 @@ def test_report_serialization():
                 "ci_low", "ci_high", "pass"):
         assert key in data
     assert isinstance(data["pass"], bool)
+
+
+# (demo, tax, paths, seed, Hermite rank of the mixed driver, passed, sha256
+# of to_json_dict() and the cost and net paths' bytes), all at 64 steps:
+# pins both demos' reports bit for bit, taxed, untaxed and failing.
+_GOLDEN_DEMOS = [
+    ("diffusion", None, 300, 9, None, True,
+     "192c6af0eb54fdb9e8c25b34a1672cf3b521418524b9bf1a1c37a16aefe25564"),
+    ("diffusion", 0.3, 300, 9, None, True,
+     "e33850b8c6c1957bd3e922d4e2c804d1b3641d8e52bdf94afef3686b42c97946"),
+    ("diffusion", 0.02, 40, 9, None, False,
+     "bb6f94d7e77a476d8bf9b95e60f1dcb656b9921f0e32e5a67b1a33847b4156ca"),
+    ("mixed", None, 300, 12, None, True,
+     "4f1707d29786ee5fc0a67ddef1d3d3364582a6e5ea0d990d78f392d4e0926d09"),
+    ("mixed", 0.3, 300, 12, None, True,
+     "4f4fbb5f4d0acdabfa54dadf0ffd38dd3bfc1c4662e88a1c5f042f9a35f3fa26"),
+    ("mixed", 0.02, 40, 12, None, False,
+     "e0a7ad61ca65f3f7c3a56182b3f9163825390a624fb4acf6d4d7f8633eb12c85"),
+    ("mixed", 0.3, 100, 4, 2, True,
+     "d87f49c9293d2828b39b73a39430bbb73407d1e859acd799e99c3b8bfc245817"),
+]
+
+
+@pytest.mark.parametrize("demo, tax, paths, seed, rank, passed, digest", _GOLDEN_DEMOS)
+def test_golden_demo_reports(demo, tax, paths, seed, rank, passed, digest):
+    schedule = TaxSchedule.uniform(tax, 2) if tax else None
+    if demo == "diffusion":
+        report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
+                                    paths, 64, 1.0, seed, schedule)
+    else:
+        hermite = {} if rank is None else {"hermite": HermiteSpec(0.75, rank, 4)}
+        report = mixed_arb_demo(_mixed_market(), paths, 64, 1.0, seed, schedule,
+                                **hermite)
+    sha = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+    sha.update(report.cost_path.tobytes())
+    sha.update(report.net_path.tobytes())
+    assert report.passed is passed
+    assert sha.hexdigest() == digest
