@@ -142,7 +142,9 @@ class TwoAssetDiffusion:
         t = w.times
         out = []
         for mu, sigma in ((self.mu1, self.sigma1), (self.mu2, self.sigma2)):
-            out.append(np.exp((mu - 0.5 * sigma ** 2) * t + sigma * w.values))
+            prices = np.multiply(w.values, sigma)
+            prices += (mu - 0.5 * sigma ** 2) * t
+            out.append(np.exp(prices, out=prices))
         return out
 
 
@@ -238,9 +240,12 @@ def singular_square_term(t, h_values, hurst):
     the product tends to zero almost surely; its mean is exactly t.
     """
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(h_values)
     positive = t > 0
-    out[..., positive] = t[positive] ** (1.0 - 2.0 * hurst) * h_values[..., positive] ** 2
+    factor = np.zeros_like(t)
+    factor[positive] = t[positive] ** (1.0 - 2.0 * hurst)
+    out = np.square(np.asarray(h_values, dtype=float))
+    out *= factor
+    out[..., ~positive] = 0.0  # also where H^2 overflowed: inf * 0 is nan
     return out
 
 
@@ -255,13 +260,23 @@ def price_mixed_market(market, w, h):
     if w.n_paths != h.n_paths:
         raise ValueError("Brownian and Hermite ensembles must have equal path counts")
     t = w.times
-    square = singular_square_term(t, h.values, market.hurst)
+    # Each exponent is built in place with the grouping of the formulas
+    # above; IEEE + and * commute exactly, so operand order changes no bit.
+    excess = singular_square_term(t, h.values, market.hurst)
+    excess -= t
+    scratch = np.empty_like(excess)
     bond = np.exp(market.r * t)[None, :]
-    tilted = np.exp(-0.5 * market.b ** 2 * t + market.b * w.values)
-    unit = np.exp(w.values + (square - t) + market.rho * h.values)
-    stock = market.s0 * np.exp(market.mu * t + market.sigma * w.values
-                               + market.sigma ** 2 * (square - t)
-                               + market.sigma_h * h.values)
+    tilted = np.multiply(w.values, market.b)
+    tilted += -0.5 * market.b ** 2 * t
+    unit = np.add(w.values, excess)
+    unit += np.multiply(h.values, market.rho, out=scratch)
+    stock = np.multiply(w.values, market.sigma)
+    stock += market.mu * t
+    stock += np.multiply(excess, market.sigma ** 2, out=scratch)
+    stock += np.multiply(h.values, market.sigma_h, out=scratch)
+    for exponent in (tilted, unit, stock):
+        np.exp(exponent, out=exponent)
+    stock *= market.s0
     common = dict(horizon=w.horizon, steps=w.steps, seed=w.seed, kind="price")
     return MixedMarketPaths(
         bond=SamplePath(values=bond, meta={"asset": "bond", "r": market.r}, **common),
@@ -365,9 +380,17 @@ def synth_riskless_taxed(sigma, mu, tax):
     else:
         phi = _taxed_newton(sigma, intensities)
 
-    residual = abs(_taxed_balance(phi, intensities)) + abs(float(sigma @ phi))
-    if residual > 1e-10:
-        raise InfeasibleMarketError(f"taxed synthesis did not converge (residual {residual:.3e})")
+    # Each equation is checked against the size of its own terms, which
+    # bounds what rounding can leave; absolute, large roots would fail.
+    quadratic = 0.5 * intensities ** 2 * phi * (phi - 1.0)
+    checks = ((_taxed_balance(phi, intensities),
+               np.abs(phi).sum() + 1.0 + np.abs(quadratic).sum()),
+              (float(sigma @ phi), np.abs(sigma * phi).sum()))
+    for residual, size in checks:
+        if abs(residual) > 1e-10 * max(1.0, float(size)):
+            raise InfeasibleMarketError(
+                f"taxed synthesis did not converge (residual {abs(residual):.3e} "
+                f"against terms summing to {size:.3e})")
     return RisklessSynthesis(exponents=phi, rate=float(phi @ mu), kind="taxed")
 
 

@@ -24,10 +24,12 @@ across workers, and reassembled by index with bit-identical results.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "CirculantEmbeddingError",
@@ -211,9 +213,120 @@ class SamplePath:
 # seeding
 
 def path_rng(seed, path_index, component=0):
-    """Independent generator for one path of one driver component."""
+    """Independent generator for one path of one driver component.
+
+    The generators seed all their paths in one vectorised pass instead of
+    calling this per path; they draw the same normals, and this function
+    is the reference the tests compare them against.
+    """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(path_index), int(component)))
     return np.random.default_rng(ss)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), run once for
+# all paths at a time: one SeedSequence per path costs about twice the
+# draws of a 512-step path.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value, name):
+    """SeedSequence's coding of a nonnegative int: 32-bit words, low first."""
+    value = int(value)
+    _require(value >= 0, f"{name} must be a nonnegative integer, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init, mult):
+    const = init
+    while True:
+        following = const * mult & _MASK32
+        yield const, following
+        const = following
+
+
+def _hashmix(value, constants):
+    xor, mult = next(constants)
+    value = (value ^ np.uint32(xor)) * np.uint32(mult)
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_sequence_states(entropy):
+    """``SeedSequence.generate_state(4, np.uint64)`` for each row of words.
+
+    ``entropy`` is the assembled entropy as a list of uint32 columns, at
+    least the pool size long; the result has one row of four words per
+    entry of the columns.
+    """
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, constants) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    halves = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(halves[::2], halves[1::2])],
+                    axis=1)
+
+
+def _stream_states(seed, path_indices, component):
+    """PCG64 seed words of ``path_rng(seed, p, component)``, one row per p.
+
+    Path indices must lie below 2**64; numpy codes those of 2**32 and above
+    in two words, so the rows are hashed in two groups.
+    """
+    run = _uint32_words(seed, "seed")
+    run += [0] * (_POOL_SIZE - len(run))
+    tail = _uint32_words(component, "component")
+    try:
+        paths = np.asarray(path_indices, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("path indices must be integers in [0, 2**64)") from None
+    states = np.empty((len(paths), 4), dtype=np.uint64)
+    low = (paths & np.uint64(_MASK32)).astype(np.uint32)
+    high = (paths >> np.uint64(32)).astype(np.uint32)
+    for wide in (False, True):
+        rows = np.flatnonzero((high != 0) == wide)
+        if len(rows) == 0:
+            continue
+        own = [low[rows], high[rows]] if wide else [low[rows]]
+        fixed = [np.full(len(rows), word, dtype=np.uint32) for word in run + tail]
+        states[rows] = _seed_sequence_states(fixed[:len(run)] + own + fixed[len(run):])
+    return states
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words computed beforehand, handed to PCG64 as a seed sequence."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (4, np.dtype(np.uint64)):
+            raise NotImplementedError("only PCG64's four uint64 seed words are precomputed")
+        return self.words
+
+
+def _fill_normals(out, seed, path_indices, component):
+    """Fill row i of ``out`` with the normals of path_rng(seed, path_indices[i], component)."""
+    for row, words in zip(out, _stream_states(seed, path_indices, component)):
+        np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(out=row)
 
 
 def derive_seeds(seed, count):
@@ -264,8 +377,7 @@ def _chunk_slices(paths, count):
 def _fgn_draws(count, seed, path_indices, component):
     """The 2 count standard normals of each path, one row per path index."""
     draws = np.empty((len(path_indices), 2 * count))
-    for row, p in zip(draws, path_indices):
-        path_rng(seed, p, component).standard_normal(out=row)
+    _fill_normals(draws, seed, path_indices, component)
     return draws
 
 
@@ -367,11 +479,12 @@ def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     """Standard Brownian motion, W(0) = 0, exact Gaussian increments."""
     _check_grid(horizon, steps, paths)
     dt_root = math.sqrt(horizon / steps)
-    values = np.zeros((paths, steps + 1))
-    for i in range(paths):
-        incr = path_rng(seed, path_offset + i, component).standard_normal(steps)
-        values[i, 1:] = np.cumsum(incr)
-    values[:, 1:] *= dt_root
+    values = np.empty((paths, steps + 1))
+    values[:, 0] = 0.0
+    walk = values[:, 1:]
+    _fill_normals(walk, seed, range(path_offset, path_offset + paths), component)
+    np.cumsum(walk, axis=1, out=walk)
+    walk *= dt_root
     return SamplePath(horizon, steps, values, seed, "driver",
                       meta={"process": "bm", "paths": paths, "path_offset": path_offset,
                             "component": component})
@@ -458,6 +571,27 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
                             "paths": paths, "path_offset": path_offset})
 
 
+def _hou_working_bytes(hermite, total, paths):
+    """Bytes gen_hou holds at once over ``total`` grid steps, an estimate.
+
+    The driver, its increments and the OU values are (paths, total + 1)
+    each.  Building the circulant's eigenvalues and each row of one FFT
+    chunk of the driver (draws, half spectrum, inverse transform) take
+    about 48 bytes per inner lattice point.
+    """
+    n_inner = total * (1 if hermite.rank == 1 else hermite.approx_factor)
+    rows = min(paths, max(1, _CHUNK_ENTRIES // (2 * n_inner)))
+    return 8 * 3 * paths * (total + 1) + 48 * (rows + 1) * n_inner
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     """Hermite-driven Ornstein-Uhlenbeck process on [0, horizon].
 
@@ -472,6 +606,13 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     dt = horizon / steps
     burn = int(math.ceil(spec.history_truncation / dt))
     total = burn + steps
+    need, have = _hou_working_bytes(hermite, total, paths), _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"gen_hou would need about {need / 2**30:.1f} GiB for {paths} paths of "
+            f"{total} steps ({burn} of them history), more than the {have / 2**30:.1f} GiB "
+            f"of physical memory; raise ou_lambda ({spec.lam}) or lower "
+            f"history_truncation ({spec.history_truncation})")
     driver = _hermite_values(hermite, total * dt, total, paths, seed, component=0,
                              path_offset=path_offset)
     deltas = np.diff(driver, axis=1)

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _FD_SCALE = 1e-5
+# Prices per block of paths in running_cost: a few such arrays fit in L2.
+_COST_BLOCK_ENTRIES = 1 << 15
 _Z95 = 1.959963984540054
 
 
@@ -367,40 +369,53 @@ def running_cost(P, prices, tax, times=None):
     """Cumulative tax sum_j c_j^2/2 int d2P/dx_j^2 S_j dS_j, left-point.
 
     ``prices`` may be a SamplePath whose rows are assets, an (assets,
-    n + 1) array, or an (assets, paths, n + 1) array for ensembles.  The
-    first two return a GridFunction; the ensemble form returns an array of
-    cumulative costs per path.
+    n + 1) array, or an (assets, paths, n + 1) array for ensembles; a list
+    or tuple of the per-asset rows is taken as the array it would stack
+    to, without the copy.  The first two return a GridFunction; the
+    ensemble form returns an array of cumulative costs per path.
     """
     if isinstance(prices, SamplePath):
         if times is None:
             times = prices.times
         prices = prices.values
-    arr = np.asarray(prices, dtype=float)
-    if arr.ndim == 2:
+    if not isinstance(prices, (list, tuple)):
+        prices = np.atleast_1d(np.asarray(prices, dtype=float))
+    rows = [np.asarray(row, dtype=float) for row in prices]
+    dims = {row.ndim for row in rows}
+    if dims == {1}:
         squeeze = True
-        arr = arr[:, None, :]
-    elif arr.ndim == 3:
+        rows = [row[None, :] for row in rows]
+    elif dims == {2}:
         squeeze = False
     else:
         raise ValueError("prices must be (assets, n+1) or (assets, paths, n+1)")
-    if arr.shape[0] != P.arity:
-        raise ValueError(f"{arr.shape[0]} asset rows for a field of arity {P.arity}")
+    if len({row.shape for row in rows}) != 1:
+        raise ValueError("every asset needs prices of one shape")
+    if len(rows) != P.arity:
+        raise ValueError(f"{len(rows)} asset rows for a field of arity {P.arity}")
     intensities = _intensities(tax, P.arity)
-    left = [arr[j, :, :-1] for j in range(P.arity)]
+    left = [row[:, :-1] for row in rows]
     t_left = None
     if P.time_dependent:
         if times is None:
             raise ValueError("time-dependent field needs the time grid")
         t_left = np.asarray(times, dtype=float)[:-1]
-    increments = np.zeros_like(left[0])
-    for j in range(P.arity):
-        if not intensities[j]:
-            continue
-        curvature = P.second(j, j, left, t_left)
-        increments = increments + (0.5 * intensities[j] ** 2 * curvature
-                                   * left[j] * np.diff(arr[j], axis=-1))
-    out = np.zeros((arr.shape[1], arr.shape[2]))
-    out[:, 1:] = np.cumsum(increments, axis=-1)
+    out = np.zeros(rows[0].shape)
+    # Blocks of paths keep the curvature's temporaries in cache; every
+    # operation is elementwise or along a path, so the bits do not change.
+    block = max(1, _COST_BLOCK_ENTRIES // out.shape[1])
+    for start in range(0, out.shape[0], block):
+        paths = slice(start, start + block)
+        increments = out[paths, 1:]
+        left_block = [side[paths] for side in left]
+        for j in range(P.arity):
+            if not intensities[j]:
+                continue
+            term = (0.5 * intensities[j] ** 2 * P.second(j, j, left_block, t_left)
+                    * left_block[j])
+            term *= rows[j][paths, 1:] - left_block[j]
+            increments += term
+        np.cumsum(increments, axis=-1, out=increments)
     if squeeze:
         return GridFunction(out[0])
     return out
@@ -633,7 +648,7 @@ def _arb_report(demo, parameters, seed, stats, invariant, portfolio, values, ass
     paths = values.shape[0]
     taxed = bool(intensities.any())
     if taxed:
-        cost = running_cost(portfolio, np.stack(assets), intensities, times=times)
+        cost = running_cost(portfolio, assets, intensities, times=times)
         net = values - cost
         losses = int((net[:, -1] < 0).sum())
         low, high = wilson_ci(losses, paths)

@@ -23,6 +23,7 @@ from hermite_markets import (
     synth_riskless,
     synth_riskless_taxed,
 )
+from hermite_markets import markets
 from hermite_markets.processes import derive_seeds
 
 
@@ -120,6 +121,23 @@ def test_taxed_synthesis_large_root_passes_residual_check():
     phi = synth_riskless_taxed(sigma, [0.02, 0.04], c).exponents
     assert phi[0] == pytest.approx(25784.67206754937, rel=1e-14)
     assert _taxed_residual(sigma, c, phi) < 1e-10
+
+
+def test_taxed_synthesis_residual_check_scales_with_terms(monkeypatch):
+    # phi = (20287.498, -1.6e7): the exposure's terms are about 7.7e4 and
+    # the balance's 3.2e7, so the float nearest the root leaves a balance
+    # residual of 1.9e-9 that an absolute 1e-10 check refused.  Checked
+    # against each equation's own terms, the root passes; moved by 1e-6
+    # relative, it does not.
+    sigma = np.array([3.8165161327922856, 0.004785791851107394])
+    c = np.array([0.0004685353517989761, 0.0003513751355374688])
+    phi = synth_riskless_taxed(sigma, [0.02, 0.04], c).exponents
+    assert phi[0] == pytest.approx(20287.49842758485, rel=1e-14)  # 60-digit root
+    exact = markets._taxed_pair_root
+    monkeypatch.setattr(markets, "_taxed_pair_root",
+                        lambda ratio, tax: exact(ratio, tax) * (1.0 + 1e-6))
+    with pytest.raises(InfeasibleMarketError, match="did not converge"):
+        synth_riskless_taxed(sigma, [0.02, 0.04], c)
 
 
 # On these ranges the balance's terms stay below about 1e5, so their

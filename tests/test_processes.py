@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from hermite_markets import (
@@ -17,9 +19,11 @@ from hermite_markets import (
     gen_hermite,
     gen_hou,
     gen_mixed,
+    path_rng,
 )
-from hermite_markets.processes import _fgn_autocov, _fgn_transform, _raw_sum_std, gen_fgn, \
-    hermite_poly
+from hermite_markets import processes
+from hermite_markets.processes import _fgn_autocov, _fgn_draws, _fgn_transform, _raw_sum_std, \
+    _stream_states, gen_fgn, hermite_poly
 from hermite_markets.stats import autocov_slope
 
 
@@ -59,6 +63,56 @@ def test_paths_start_at_zero():
         gen_hermite(HermiteSpec(0.7, 2), 1.0, 32, paths=3, seed=1),
     ):
         assert np.all(path.values[:, 0] == 0.0)
+
+
+# Generators seed every path in one pass of numpy's SeedSequence hash;
+# SeedSequence itself is the oracle.  Numpy codes integers of 2**32 and
+# above in two 32-bit words, so indices straddling 2**32 are checked too.
+_EDGE_INDICES = [0, 2**31, 2**32 - 1, 2**32, *range(2**32 - 3, 2**32 + 3)]
+
+
+def _seed_sequence_state(seed, path, component):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path, component))
+    return ss.generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+@pytest.mark.parametrize("component", [0, 1, 2**32 - 1])
+def test_stream_states_match_seed_sequence(seed, component):
+    states = _stream_states(seed, _EDGE_INDICES, component)
+    expected = [_seed_sequence_state(seed, p, component) for p in _EDGE_INDICES]
+    assert np.array_equal(states, np.array(expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**140), start=st.integers(0, 2**64 - 8),
+       count=st.integers(1, 7), component=st.integers(0, 2**33))
+def test_stream_states_match_seed_sequence_property(seed, start, count, component):
+    paths = range(start, start + count)
+    expected = [_seed_sequence_state(seed, p, component) for p in paths]
+    assert np.array_equal(_stream_states(seed, paths, component), np.array(expected))
+
+
+@pytest.mark.parametrize("offset", [0, 2**32 - 2])
+def test_generator_rows_equal_path_rng_draws(offset):
+    steps, seed, component = 16, 77, 3
+    bm = gen_bm(2.0, steps, paths=4, seed=seed, component=component, path_offset=offset)
+    for i, row in enumerate(bm.values):
+        draws = path_rng(seed, offset + i, component).standard_normal(steps)
+        assert row[0] == 0.0
+        assert np.array_equal(row[1:], np.cumsum(draws) * math.sqrt(2.0 / steps))
+    fgn = _fgn_draws(steps, seed, range(offset, offset + 4), component)
+    for i, row in enumerate(fgn):
+        assert np.array_equal(row, path_rng(seed, offset + i, component).standard_normal(2 * steps))
+
+
+def test_stream_seeding_rejects_negative_integers():
+    with pytest.raises(ValueError, match="seed"):
+        gen_bm(1.0, 4, seed=-1)
+    with pytest.raises(ValueError, match="component"):
+        gen_bm(1.0, 4, component=-1)
+    with pytest.raises(ValueError, match="path indices"):
+        gen_bm(1.0, 4, path_offset=-1)
 
 
 # Pinned realizations, 3 paths x 8 steps at seed 2024 (t = 0 column
@@ -390,3 +444,30 @@ def test_hou_value_autocov_decay():
     assert min(acov) > 0
     slope = float(np.diff(np.log(acov))[0] / np.diff(np.log(lags_t))[0])
     assert abs(slope - (2 * h - 2.0)) < 0.3
+
+
+def test_hou_working_bytes_counts_driver_and_chunk():
+    # Rank 2, approx_factor 32, 100 steps, 3 paths: three (3, 101) arrays
+    # of 8 bytes, and 48 bytes per inner point for the eigenvalues and for
+    # each of the 3 rows of one chunk (3200 inner points).
+    estimate = processes._hou_working_bytes(HermiteSpec(0.75, 2), 100, 3)
+    assert estimate == 8 * 3 * 3 * 101 + 48 * 4 * 3200
+    # Rank 1 runs on the output grid, and a lattice longer than one chunk
+    # is transformed a row at a time.
+    assert processes._hou_working_bytes(HermiteSpec(0.75), 100, 3) == 8 * 3 * 3 * 101 + 48 * 4 * 100
+    big = 2**23
+    assert processes._hou_working_bytes(HermiteSpec(0.75), big, 5) == 8 * 3 * 5 * (big + 1) + 48 * 2 * big
+
+
+def test_hou_preflight_raises_before_allocating(monkeypatch):
+    # lam = 0.01 with 1024 steps on [0, 1] runs a rank-2 driver over a
+    # 65.6-million-point lattice: gigabytes per row, refused before any
+    # of it is built.
+    def never(*args, **kwargs):
+        raise AssertionError("the driver was allocated")
+
+    monkeypatch.setattr(processes, "_hermite_values", never)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: 2**30)
+    with pytest.raises(ValueError, match=r"ou_lambda \(0\.01\).*history_truncation") as err:
+        gen_hou(HouSpec(0.01, 1.0), HermiteSpec(0.75, 2), 1.0, 1024, paths=10)
+    assert "6.3 GiB" in str(err.value)

@@ -251,10 +251,33 @@ def test_running_cost_ensemble_shape():
     assert np.all(out[:, 0] == 0.0)
 
 
+def test_running_cost_takes_asset_rows_in_any_container():
+    # A list or tuple of the asset rows is the 3-D array it would stack to.
+    # 300 paths span several of the blocks running_cost works through, and
+    # the costs match one left-point sum per path.
+    prices = np.exp(0.1 * np.random.default_rng(4).standard_normal((2, 300, 129)))
+    times = np.linspace(0.0, 1.0, 129)
+    field = mixed_arbitrage_portfolio(0.01)
+    stacked = running_cost(field, prices, [0.3, 0.2], times=times)
+    for rows in (list(prices), tuple(prices)):
+        assert np.array_equal(running_cost(field, rows, [0.3, 0.2], times=times), stacked)
+    left = prices[:, :, :-1]
+    increments = np.zeros_like(left[0])
+    for j, c in enumerate((0.3, 0.2)):
+        increments = increments + (0.5 * c ** 2 * field.second(j, j, list(left), times[:-1])
+                                   * left[j] * np.diff(prices[j], axis=-1))
+    assert np.array_equal(stacked[:, 1:], np.cumsum(increments, axis=-1))
+    assert np.all(stacked[:, 0] == 0.0)
+
+
 def test_running_cost_validation():
     field = _single_asset_quadratic()
     with pytest.raises(ValueError):
         running_cost(field, np.ones((2, 4, 5, 6)), [0.2])
+    with pytest.raises(ValueError):
+        running_cost(field, [np.ones((4, 5, 6))], [0.2])
+    with pytest.raises(ValueError, match="one shape"):
+        running_cost(power_portfolio([1.0, 2.0]), [np.ones((4, 9)), np.ones((3, 9))], [0.2, 0.2])
     with pytest.raises(ValueError):
         running_cost(field, np.ones((3, 9)), [0.2, 0.2, 0.2])
     timed = mixed_arbitrage_portfolio(0.01)
