@@ -24,14 +24,13 @@ import numpy as np
 from scipy import stats as sps
 
 from .markets import MixedMarket, TwoAssetDiffusion
-from .pathio import PathFormatError, read_path_csv, write_path_csv, write_sidecar, \
-    write_surface_csv
+from .pathio import read_path_csv, write_path_csv, write_sidecar, write_surface_csv
 from .pde import IllPosedProblemError, TerminalClaim, grid_for_spot, solve_tax_bsm
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
     gen_fbm, gen_hermite, gen_hou, gen_mixed
 from .stats import autocov_slope, centered_qv, estimate_hurst, theoretical_cov
-from .strategies import TaxSchedule, diffusion_arb_demo, f_strategy_demo, \
-    mixed_arb_demo, shiryaev_demo
+from .strategies import diffusion_arb_demo, f_strategy_demo, mixed_arb_demo, \
+    shiryaev_demo
 
 __all__ = ["main"]
 
@@ -309,16 +308,14 @@ def _cmd_arb_demo(args):
                                      lambda x: 2.0 * (x - 1.0),
                                      lambda x: 2.0 * np.ones_like(np.asarray(x, float)),
                                      driver, args.tax, threshold_check=True)
+    elif args.case == "diffusion":
+        report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
+                                    args.paths, args.steps, args.horizon, seed, args.tax)
     else:
-        tax = TaxSchedule.uniform(args.tax, 2) if args.tax else None
-        if args.case == "diffusion":
-            report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
-                                        args.paths, args.steps, args.horizon, seed, tax)
-        else:
-            market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2,
-                                 sigma_h=0.3, hurst=args.hurst)
-            report = mixed_arb_demo(market, args.paths, args.steps, args.horizon,
-                                    seed, tax)
+        market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2,
+                             sigma_h=0.3, hurst=args.hurst)
+        report = mixed_arb_demo(market, args.paths, args.steps, args.horizon,
+                                seed, args.tax)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 
@@ -327,8 +324,6 @@ def _cmd_arb_demo(args):
 # pricing
 
 def _cmd_price(args):
-    if args.maturity <= 0:
-        raise ValueError("--maturity must be positive")
     if args.payoff == "call":
         claim = TerminalClaim.call(args.strike, args.maturity)
     elif args.payoff == "put":
@@ -370,9 +365,6 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except PathFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -66,8 +66,6 @@ class PureHermiteMarket:
     s0: np.ndarray = None
     mu_fn: list = None
     sigma_fn: list = None
-    mu_fn_deriv: list = None
-    sigma_fn_deriv: list = None
 
     def __post_init__(self):
         self.mu = _as_float_array(self.mu, "mu")
@@ -209,15 +207,8 @@ def price_pure_hermite(market, driver):
     if market.n_assets > 1 and driver.n_paths > 1:
         raise ValueError("multi-asset pricing needs a single driver path; "
                          "use pure_hermite_price_matrix for ensembles")
-    t = driver.times
-    if market.n_assets == 1:
-        values = market.s0[0] * np.exp(market.drift_at(0, t)[None, :]
-                                       + market.exposure_at(0, t)[None, :] * driver.values)
-    else:
-        h = driver.single()
-        rows = [market.s0[i] * np.exp(market.drift_at(i, t) + market.exposure_at(i, t) * h)
-                for i in range(market.n_assets)]
-        values = np.vstack(rows)
+    cube = pure_hermite_price_matrix(market, driver)
+    values = cube[0] if market.n_assets == 1 else cube[:, 0]
     return SamplePath(driver.horizon, driver.steps, values, driver.seed, "price",
                       meta={"market": "pure_hermite", "mu": market.mu.tolist(),
                             "sigma": market.sigma.tolist(), "s0": market.s0.tolist()})
@@ -228,8 +219,8 @@ def pure_hermite_price_matrix(market, driver):
     t = driver.times
     out = np.empty((market.n_assets, driver.n_paths, driver.steps + 1))
     for i in range(market.n_assets):
-        out[i] = market.s0[i] * np.exp(market.drift_at(i, t)[None, :]
-                                       + market.exposure_at(i, t)[None, :] * driver.values)
+        out[i] = market.s0[i] * np.exp(market.drift_at(i, t)
+                                       + market.exposure_at(i, t) * driver.values)
     return out
 
 

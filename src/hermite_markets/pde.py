@@ -183,36 +183,35 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     payoff_vals = np.asarray(claim.payoff(x), dtype=float)
     if payoff_vals.shape != x.shape:
         raise ValueError("payoff must map the price nodes to one value each")
-    taus = np.linspace(0.0, claim.maturity, grid.time_steps + 1)
+    steps = grid.time_steps
+    taus = np.linspace(0.0, claim.maturity, steps + 1)
     bound_l, bound_r = _boundary_values(claim, x, payoff_vals, rate, sig_eff_sq, taus)
 
-    n_int = grid.nodes - 2
-    surface = np.empty((grid.time_steps + 1, grid.nodes))
-    surface[0] = payoff_vals
-    current = payoff_vals[1:-1].copy()
-    for m in range(grid.time_steps):
-        theta = 1.0 if m < 2 else grid.theta
-        rhs = current.copy()
-        if theta < 1.0:
-            expl = (1.0 - theta) * d_tau
-            rhs = rhs + expl * (diag * current)
-            rhs[1:] += expl * lower * current[:-1]
-            rhs[:-1] += expl * upper * current[1:]
-            rhs[0] += expl * lower * bound_l[m]
-            rhs[-1] += expl * upper * bound_r[m]
-        rhs[0] += theta * d_tau * lower * bound_l[m + 1]
-        rhs[-1] += theta * d_tau * upper * bound_r[m + 1]
-        ab = np.zeros((3, n_int))
+    def step_system(theta):
+        ab = np.zeros((3, grid.nodes - 2))
         ab[0, 1:] = -theta * d_tau * upper
         ab[1, :] = 1.0 - theta * d_tau * diag
         ab[2, :-1] = -theta * d_tau * lower
-        current = solve_banded((1, 1), ab, rhs)
-        surface[m + 1, 0] = bound_l[m + 1]
-        surface[m + 1, -1] = bound_r[m + 1]
-        surface[m + 1, 1:-1] = current
+        return ab
+
+    systems = {theta: step_system(theta) for theta in (1.0, grid.theta)}
+    # Rows in calendar order: step m fills row steps - m - 1, whose boundary
+    # values are set here, from row steps - m.
+    surface = np.empty((steps + 1, grid.nodes))
+    surface[:-1, 0] = bound_l[:0:-1]
+    surface[:-1, -1] = bound_r[:0:-1]
+    surface[-1] = payoff_vals
+    for m in range(steps):
+        theta = 1.0 if m < 2 else grid.theta
+        known, new = surface[steps - m], surface[steps - m - 1]
+        stencil = lower * known[:-2] + diag * known[1:-1] + upper * known[2:]
+        rhs = known[1:-1] + (1.0 - theta) * d_tau * stencil
+        rhs[0] += theta * d_tau * lower * new[0]
+        rhs[-1] += theta * d_tau * upper * new[-1]
+        new[1:-1] = solve_banded((1, 1), systems[theta], rhs)
 
     times = claim.maturity - taus[::-1]
-    return PdeSurface(times=times, prices=x, values=surface[::-1].copy(),
+    return PdeSurface(times=times, prices=x, values=surface,
                       meta={"rate": rate, "sigma": sigma, "tax_hat": tax_hat,
                             "sigma_eff_sq": sig_eff_sq, "kind": claim.kind,
                             "maturity": claim.maturity, "theta": grid.theta,

@@ -128,19 +128,16 @@ class MixedHermiteSpec:
     normalization: str = "empirical"
 
     def __post_init__(self):
-        _require(0.5 < self.hurst < 1.0, f"hurst must lie in (1/2, 1), got {self.hurst}")
         _require(len(self.components) >= 1, "at least one component is required")
         sq = 0.0
-        for weight, rank in self.components:
+        for index, (weight, _) in enumerate(self.components):
             _require(weight > 0, f"component weights must be positive, got {weight}")
-            _require(isinstance(rank, int) and rank >= 1, f"component ranks must be integers >= 1, got {rank}")
+            self.component_spec(index)
             sq += float(weight) ** 2
         _require(abs(sq - 1.0) <= 1e-12, f"squared weights must sum to 1 within 1e-12, got {sq!r}")
-        _require(isinstance(self.approx_factor, int) and self.approx_factor >= 1,
-                 "approx_factor must be an integer >= 1")
-        _require(self.normalization in ("empirical", "analytic"), "unknown normalization mode")
 
     def component_spec(self, index):
+        """HermiteSpec of component ``index``; building it validates the component."""
         _, rank = self.components[index]
         return HermiteSpec(self.hurst, rank, self.approx_factor, self.normalization)
 
@@ -368,8 +365,13 @@ def _half_spectrum_scale(hurst, count):
     return scale
 
 
+def _chunk_rows(count):
+    """Paths per FFT batch for a lattice of ``count`` points."""
+    return max(1, _CHUNK_ENTRIES // max(2 * count, 1))
+
+
 def _chunk_slices(paths, count):
-    size = max(1, _CHUNK_ENTRIES // max(2 * count, 1))
+    size = _chunk_rows(count)
     for start in range(0, paths, size):
         yield start, min(start + size, paths)
 
@@ -427,10 +429,11 @@ def hermite_poly(order, x):
     """Probabilists' Hermite polynomial He_order(x), three-term recurrence."""
     _require(isinstance(order, int) and order >= 0, f"order must be an integer >= 0, got {order}")
     arr = np.asarray(x, dtype=float)
-    prev = np.ones_like(arr)
     if order == 0:
-        return prev if arr.ndim else 1.0
-    cur = arr.copy()
+        return np.ones_like(arr) if arr.ndim else 1.0
+    if order == 1:
+        return arr.copy() if arr.ndim else float(arr)
+    prev, cur = 1.0, arr
     for m in range(1, order):
         prev, cur = cur, arr * cur - m * prev
     return cur if arr.ndim else float(cur)
@@ -507,18 +510,24 @@ def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
                             "paths": paths, "path_offset": path_offset, "component": component})
 
 
+def _lattice_factor(spec):
+    """Inner lattice points per output step.
+
+    Rank-1 partial sums are inner-lattice FBM sampled every approx_factor
+    points, and both normalizations reduce to n_inner**-hurst; by
+    self-similarity that is FBM drawn on the output grid, exactly in law,
+    whatever approx_factor is.
+    """
+    return 1 if spec.rank == 1 else spec.approx_factor
+
+
 def _hermite_values(spec, horizon, steps, paths, seed, component, path_offset=0):
+    factor = _lattice_factor(spec)
+    n_inner = factor * steps
     if spec.rank == 1:
-        # Rank-1 partial sums are inner-lattice FBM sampled every
-        # approx_factor points, and both normalizations reduce to
-        # n_inner**-hurst; by self-similarity that is FBM drawn on the
-        # output grid, exactly in law, whatever approx_factor is.
-        factor = 1
         scale = (horizon / steps) ** spec.hurst
     else:
-        factor = spec.approx_factor
-        scale = horizon ** spec.hurst * _partial_sum_scale(spec, factor * steps)
-    n_inner = factor * steps
+        scale = horizon ** spec.hurst * _partial_sum_scale(spec, n_inner)
     values = np.zeros((paths, steps + 1))
     take = slice(factor - 1, None, factor)
     for start, stop in _chunk_slices(paths, n_inner):
@@ -579,8 +588,8 @@ def _hou_working_bytes(hermite, total, paths):
     chunk of the driver (draws, half spectrum, inverse transform) take
     about 48 bytes per inner lattice point.
     """
-    n_inner = total * (1 if hermite.rank == 1 else hermite.approx_factor)
-    rows = min(paths, max(1, _CHUNK_ENTRIES // (2 * n_inner)))
+    n_inner = total * _lattice_factor(hermite)
+    rows = min(paths, _chunk_rows(n_inner))
     return 8 * 3 * paths * (total + 1) + 48 * (rows + 1) * n_inner
 
 

@@ -74,6 +74,9 @@ class TaxSchedule:
 
 
 def _intensities(tax, n_assets):
+    """Per-asset intensities of a TaxSchedule, array or scalar; None is no tax."""
+    if tax is None:
+        return np.zeros(n_assets)
     arr = np.atleast_1d(np.asarray(getattr(tax, "intensities", tax), dtype=float))
     if len(arr) == 1 and n_assets > 1:
         arr = np.full(n_assets, arr[0])
@@ -572,23 +575,20 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     portfolio = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
     rng = np.random.default_rng(seed)
     spots = 0.5 + 1.5 * rng.random((20, 2))
-    res_value = max(abs(float(pair_value_residual(portfolio, x, y))) for x, y in spots)
-    res_curv = max(abs(float(pair_curvature_residual(portfolio, x, y))) for x, y in spots)
-    for a in (-0.5, 0.3, 2.0):
-        powers = power_portfolio([a, power_pair_frictionless(a)])
-        res_value = max(res_value, max(abs(float(pair_value_residual(powers, x, y)))
-                                       for x, y in spots))
-        res_curv = max(res_curv, max(abs(float(pair_curvature_residual(powers, x, y)))
-                                     for x, y in spots))
+    x, y = spots[:, 0], spots[:, 1]
+    fields = [portfolio] + [power_portfolio([a, power_pair_frictionless(a)])
+                            for a in (-0.5, 0.3, 2.0)]
+    residual = max(float(np.abs(identity(field, x, y)).max()) for field in fields
+                   for identity in (pair_value_residual, pair_curvature_residual))
     stats = {
         "initial_value_max_abs": float(np.abs(g_values[:, 0]).max()),
         "min_terminal_value": float(g_values[:, -1].min()),
-        "pair_residual_max": max(res_value, res_curv),
+        "pair_residual_max": residual,
     }
     invariant = (stats["initial_value_max_abs"] == 0.0
                  and stats["min_terminal_value"] > 0.0
                  and stats["pair_residual_max"] < 1e-8)
-    intensities = _intensities(tax, 2) if tax is not None else np.zeros(2)
+    intensities = _intensities(tax, 2)
     return _arb_report("diffusion_arbitrage",
                        {"mu1": market.mu1, "mu2": market.mu2, "sigma": market.sigma1,
                         "tax": intensities.tolist(), "steps": steps, "horizon": horizon},
@@ -607,19 +607,19 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     if hermite is None:
         hermite = HermiteSpec(market.hurst, 1)
     w_seed, h_seed = derive_seeds(seed, 2)
-    w = gen_bm(horizon, steps, paths, seed=w_seed)
-    h = gen_hermite(hermite, horizon, steps, paths, seed=h_seed)
-    assets = price_mixed_market(market, w, h)
-    x_vals = assets.tilted.values
-    y_vals = assets.unit_exposure.values
+    assets = price_mixed_market(market, gen_bm(horizon, steps, paths, seed=w_seed),
+                                gen_hermite(hermite, horizon, steps, paths, seed=h_seed))
+    # Keep only the two traded legs: the bond and the stock would otherwise
+    # stay alive through the running cost.
+    x_vals, y_vals, t = assets.tilted.values, assets.unit_exposure.values, assets.tilted.times
+    del assets
     portfolio = mixed_arbitrage_portfolio(market.r)
-    t = w.times
     values = portfolio.value([x_vals, y_vals], t)
     rng = np.random.default_rng(seed)
     spots = 0.5 + 1.5 * rng.random((20, 2))
     ts = 0.1 + 0.8 * rng.random(20)
-    residual = max(abs(float(mixed_market_residual(portfolio, tc, x, y, market.r)))
-                   for tc, (x, y) in zip(ts, spots))
+    residual = float(np.abs(mixed_market_residual(portfolio, ts, spots[:, 0], spots[:, 1],
+                                                  market.r)).max())
     stats = {
         "initial_value_max_abs": float(np.abs(values[:, 0]).max()),
         "min_value": float(values.min()),
@@ -627,7 +627,7 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     }
     invariant = (stats["initial_value_max_abs"] == 0.0
                  and stats["min_value"] >= 0.0 and residual < 1e-8)
-    intensities = _intensities(tax, 2) if tax is not None else np.zeros(2)
+    intensities = _intensities(tax, 2)
     return _arb_report("mixed_arbitrage",
                        {"r": market.r, "b": market.b, "rho": market.rho,
                         "hurst": market.hurst, "tax": intensities.tolist(),

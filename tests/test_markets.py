@@ -208,6 +208,16 @@ def test_price_matrix_shape_and_start():
     assert np.allclose(cube[1, :, 0], 3.0)
 
 
+@pytest.mark.parametrize("assets, paths", [(1, 50), (3, 1)])
+def test_pure_hermite_prices_are_price_matrix_slices(assets, paths):
+    market = PureHermiteMarket(mu=[0.02, -0.1, 0.2][:assets], sigma=[0.5, 1.2, -0.4][:assets],
+                               s0=[2.0, 1.0, 3.0][:assets])
+    driver = gen_fbm(HermiteSpec(0.8), 1.0, 32, paths=paths, seed=7)
+    cube = pure_hermite_price_matrix(market, driver)
+    want = cube[0] if assets == 1 else cube[:, 0]
+    assert np.array_equal(price_pure_hermite(market, driver).values, want)
+
+
 def test_multi_asset_pricing_needs_single_path():
     market = PureHermiteMarket(mu=[0.02, 0.03], sigma=[0.1, 0.4])
     driver = gen_fbm(HermiteSpec(0.8), 1.0, 16, paths=5, seed=7)

@@ -16,6 +16,7 @@ from hermite_markets import (
     reduce_to_heat,
     solve_tax_bsm,
 )
+from hermite_markets import pde
 from _oracles import black_scholes, power_claim_value
 
 SPOT, STRIKE, RATE, SIGMA, MATURITY = 100.0, 100.0, 0.05, 0.2, 1.0
@@ -134,6 +135,23 @@ def test_surface_layout():
     assert np.all(np.diff(surface.times) > 0)
     # the last row is the payoff itself
     assert np.allclose(surface.values[-1], claim.payoff(surface.prices))
+
+
+@pytest.mark.parametrize("claim", [TerminalClaim.call(STRIKE, MATURITY),
+                                   TerminalClaim.put(STRIKE, MATURITY),
+                                   TerminalClaim.power_claim(2.0, MATURITY)],
+                         ids=["call", "put", "power"])
+def test_surface_payoff_row_and_far_field_columns(claim):
+    tax_hat = 0.3
+    surface = solve_tax_bsm(claim, RATE, SIGMA, tax_hat, _grid(nodes=65, time_steps=32))
+    x = surface.prices
+    payoff = claim.payoff(x)
+    assert np.array_equal(surface.values[-1], payoff)
+    taus = np.linspace(0.0, MATURITY, 33)
+    left, right = pde._boundary_values(claim, x, payoff, RATE,
+                                       SIGMA**2 + RATE * tax_hat**2, taus)
+    assert np.array_equal(surface.values[:-1, 0], left[:0:-1])
+    assert np.array_equal(surface.values[:-1, -1], right[:0:-1])
 
 
 def test_value_at_interpolates_and_validates():

@@ -175,6 +175,19 @@ def test_mixed_weights_must_be_unit_norm():
         MixedHermiteSpec(0.7, ((0.6, 1), (0.6, 2)))
 
 
+def test_mixed_spec_checks_components_as_hermite_specs():
+    w = 1.0 / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="hurst must lie in .*got 0.4"):
+        MixedHermiteSpec(0.4, ((w, 1), (w, 2)))
+    with pytest.raises(ValueError, match="approx_factor must be an integer >= 1, got 0"):
+        MixedHermiteSpec(0.75, ((w, 1), (w, 2)), approx_factor=0)
+    with pytest.raises(ValueError, match="normalization must be .*got 'exact'"):
+        MixedHermiteSpec(0.75, ((w, 1), (w, 2)), normalization="exact")
+    # An analytic rank-3 component fails here, not later inside gen_mixed.
+    with pytest.raises(ValueError, match="analytic normalization"):
+        MixedHermiteSpec(0.75, ((w, 1), (w, 3)), normalization="analytic")
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         gen_bm(0.0, 32)
@@ -189,6 +202,7 @@ def test_hermite_poly_low_orders():
     x = np.array([-1.0, 0.0, 0.5, 2.0])
     assert np.array_equal(hermite_poly(0, x), np.ones(4))
     assert np.array_equal(hermite_poly(1, x), x)
+    assert not np.shares_memory(hermite_poly(1, x), x)
     assert np.allclose(hermite_poly(2, x), x**2 - 1.0)
     assert np.allclose(hermite_poly(3, x), x**3 - 3.0 * x)
 

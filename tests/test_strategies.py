@@ -431,6 +431,22 @@ _GOLDEN_DEMOS = [
 ]
 
 
+def _demo_bytes(report):
+    return (json.dumps(report.to_json_dict(), sort_keys=True),
+            report.cost_path.tobytes(), report.net_path.tobytes())
+
+
+@pytest.mark.parametrize("demo", ["diffusion", "mixed"])
+@pytest.mark.parametrize("scalar, schedule", [(0.0, None), (0.3, TaxSchedule.uniform(0.3, 2))])
+def test_arb_demos_take_scalar_tax(demo, scalar, schedule):
+    if demo == "diffusion":
+        run = lambda tax: diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
+                                             60, 32, 1.0, 3, tax)
+    else:
+        run = lambda tax: mixed_arb_demo(_mixed_market(), 60, 32, 1.0, 3, tax)
+    assert _demo_bytes(run(scalar)) == _demo_bytes(run(schedule))
+
+
 @pytest.mark.parametrize("demo, tax, paths, seed, rank, passed, digest", _GOLDEN_DEMOS)
 def test_golden_demo_reports(demo, tax, paths, seed, rank, passed, digest):
     schedule = TaxSchedule.uniform(tax, 2) if tax else None
