@@ -49,18 +49,15 @@ def _resolve_seed(value):
     return _DEFAULT_SEED
 
 
-def _float_list(text):
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _int_list(text):
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _list_of(convert):
+    """Argparse type for a comma-separated list of ``convert`` values."""
+    def parse(text):
+        try:
+            return [convert(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {convert.__name__} list: {text!r}")
+    return parse
 
 
 def build_parser():
@@ -81,9 +78,9 @@ def build_parser():
     sim.add_argument("--approx-factor", type=int, default=32)
     sim.add_argument("--normalization", choices=["empirical", "analytic"],
                      default="empirical")
-    sim.add_argument("--weights", type=_float_list, default=None,
+    sim.add_argument("--weights", type=_list_of(float), default=None,
                      help="mixed process component weights, e.g. 0.8,0.6")
-    sim.add_argument("--ranks", type=_int_list, default=None,
+    sim.add_argument("--ranks", type=_list_of(int), default=None,
                      help="mixed process component ranks, e.g. 1,2")
     sim.add_argument("--ou-lambda", type=float, default=1.0)
     sim.add_argument("--ou-sigma", type=float, default=1.0)
@@ -151,12 +148,6 @@ def _make_generator(args, seed):
                                          paths, seed, path_offset=offset)
 
 
-def _chunk_sizes(total, workers):
-    base, rem = divmod(total, workers)
-    sizes = [(base + (1 if i < rem else 0)) for i in range(workers)]
-    return [s for s in sizes if s]
-
-
 def _cmd_simulate(args):
     seed = _resolve_seed(args.seed)
     if args.paths < 1:
@@ -168,15 +159,12 @@ def _cmd_simulate(args):
     if workers == 1:
         ensemble = generate(args.paths, 0)
     else:
-        sizes = _chunk_sizes(args.paths, workers)
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        chunks = np.array_split(np.arange(args.paths), workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda pair: generate(pair[0], int(pair[1])),
-                                  zip(sizes, offsets)))
+            parts = list(pool.map(lambda idx: generate(len(idx), int(idx[0])), chunks))
         ensemble = SamplePath(horizon=args.horizon, steps=args.steps,
                               values=np.vstack([p.values for p in parts]),
-                              seed=seed, kind=parts[0].kind,
-                              meta=dict(parts[0].meta, paths=args.paths))
+                              seed=seed, meta=dict(parts[0].meta, paths=args.paths))
     write_path_csv(ensemble, args.out)
     write_sidecar(args.out, dict(ensemble.meta, seed=seed, horizon=args.horizon,
                                  steps=args.steps))
@@ -198,6 +186,8 @@ def _sidecar_hurst(path):
 def _check_cov(path, hurst):
     if path.n_paths < 50:
         raise ValueError("cov check needs at least 50 paths")
+    if path.steps < 4:
+        raise ValueError("cov check needs at least 4 steps")
     picks = np.unique(np.linspace(path.steps // 4, path.steps, 4, dtype=int))
     times = path.times[picks]
     sample = path.values[:, picks]
@@ -220,6 +210,8 @@ def _check_cov(path, hurst):
 def _check_selfsim(path, hurst):
     if path.n_paths < 100:
         raise ValueError("selfsim check needs at least 100 paths")
+    if path.steps < 4:
+        raise ValueError("selfsim check needs at least 4 steps")
     early = path.steps // 4
     ratio = path.times[-1] / path.times[early]
     rescaled = path.values[:, early] * ratio ** hurst
@@ -304,9 +296,7 @@ def _cmd_arb_demo(args):
         if args.case == "shiryaev":
             report = shiryaev_demo(driver)
         else:
-            report = f_strategy_demo(lambda x: (x - 1.0) ** 2,
-                                     lambda x: 2.0 * (x - 1.0),
-                                     lambda x: 2.0 * np.ones_like(np.asarray(x, float)),
+            report = f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
                                      driver, args.tax, threshold_check=True)
     elif args.case == "diffusion":
         report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),

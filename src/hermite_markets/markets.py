@@ -186,12 +186,9 @@ class RisklessSynthesis:
 
     exponents: np.ndarray
     rate: float
-    kind: str = "plain"
 
     def __post_init__(self):
         self.exponents = _as_float_array(self.exponents, "exponents")
-        if self.kind not in ("plain", "taxed"):
-            raise ValueError(f"kind must be 'plain' or 'taxed', got {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,7 @@ def price_pure_hermite(market, driver):
                          "use pure_hermite_price_matrix for ensembles")
     cube = pure_hermite_price_matrix(market, driver)
     values = cube[0] if market.n_assets == 1 else cube[:, 0]
-    return SamplePath(driver.horizon, driver.steps, values, driver.seed, "price",
+    return SamplePath(driver.horizon, driver.steps, values, driver.seed,
                       meta={"market": "pure_hermite", "mu": market.mu.tolist(),
                             "sigma": market.sigma.tolist(), "s0": market.s0.tolist()})
 
@@ -268,7 +265,7 @@ def price_mixed_market(market, w, h):
     for exponent in (tilted, unit, stock):
         np.exp(exponent, out=exponent)
     stock *= market.s0
-    common = dict(horizon=w.horizon, steps=w.steps, seed=w.seed, kind="price")
+    common = dict(horizon=w.horizon, steps=w.steps, seed=w.seed)
     return MixedMarketPaths(
         bond=SamplePath(values=bond, meta={"asset": "bond", "r": market.r}, **common),
         tilted=SamplePath(values=tilted, meta={"asset": "tilted", "b": market.b}, **common),
@@ -332,7 +329,7 @@ def synth_riskless(sigma, mu):
         raise InfeasibleMarketError(
             f"no exponents satisfy the constraints (defect {defect:.3e}); "
             "exposures are collinear with the budget constraint")
-    return RisklessSynthesis(exponents=exponents, rate=float(exponents @ mu), kind="plain")
+    return RisklessSynthesis(exponents=exponents, rate=float(exponents @ mu))
 
 
 def _taxed_balance(phi, intensities):
@@ -359,8 +356,7 @@ def synth_riskless_taxed(sigma, mu, tax):
     if len(sigma) < 2:
         raise ValueError("need at least two assets")
     if not intensities.any():
-        plain = synth_riskless(sigma, mu)
-        return RisklessSynthesis(plain.exponents, plain.rate, kind="taxed")
+        return synth_riskless(sigma, mu)
 
     if len(sigma) == 2:
         if sigma[1] == 0:
@@ -382,7 +378,7 @@ def synth_riskless_taxed(sigma, mu, tax):
             raise InfeasibleMarketError(
                 f"taxed synthesis did not converge (residual {abs(residual):.3e} "
                 f"against terms summing to {size:.3e})")
-    return RisklessSynthesis(exponents=phi, rate=float(phi @ mu), kind="taxed")
+    return RisklessSynthesis(exponents=phi, rate=float(phi @ mu))
 
 
 def _taxed_pair_root(ratio, intensities):

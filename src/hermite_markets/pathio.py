@@ -105,12 +105,8 @@ def read_path_csv(filename):
     if bad.any():
         raise PathFormatError(f"line {int(np.argmax(bad)) + 2}: time grid not uniform")
     meta = read_sidecar(filename) or {}
-    seed = int(meta.get("seed", 0))
-    kind = meta.get("kind", "driver")
-    if kind not in ("driver", "price"):
-        kind = "driver"
     return SamplePath(horizon=float(times[-1]), steps=len(times) - 1,
-                      values=values, seed=seed, kind=kind, meta=meta)
+                      values=values, seed=int(meta.get("seed", 0)), meta=meta)
 
 
 def write_surface_csv(surface, filename):

@@ -40,7 +40,6 @@ class PdeGrid:
     x_max: float
     nodes: int = 257
     time_steps: int = 256
-    theta: float = 0.5
 
     def __post_init__(self):
         if not 0 < self.x_min < self.x_max:
@@ -49,30 +48,29 @@ class PdeGrid:
             raise ValueError("need at least 16 spatial nodes")
         if self.time_steps < 1:
             raise ValueError("need at least one time step")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
 
     @property
     def log_nodes(self):
         return np.linspace(math.log(self.x_min), math.log(self.x_max), self.nodes)
 
 
-def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=513, time_steps=512,
-                  theta=0.5, width_sigmas=8.0):
-    """Grid whose log-nodes are centred so ln(spot) is exactly a node.
+def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=513, time_steps=512):
+    """Grid whose log-nodes are centred on ln(spot).
 
-    The half-width covers ``width_sigmas`` standard deviations plus the
+    The middle node equals ln(spot) up to the rounding of exp, log and
+    linspace: at spot 37.5 with a half-width of one log unit it is one ulp
+    (4.4e-16) off.  The half-width covers 8 standard deviations plus the
     drift over the horizon, with a floor of one log unit.
     """
     if spot <= 0:
         raise ValueError("spot must be positive")
     if nodes % 2 == 0:
         nodes += 1
-    half = max(1.0, width_sigmas * abs(sigma) * math.sqrt(maturity)
+    half = max(1.0, 8.0 * abs(sigma) * math.sqrt(maturity)
                + abs(rate - 0.5 * sigma ** 2) * maturity)
     center = math.log(spot)
     return PdeGrid(math.exp(center - half), math.exp(center + half),
-                   nodes, time_steps, theta)
+                   nodes, time_steps)
 
 
 @dataclass(frozen=True)
@@ -137,10 +135,13 @@ class PdeSurface:
                              f"[{self.prices[0]:.6g}, {self.prices[-1]:.6g}]")
         if not self.times[0] <= t <= self.times[-1]:
             raise ValueError(f"time {t} outside [0, {self.times[-1]}]")
+        # Only the two rows bracketing t enter the time interpolation, and
+        # np.interp on them alone gives the same bits as on every row.
+        hi = min(int(np.searchsorted(self.times, t, side="right")), len(self.times) - 1)
+        rows = slice(hi - 1, hi + 1)
         log_nodes = np.log(self.prices)
-        by_space = np.array([np.interp(math.log(spot), log_nodes, row)
-                             for row in self.values])
-        return float(np.interp(t, self.times, by_space))
+        by_space = [np.interp(math.log(spot), log_nodes, row) for row in self.values[rows]]
+        return float(np.interp(t, self.times[rows], by_space))
 
 
 def _boundary_values(claim, x, payoff_vals, rate, sig_eff_sq, taus):
@@ -194,7 +195,7 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
         ab[2, :-1] = -theta * d_tau * lower
         return ab
 
-    systems = {theta: step_system(theta) for theta in (1.0, grid.theta)}
+    implicit, crank_nicolson = step_system(1.0), step_system(0.5)
     # Rows in calendar order: step m fills row steps - m - 1, whose boundary
     # values are set here, from row steps - m.
     surface = np.empty((steps + 1, grid.nodes))
@@ -202,19 +203,19 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     surface[:-1, -1] = bound_r[:0:-1]
     surface[-1] = payoff_vals
     for m in range(steps):
-        theta = 1.0 if m < 2 else grid.theta
+        theta, system = (1.0, implicit) if m < 2 else (0.5, crank_nicolson)
         known, new = surface[steps - m], surface[steps - m - 1]
         stencil = lower * known[:-2] + diag * known[1:-1] + upper * known[2:]
         rhs = known[1:-1] + (1.0 - theta) * d_tau * stencil
         rhs[0] += theta * d_tau * lower * new[0]
         rhs[-1] += theta * d_tau * upper * new[-1]
-        new[1:-1] = solve_banded((1, 1), systems[theta], rhs)
+        new[1:-1] = solve_banded((1, 1), system, rhs)
 
     times = claim.maturity - taus[::-1]
     return PdeSurface(times=times, prices=x, values=surface,
                       meta={"rate": rate, "sigma": sigma, "tax_hat": tax_hat,
                             "sigma_eff_sq": sig_eff_sq, "kind": claim.kind,
-                            "maturity": claim.maturity, "theta": grid.theta,
+                            "maturity": claim.maturity, "theta": 0.5,
                             "nodes": grid.nodes, "time_steps": grid.time_steps})
 
 
@@ -252,10 +253,9 @@ class HeatReduction:
     A solution V(tau, y) of du/dtau = sum_j c_j^2/2 d2u/dy_j^2 pulls back
     to a solution of the taxed pricing equation through a power tilt in
     each price, an exponential tilt in time, and the time flip
-    tau = maturity - t.  ``quoted_exponent_sum`` records the commonly
-    quoted shortcut -(rate + sum c_j^2) for reference; the transform uses
-    the per-asset exponents below, which actually cancel the first-order
-    terms.
+    tau = maturity - t.  The per-asset exponents -rate / c_j^2 cancel the
+    first-order terms; the commonly quoted shortcut -(rate + sum c_j^2)
+    for their sum does not.
     """
 
     rate: float
@@ -266,7 +266,6 @@ class HeatReduction:
     log_tilt: float
     time_tilt: float
     diffusivities: np.ndarray
-    quoted_exponent_sum: float
 
     def _tilt(self, t, y):
         weights = self.exponents + self.log_tilt
@@ -312,5 +311,4 @@ def reduce_to_heat(tax, rate, maturity):
     return HeatReduction(rate=rate, maturity=maturity, intensities=intensities,
                          exponents=exponents, drift_shift=drift_shift,
                          log_tilt=0.5, time_tilt=float(c_sq.sum()) / 8.0,
-                         diffusivities=c_sq,
-                         quoted_exponent_sum=-(rate + float(c_sq.sum())))
+                         diffusivities=c_sq)

@@ -176,7 +176,6 @@ class SamplePath:
     steps: int
     values: np.ndarray
     seed: int = 0
-    kind: str = "driver"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -186,7 +185,6 @@ class SamplePath:
         _require(self.values.ndim == 2, "values must be a 2-D array (series, steps + 1)")
         _require(self.values.shape[1] == self.steps + 1,
                  f"values must have steps + 1 = {self.steps + 1} columns, got {self.values.shape[1]}")
-        _require(self.kind in ("driver", "price"), f"kind must be 'driver' or 'price', got {self.kind!r}")
         if not np.isfinite(self.values).all():
             raise ValueError("values contain non-finite entries")
 
@@ -197,9 +195,6 @@ class SamplePath:
     @property
     def n_paths(self):
         return self.values.shape[0]
-
-    def path(self, index):
-        return self.values[index]
 
     def single(self):
         _require(self.n_paths == 1, f"expected a single path, object holds {self.n_paths}")
@@ -488,7 +483,7 @@ def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     _fill_normals(walk, seed, range(path_offset, path_offset + paths), component)
     np.cumsum(walk, axis=1, out=walk)
     walk *= dt_root
-    return SamplePath(horizon, steps, values, seed, "driver",
+    return SamplePath(horizon, steps, values, seed,
                       meta={"process": "bm", "paths": paths, "path_offset": path_offset,
                             "component": component})
 
@@ -503,7 +498,7 @@ def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     _require(spec.rank == 1, f"gen_fbm requires rank 1, got rank {spec.rank}")
     _check_grid(horizon, steps, paths)
     values = _hermite_values(spec, horizon, steps, paths, seed, component, path_offset)
-    return SamplePath(horizon, steps, values, seed, "driver",
+    return SamplePath(horizon, steps, values, seed,
                       meta={"process": "fbm", "hurst": spec.hurst, "rank": 1,
                             "approx_factor": spec.approx_factor,
                             "normalization": spec.normalization,
@@ -551,7 +546,7 @@ def gen_hermite(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     _check_grid(horizon, steps, paths)
     values = _hermite_values(spec, horizon, steps, paths, seed, component=0,
                              path_offset=path_offset)
-    return SamplePath(horizon, steps, values, seed, "driver",
+    return SamplePath(horizon, steps, values, seed,
                       meta={"process": "hermite", "hurst": spec.hurst, "rank": spec.rank,
                             "approx_factor": spec.approx_factor,
                             "normalization": spec.normalization,
@@ -571,7 +566,7 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
         values += weight * _hermite_values(spec.component_spec(i), horizon, steps,
                                            paths, seed, component=i,
                                            path_offset=path_offset)
-    return SamplePath(horizon, steps, values, seed, "driver",
+    return SamplePath(horizon, steps, values, seed,
                       meta={"process": "mixed", "hurst": spec.hurst,
                             "weights": [w for w, _ in spec.components],
                             "ranks": [r for _, r in spec.components],
@@ -629,7 +624,7 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     ou = np.zeros((paths, total + 1))
     for k in range(total):
         ou[:, k + 1] = decay * (ou[:, k] + spec.sigma * deltas[:, k])
-    return SamplePath(horizon, steps, ou[:, burn:].copy(), seed, "driver",
+    return SamplePath(horizon, steps, ou[:, burn:].copy(), seed,
                       meta={"process": "hou", "hurst": hermite.hurst, "rank": hermite.rank,
                             "ou_lambda": spec.lam, "ou_sigma": spec.sigma,
                             "history_truncation": spec.history_truncation,

@@ -104,7 +104,6 @@ class PortfolioFunction:
     hess: object = None
     time_partial_fn: object = None
     time_dependent: bool = False
-    label: str = ""
 
     def __post_init__(self):
         if self.arity < 1:
@@ -218,8 +217,7 @@ def sqrt_spread_portfolio_fn(coeffs):
         return -sym[i, j] / (2.0 * np.sqrt(xi * xj))
 
     return PortfolioFunction(fn=lambda x: sqrt_spread_portfolio(coeffs, x), arity=n,
-                             grad=[grad_j(j) for j in range(n)], hess=hess,
-                             label="sqrt-spread")
+                             grad=[grad_j(j) for j in range(n)], hess=hess)
 
 
 def power_portfolio(exponents):
@@ -243,7 +241,7 @@ def power_portfolio(exponents):
         return a[i] * a[j] * value(x) / (xi * np.asarray(x[j], dtype=float))
 
     return PortfolioFunction(fn=value, arity=n, grad=[grad_j(j) for j in range(n)],
-                             hess=hess, label="power")
+                             hess=hess)
 
 
 def mixed_arbitrage_portfolio(r):
@@ -268,8 +266,7 @@ def mixed_arbitrage_portfolio(r):
         return -2.0 * r * u(t, x) * np.exp(0.5 * r * np.asarray(t, float))
 
     return PortfolioFunction(fn=fn, arity=2, grad=[grad_j(0), grad_j(1)], hess=hess,
-                             time_partial_fn=d_t, time_dependent=True,
-                             label="mixed-arbitrage")
+                             time_partial_fn=d_t, time_dependent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +421,14 @@ def running_cost(P, prices, tax, times=None):
     return out
 
 
-def wilson_ci(successes, trials, z=_Z95):
+def wilson_ci(successes, trials):
     """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
+    z = _Z95
     denom = 1.0 + z ** 2 / trials
     center = (p + z ** 2 / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z ** 2 / (4.0 * trials ** 2)) / denom
@@ -505,7 +503,7 @@ def shiryaev_demo(driver):
                      net_path=value.mean(axis=0))
 
 
-def f_strategy_demo(f, df, d2f, driver, intensity, t=None, threshold_check=False):
+def f_strategy_demo(f, df, driver, intensity, t=None, threshold_check=False):
     """Tax a smooth single-asset strategy f(S) on S = exp(H).
 
     The running tax admits the closed form
@@ -539,8 +537,6 @@ def f_strategy_demo(f, df, d2f, driver, intensity, t=None, threshold_check=False
         "mean_cost": float(cost[:, index].mean()),
     }
     if threshold_check:
-        if c >= math.sqrt(2.0) or c ** 2 >= 2.0:
-            raise ValueError("threshold decomposition needs c^2 < 2")
         s_t = s[:, index]
         if c > 0:
             threshold = (1.0 + 0.5 * c ** 2) / (1.0 - 0.5 * c ** 2)

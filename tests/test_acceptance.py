@@ -124,7 +124,7 @@ def test_acceptance_05_pathwise_shiryaev_gain():
         d = gen_fbm(HermiteSpec(0.7), 1.0, n, seed=6)
         s = np.exp(d.single())
         prices = type(d)(horizon=d.horizon, steps=d.steps, values=s[None, :],
-                         seed=d.seed, kind="price")
+                         seed=d.seed)
         gain = gain_process([2.0 * (s - 1.0)], prices).values[-1]
         target = (s[-1] - 1.0) ** 2
         errors.append(abs(gain - target) / abs(target))
@@ -172,14 +172,14 @@ def test_acceptance_07_running_cost_closed_form():
 def test_acceptance_08_tax_kills_arbitrage():
     driver = gen_fbm(HermiteSpec(0.7), 1.0, 512, paths=10_000, seed=13)
     taxed = f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
-                            lambda x: 2.0, driver, 0.2, threshold_check=True)
+                            driver, 0.2, threshold_check=True)
     prob = taxed.statistics["probability"]
     alt = taxed.statistics["threshold_probability"]
     se = math.sqrt(prob * (1.0 - prob) / driver.n_paths)
     inside = 0.0 < taxed.ci_low and taxed.ci_high < 1.0
     decomp = abs(prob - alt) <= 2.0 * se
     free = f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
-                           lambda x: 2.0, driver, 0.0)
+                           driver, 0.0)
     certain = free.statistics["probability"] == 1.0
     ok = inside and decomp and certain
     _report(8, "tax-kills-arbitrage", ok,

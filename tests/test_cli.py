@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -19,6 +20,7 @@ from hermite_markets.pathio import (
     write_path_csv,
 )
 from hermite_markets import HermiteSpec, SamplePath, gen_fbm
+from _oracles import black_scholes, power_claim_value
 
 
 def _simulate(tmp_path, name="paths.csv", **overrides):
@@ -105,10 +107,13 @@ def test_simulate_sidecar_fields(tmp_path, process):
 
 @pytest.mark.parametrize("process", sorted(_PROCESS_ARGV))
 def test_simulate_workers_write_same_files(tmp_path, process):
+    # Five paths: 3 workers split them unevenly, 7 outnumber them.
     one = _simulate_process(tmp_path, process, "w1.csv", "--workers", "1")
-    two = _simulate_process(tmp_path, process, "w2.csv", "--workers", "2")
-    assert one.read_bytes() == two.read_bytes()
-    assert (tmp_path / "w1.csv.json").read_bytes() == (tmp_path / "w2.csv.json").read_bytes()
+    for workers in ("2", "3", "7"):
+        many = _simulate_process(tmp_path, process, f"w{workers}.csv", "--workers", workers)
+        assert many.read_bytes() == one.read_bytes()
+        assert (tmp_path / f"w{workers}.csv.json").read_bytes() == \
+            (tmp_path / "w1.csv.json").read_bytes()
 
 
 def test_simulate_from_sidecar_reproduces_file(tmp_path):
@@ -261,6 +266,22 @@ def test_stats_fails_cleanly_on_constant_paths(tmp_path, capsys):
     assert report["pass"] is False
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("check", ["cov", "selfsim"])
+def test_stats_needs_four_steps(tmp_path, capsys, check):
+    # With steps // 4 == 0 both checks would use t = 0, where the variance is 0.
+    out = _simulate(tmp_path, steps="3", paths="120")
+    capsys.readouterr()
+    code = main(["stats", "--in", str(out), "--check", check])
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 1
+    assert report["pass"] is False
+    assert report["detail"] == f"{check} check needs at least 4 steps"
+
+
 def test_stats_needs_hurst_metadata(tmp_path):
     bare = tmp_path / "bare.csv"
     path = gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=1)
@@ -382,6 +403,20 @@ def test_price_canonical_call(capsys):
     assert main(_price_argv()) == 0
     value = _parse_price(capsys)
     assert abs(value - 10.450584) / 10.450584 < 1e-3
+
+
+@pytest.mark.parametrize("payoff", ["put", "power"])
+def test_price_put_and_power_match_closed_forms(capsys, payoff):
+    # The tax enters only through sigma_eff^2 = sigma^2 + r c^2.
+    assert main(_price_argv(payoff=payoff, spot="90", tax="0.3",
+                            **{"power-exp": "2"})) == 0
+    value = _parse_price(capsys)
+    sig_eff = math.sqrt(0.2 ** 2 + 0.05 * 0.3 ** 2)
+    if payoff == "put":
+        want = black_scholes(90.0, 100.0, 0.05, sig_eff, 1.0, put=True)
+    else:
+        want = power_claim_value(90.0, 0.05, sig_eff, 2.0, 1.0)
+    assert abs(value - want) / want < 1e-3
 
 
 def test_price_monotone_in_tax(capsys):

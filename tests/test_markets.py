@@ -34,7 +34,6 @@ def test_synthesis_two_asset_closed_form():
     out = synth_riskless([0.1, 0.3], [0.03, 0.04])
     assert np.allclose(out.exponents, [1.5, -0.5], atol=1e-12)
     assert out.rate == pytest.approx(0.025, abs=1e-12)
-    assert out.kind == "plain"
 
 
 def test_synthesis_constraints_hold_three_assets():
@@ -69,7 +68,6 @@ def test_taxed_synthesis_equal_exposures():
     out = synth_riskless_taxed([0.2, 0.2], [0.05, 0.01], [0.4, 0.4])
     assert np.allclose(out.exponents, [2.5, -2.5], atol=1e-10)
     assert out.rate == pytest.approx((0.05 - 0.01) / 0.4, abs=1e-10)
-    assert out.kind == "taxed"
 
 
 def test_taxed_synthesis_residuals_tiny():
@@ -97,7 +95,6 @@ def test_taxed_synthesis_zero_tax_reduces_to_plain():
     plain = synth_riskless([0.1, 0.3], [0.03, 0.04])
     taxed = synth_riskless_taxed([0.1, 0.3], [0.03, 0.04], [0.0, 0.0])
     assert np.array_equal(plain.exponents, taxed.exponents)
-    assert taxed.kind == "taxed"
 
 
 def test_taxed_synthesis_validates_shapes():
@@ -197,7 +194,6 @@ def test_pure_hermite_prices_exponential():
     t = driver.times
     expected = 2.0 * np.exp(0.02 * t[None, :] + 0.5 * driver.values)
     assert np.allclose(prices.values, expected, rtol=1e-14)
-    assert prices.kind == "price"
 
 
 def test_price_matrix_shape_and_start():
@@ -206,6 +202,26 @@ def test_price_matrix_shape_and_start():
     cube = pure_hermite_price_matrix(market, driver)
     assert cube.shape == (2, 5, 17)
     assert np.allclose(cube[1, :, 0], 3.0)
+
+
+def test_pure_hermite_coefficient_callables():
+    # Callables give the full drift and exposure at time t, not rates:
+    # constant coefficients written as callables price bit for bit alike.
+    driver = gen_fbm(HermiteSpec(0.8), 1.0, 32, paths=4, seed=7)
+    plain = PureHermiteMarket(mu=[0.02, -0.1], sigma=[0.5, 1.2], s0=[2.0, 1.0])
+    as_fns = PureHermiteMarket(
+        mu=[0.0, 0.0], sigma=[0.0, 0.0], s0=[2.0, 1.0],
+        mu_fn=[lambda t, m=m: m * np.asarray(t, dtype=float) for m in (0.02, -0.1)],
+        sigma_fn=[lambda t, s=s: s * np.ones_like(np.asarray(t, dtype=float))
+                  for s in (0.5, 1.2)])
+    assert np.array_equal(pure_hermite_price_matrix(as_fns, driver),
+                          pure_hermite_price_matrix(plain, driver))
+    varying = PureHermiteMarket(mu=[0.0], sigma=[0.0], s0=[3.0],
+                                mu_fn=[lambda t: 0.1 * t ** 2],
+                                sigma_fn=[lambda t: 0.5 + 0.2 * t])
+    t = driver.times
+    expected = 3.0 * np.exp(0.1 * t ** 2 + (0.5 + 0.2 * t) * driver.values)
+    assert np.allclose(price_pure_hermite(varying, driver).values, expected, rtol=1e-14)
 
 
 @pytest.mark.parametrize("assets, paths", [(1, 50), (3, 1)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from hermite_markets import (
+    CirculantEmbeddingError,
     HermiteSpec,
     HouSpec,
     MixedHermiteSpec,
@@ -217,6 +218,19 @@ def test_fgn_unit_variance():
 
 def test_fgn_deterministic():
     assert np.array_equal(gen_fgn(0.8, 512, seed=4), gen_fgn(0.8, 512, seed=4))
+
+
+def test_indefinite_autocov_raises_circulant_embedding_error(monkeypatch):
+    # Unit covariance at lag 1 alone embeds as a circulant whose eigenvalues
+    # are 2 cos(2 pi k / m), down to -2 at k = m / 2.
+    monkeypatch.setattr(processes, "_fgn_autocov", lambda hurst, k: (k == 1).astype(float))
+    processes._half_spectrum_scale.cache_clear()
+    try:
+        with pytest.raises(CirculantEmbeddingError) as info:
+            gen_fbm(HermiteSpec(0.7), 1.0, 16, seed=1)
+    finally:
+        processes._half_spectrum_scale.cache_clear()
+    assert info.value.eigenvalue == -2.0
 
 
 def test_fgn_long_memory_slope():

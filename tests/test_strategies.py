@@ -13,10 +13,12 @@ from hermite_markets import (
     HermiteSpec,
     MixedMarket,
     PortfolioFunction,
+    SamplePath,
     TaxSchedule,
     TwoAssetDiffusion,
     diffusion_arb_demo,
     f_strategy_demo,
+    gen_bm,
     gen_fbm,
     mixed_arb_demo,
     mixed_arbitrage_portfolio,
@@ -207,6 +209,17 @@ def test_power_pair_roots_satisfy_taxed_identity(a, r, sigmas, tax):
             assert abs(residual) <= 1e-12 * scale
 
 
+def test_power_pair_single_root_without_second_volatility():
+    # sigma_2 = c_2 = 0 removes the quadratic term: one exponent remains.
+    sigmas, tax = [0.3, 0.0], [0.2, 0.0]
+    roots = power_pair_exponents(0.8, 0.03, sigmas, tax)
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(0.4432, abs=1e-12)
+    field = power_portfolio([0.8, roots[0]])
+    for x, y in ((0.5, 2.0), (1.0, 1.0), (1.7, 0.6)):
+        assert abs(float(taxed_bsm_residual(field, [x, y], 0.03, sigmas, tax))) < 1e-15
+
+
 def test_power_pair_rejects_complex_roots():
     with pytest.raises(ValueError, match="discriminant"):
         power_pair_exponents(40.0, 0.5, [2.0, 0.01], [0.0, 0.0])
@@ -270,6 +283,15 @@ def test_running_cost_takes_asset_rows_in_any_container():
     assert np.all(stacked[:, 0] == 0.0)
 
 
+def test_running_cost_takes_sample_path():
+    # A SamplePath's rows are the assets, and its grid is the time grid.
+    prices = SamplePath(1.0, 64, np.exp(gen_bm(1.0, 64, paths=2, seed=3).values))
+    field = mixed_arbitrage_portfolio(0.01)
+    from_path = running_cost(field, prices, [0.3, 0.2])
+    from_rows = running_cost(field, prices.values, [0.3, 0.2], times=prices.times)
+    assert np.array_equal(from_path.values, from_rows.values)
+
+
 def test_running_cost_validation():
     field = _single_asset_quadratic()
     with pytest.raises(ValueError):
@@ -323,19 +345,19 @@ def test_f_strategy_rejects_large_intensity():
     driver = gen_fbm(HermiteSpec(0.7), 1.0, 64, paths=10, seed=1)
     with pytest.raises(ValueError):
         f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
-                        lambda x: 2.0, driver, math.sqrt(2.0))
+                        driver, math.sqrt(2.0))
 
 
 def test_f_strategy_rejects_nonzero_start():
     driver = gen_fbm(HermiteSpec(0.7), 1.0, 64, paths=10, seed=1)
     with pytest.raises(ValueError, match="worthless"):
-        f_strategy_demo(lambda x: x, lambda x: 1.0, lambda x: 0.0, driver, 0.1)
+        f_strategy_demo(lambda x: x, lambda x: 1.0, driver, 0.1)
 
 
 def test_f_strategy_zero_tax_always_wins():
     driver = gen_fbm(HermiteSpec(0.7), 1.0, 512, paths=300, seed=5)
     report = f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
-                             lambda x: 2.0, driver, 0.0)
+                             driver, 0.0)
     assert report.passed
     assert report.statistics["probability"] == 1.0
 
@@ -343,7 +365,7 @@ def test_f_strategy_zero_tax_always_wins():
 def test_f_strategy_positive_tax_loses_sometimes():
     driver = gen_fbm(HermiteSpec(0.7), 1.0, 512, paths=500, seed=5)
     report = f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
-                             lambda x: 2.0, driver, 0.5, threshold_check=True)
+                             driver, 0.5, threshold_check=True)
     assert report.passed
     assert report.statistics["probability"] < 1.0
     assert report.ci_high < 1.0
