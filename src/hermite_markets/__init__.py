@@ -48,7 +48,6 @@ from .markets import (
 from .strategies import (
     PortfolioFunction,
     TaxReport,
-    TaxSchedule,
     diffusion_arb_demo,
     f_strategy_demo,
     mixed_arb_demo,

@@ -25,7 +25,8 @@ from scipy import stats as sps
 
 from .markets import MixedMarket, TwoAssetDiffusion
 from .pathio import read_path_csv, write_path_csv, write_sidecar, write_surface_csv
-from .pde import IllPosedProblemError, TerminalClaim, grid_for_spot, solve_tax_bsm
+from .pde import IllPosedProblemError, TerminalClaim, _effective_variance, grid_for_spot, \
+    solve_tax_bsm
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
     gen_fbm, gen_hermite, gen_hou, gen_mixed
 from .stats import autocov_slope, centered_qv, estimate_hurst, theoretical_cov
@@ -288,8 +289,8 @@ def _cmd_stats(args):
 
 def _cmd_arb_demo(args):
     seed = _resolve_seed(args.seed)
-    if args.tax < 0:
-        raise ValueError("--tax must be nonnegative")
+    if not 0 <= args.tax < math.inf:
+        raise ValueError(f"--tax must be finite and nonnegative, got {args.tax}")
     if args.case in ("shiryaev", "fsquare"):
         driver = gen_fbm(HermiteSpec(args.hurst, 1), args.horizon, args.steps,
                          args.paths, seed)
@@ -320,11 +321,8 @@ def _cmd_price(args):
         claim = TerminalClaim.put(args.strike, args.maturity)
     else:
         claim = TerminalClaim.power_claim(args.power_exp, args.maturity)
-    sig_eff_sq = args.sigma ** 2 + args.rate * args.tax ** 2
     try:
-        if sig_eff_sq <= 0:
-            raise IllPosedProblemError(
-                f"effective variance sigma^2 + r c^2 = {sig_eff_sq:.6g} is not positive")
+        sig_eff_sq = _effective_variance(args.rate, args.sigma, args.tax)
         grid = grid_for_spot(args.spot, math.sqrt(sig_eff_sq), args.maturity,
                              args.rate, args.grid, args.time_steps)
         surface = solve_tax_bsm(claim, args.rate, args.sigma, args.tax, grid)

@@ -49,6 +49,24 @@ def _as_float_array(x, name):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+    return arr
+
+
+def _intensities(tax, n_assets):
+    """Per-asset tax intensities c_j as a new array: the one reading of a tax.
+
+    ``None`` is no tax, a scalar taxes every asset alike, a sequence gives
+    one intensity per asset; each must be finite and nonnegative.
+    """
+    arr = np.array(0.0 if tax is None else tax, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(n_assets, arr)
+    elif arr.shape != (n_assets,):
+        raise ValueError(f"tax must be a scalar or {n_assets} intensities, got {tax!r}")
+    if not ((arr >= 0) & (arr < math.inf)).all():
+        raise ValueError(f"tax intensities must be finite and nonnegative, got {tax!r}")
     return arr
 
 
@@ -325,7 +343,7 @@ def synth_riskless(sigma, mu):
     target = np.array([1.0, 0.0])
     exponents, *_ = np.linalg.lstsq(design, target, rcond=None)
     defect = np.abs(design @ exponents - target).max()
-    if defect > 1e-9:
+    if not defect <= 1e-9:
         raise InfeasibleMarketError(
             f"no exponents satisfy the constraints (defect {defect:.3e}); "
             "exposures are collinear with the budget constraint")
@@ -342,19 +360,17 @@ def synth_riskless_taxed(sigma, mu, tax):
     Solves sum(sigma phi) = 0 together with
     sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0.  Two assets reduce
     to a quadratic in phi_1 after elimination, solved in closed form; more
-    assets use a damped Gauss-Newton iteration.
+    assets use a damped Gauss-Newton iteration.  Two assets take the root
+    with phi_1 > 0, so the order matters: at c = 1e-3, sigma = (0.3, 0.1)
+    gives phi near (4.0e5, -1.2e6) and (0.1, 0.3) about (1.5, -0.5).
     """
     sigma = _as_float_array(sigma, "sigma")
     mu = _as_float_array(mu, "mu")
-    intensities = np.asarray(getattr(tax, "intensities", tax), dtype=float)
-    if intensities.shape != sigma.shape:
-        raise ValueError("tax intensities must match the number of assets")
-    if (intensities < 0).any():
-        raise ValueError("tax intensities must be nonnegative")
     if len(sigma) != len(mu):
         raise ValueError("sigma and mu must have the same length")
     if len(sigma) < 2:
         raise ValueError("need at least two assets")
+    intensities = _intensities(tax, len(sigma))
     if not intensities.any():
         return synth_riskless(sigma, mu)
 
@@ -374,7 +390,7 @@ def synth_riskless_taxed(sigma, mu, tax):
                np.abs(phi).sum() + 1.0 + np.abs(quadratic).sum()),
               (float(sigma @ phi), np.abs(sigma * phi).sum()))
     for residual, size in checks:
-        if abs(residual) > 1e-10 * max(1.0, float(size)):
+        if not abs(residual) <= 1e-10 * max(1.0, float(size)):
             raise InfeasibleMarketError(
                 f"taxed synthesis did not converge (residual {abs(residual):.3e} "
                 f"against terms summing to {size:.3e})")

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .markets import _intensities
+
 __all__ = [
     "IllPosedProblemError",
     "PdeGrid",
@@ -62,8 +64,8 @@ def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=513, time_steps=512):
     (4.4e-16) off.  The half-width covers 8 standard deviations plus the
     drift over the horizon, with a floor of one log unit.
     """
-    if spot <= 0:
-        raise ValueError("spot must be positive")
+    if not 0 < spot < math.inf:
+        raise ValueError(f"spot must be positive and finite, got {spot}")
     if nodes % 2 == 0:
         nodes += 1
     half = max(1.0, 8.0 * abs(sigma) * math.sqrt(maturity)
@@ -90,14 +92,14 @@ class TerminalClaim:
     power: float = None
 
     def __post_init__(self):
-        if self.maturity <= 0:
-            raise ValueError("maturity must be positive")
+        if not 0 < self.maturity < math.inf:
+            raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
         if self.kind not in ("call", "put", "power", "custom"):
             raise ValueError(f"unknown claim kind {self.kind!r}")
-        if self.kind in ("call", "put") and (self.strike is None or self.strike <= 0):
-            raise ValueError("call/put claims need a positive strike")
-        if self.kind == "power" and self.power is None:
-            raise ValueError("power claims need an exponent")
+        if self.kind in ("call", "put") and not 0 < (self.strike or 0) < math.inf:
+            raise ValueError(f"call/put claims need a positive, finite strike, got {self.strike}")
+        if self.kind == "power" and (self.power is None or not math.isfinite(self.power)):
+            raise ValueError(f"power claims need a finite exponent, got {self.power}")
 
     @classmethod
     def call(cls, strike, maturity):
@@ -158,6 +160,18 @@ def _boundary_values(claim, x, payoff_vals, rate, sig_eff_sq, taus):
     return left, right
 
 
+def _effective_variance(rate, sigma, tax_hat):
+    """sigma^2 + rate * tax_hat^2 from a finite rate and sigma and one asset's tax."""
+    for name, value in (("rate", rate), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    sig_eff_sq = sigma ** 2 + rate * float(_intensities(tax_hat, 1)[0]) ** 2
+    if not sig_eff_sq > 0.0:
+        raise IllPosedProblemError(
+            f"effective variance sigma^2 + r c^2 = {sig_eff_sq:.6g} is not positive")
+    return sig_eff_sq
+
+
 def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     """Price a terminal claim under the tax-adjusted lognormal operator.
 
@@ -166,10 +180,7 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     variance raises IllPosedProblemError.  Crank-Nicolson in log price
     with two fully implicit start-up steps.
     """
-    sig_eff_sq = sigma ** 2 + rate * tax_hat ** 2
-    if sig_eff_sq <= 0.0:
-        raise IllPosedProblemError(
-            f"effective variance sigma^2 + r c^2 = {sig_eff_sq:.6g} is not positive")
+    sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
     y = grid.log_nodes
     x = np.exp(y)
     dy = y[1] - y[0]
@@ -229,7 +240,7 @@ def heat_kernel(t, x, diffusivities):
     ``diffusivities`` is scalar or per-coordinate.  Integrates to one over
     the full space.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("elapsed time must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim == 1:
@@ -239,7 +250,7 @@ def heat_kernel(t, x, diffusivities):
         squeeze = False
     n = x.shape[-1]
     d = np.broadcast_to(np.asarray(diffusivities, dtype=float), (n,))
-    if (d <= 0).any():
+    if not (d > 0).all():
         raise ValueError("diffusivities must be positive")
     norm = (2.0 * math.pi * t) ** (-0.5 * n) / math.sqrt(np.prod(d))
     out = norm * np.exp(-np.sum(x ** 2 / d, axis=-1) / (2.0 * t))
@@ -261,11 +272,26 @@ class HeatReduction:
     rate: float
     maturity: float
     intensities: np.ndarray
-    exponents: np.ndarray
-    drift_shift: float
-    log_tilt: float
-    time_tilt: float
-    diffusivities: np.ndarray
+
+    log_tilt = 0.5
+
+    @property
+    def diffusivities(self):
+        return self.intensities ** 2
+
+    @property
+    def exponents(self):
+        return -self.rate / self.diffusivities
+
+    @property
+    def drift_shift(self):
+        a, c_sq = self.exponents, self.diffusivities
+        return (self.rate * a.sum() - self.rate
+                + 0.5 * float(np.sum(c_sq * a * (a - 1.0))))
+
+    @property
+    def time_tilt(self):
+        return float(self.diffusivities.sum()) / 8.0
 
     def _tilt(self, t, y):
         weights = self.exponents + self.log_tilt
@@ -296,19 +322,12 @@ class HeatReduction:
 def reduce_to_heat(tax, rate, maturity):
     """Build the taxed-operator-to-heat-equation change of variables.
 
-    Every tax intensity must be strictly positive (the per-asset exponent
-    is -rate / c_j^2).
+    One asset per tax intensity, each strictly positive (the per-asset
+    exponent is -rate / c_j^2).
     """
-    intensities = np.atleast_1d(np.asarray(getattr(tax, "intensities", tax), dtype=float))
-    if (intensities <= 0).any():
-        raise ValueError("reduction needs strictly positive tax intensities")
-    if maturity <= 0:
+    intensities = _intensities(tax, np.size(tax))
+    if not intensities.all():
+        raise ValueError(f"reduction needs strictly positive tax intensities, got {tax!r}")
+    if not maturity > 0:
         raise ValueError("maturity must be positive")
-    c_sq = intensities ** 2
-    exponents = -rate / c_sq
-    drift_shift = (rate * exponents.sum() - rate
-                   + 0.5 * float(np.sum(c_sq * exponents * (exponents - 1.0))))
-    return HeatReduction(rate=rate, maturity=maturity, intensities=intensities,
-                         exponents=exponents, drift_shift=drift_shift,
-                         log_tilt=0.5, time_tilt=float(c_sq.sum()) / 8.0,
-                         diffusivities=c_sq)
+    return HeatReduction(rate=rate, maturity=maturity, intensities=intensities)

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import GridFunction
-from .markets import price_mixed_market
+from .markets import _intensities, price_mixed_market
 from .processes import SamplePath, gen_bm, gen_hermite, derive_seeds, HermiteSpec
 
 __all__ = [
-    "TaxSchedule",
     "PortfolioFunction",
     "TaxReport",
     "sqrt_spread_portfolio",
@@ -46,45 +45,6 @@ _FD_SCALE = 1e-5
 # Prices per block of paths in running_cost: a few such arrays fit in L2.
 _COST_BLOCK_ENTRIES = 1 << 15
 _Z95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class TaxSchedule:
-    """Per-asset quadratic transaction-tax intensities, all nonnegative."""
-
-    intensities: np.ndarray
-
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.intensities, dtype=float))
-        if (arr < 0).any():
-            raise ValueError("tax intensities must be nonnegative")
-        object.__setattr__(self, "intensities", arr)
-
-    @classmethod
-    def zero(cls, n_assets):
-        return cls(np.zeros(n_assets))
-
-    @classmethod
-    def uniform(cls, c, n_assets):
-        return cls(np.full(n_assets, float(c)))
-
-    @property
-    def is_zero(self):
-        return not self.intensities.any()
-
-
-def _intensities(tax, n_assets):
-    """Per-asset intensities of a TaxSchedule, array or scalar; None is no tax."""
-    if tax is None:
-        return np.zeros(n_assets)
-    arr = np.atleast_1d(np.asarray(getattr(tax, "intensities", tax), dtype=float))
-    if len(arr) == 1 and n_assets > 1:
-        arr = np.full(n_assets, arr[0])
-    if len(arr) != n_assets:
-        raise ValueError(f"{len(arr)} tax intensities for {n_assets} assets")
-    if (arr < 0).any():
-        raise ValueError("tax intensities must be nonnegative")
-    return arr
 
 
 @dataclass
@@ -422,7 +382,11 @@ def running_cost(P, prices, tax, times=None):
 
 
 def wilson_ci(successes, trials):
-    """Wilson 95% score interval for a binomial proportion."""
+    """Wilson 95% score interval for a binomial proportion.
+
+    The ends are exactly 0 with no successes and exactly 1 when every
+    trial succeeds, where rounding would leave them an ulp or so off.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
@@ -432,7 +396,9 @@ def wilson_ci(successes, trials):
     denom = 1.0 + z ** 2 / trials
     center = (p + z ** 2 / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z ** 2 / (4.0 * trials ** 2)) / denom
-    return center - half, center + half
+    low = 0.0 if successes == 0 else center - half
+    high = 1.0 if successes == trials else center + half
+    return low, high
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +531,7 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     """
     if market.variant != "shared_vol":
         raise ValueError("demo needs the shared-volatility two-asset market")
+    intensities = _intensities(tax, 2)
     w = gen_bm(horizon, steps, paths, seed=seed)
     s_vals, v_vals = market.price_paths(w)
     g_values = (np.sqrt(s_vals) - np.sqrt(v_vals)) ** 2
@@ -584,7 +551,6 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     invariant = (stats["initial_value_max_abs"] == 0.0
                  and stats["min_terminal_value"] > 0.0
                  and stats["pair_residual_max"] < 1e-8)
-    intensities = _intensities(tax, 2)
     return _arb_report("diffusion_arbitrage",
                        {"mu1": market.mu1, "mu2": market.mu2, "sigma": market.sigma1,
                         "tax": intensities.tolist(), "steps": steps, "horizon": horizon},
@@ -600,6 +566,7 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     prices, never goes negative, and solves the time-dependent pricing
     identity; a positive tax on both legs produces losing paths.
     """
+    intensities = _intensities(tax, 2)
     if hermite is None:
         hermite = HermiteSpec(market.hurst, 1)
     w_seed, h_seed = derive_seeds(seed, 2)
@@ -623,7 +590,6 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     }
     invariant = (stats["initial_value_max_abs"] == 0.0
                  and stats["min_value"] >= 0.0 and residual < 1e-8)
-    intensities = _intensities(tax, 2)
     return _arb_report("mixed_arbitrage",
                        {"r": market.r, "b": market.b, "rho": market.rho,
                         "hurst": market.hurst, "tax": intensities.tolist(),

@@ -343,19 +343,19 @@ def test_arb_demo_mixed(capsys):
 # pins every arb-demo report byte for byte, a failing one included.
 _GOLDEN_ARB_STDOUT = [
     ("shiryaev", "0", "300", 0,
-     "87699868225eaa1ff220796923cdec816a4c1f07f885ea389f0703b3308acbca"),
+     "ec81bc3dd9b2967be481540d2815253e66c5a3a4bbe0b29aadd69dc40186148a"),
     ("shiryaev", "0.3", "300", 0,
-     "87699868225eaa1ff220796923cdec816a4c1f07f885ea389f0703b3308acbca"),
+     "ec81bc3dd9b2967be481540d2815253e66c5a3a4bbe0b29aadd69dc40186148a"),
     ("fsquare", "0", "300", 0,
-     "ec1a9ef32da241080c9d999f9245af55e2737fbe8bb8875ddbb3ab0466755919"),
+     "468508ac483e52903525191425b71d831d76353451f7851911d6438f95ed70a5"),
     ("fsquare", "0.3", "300", 0,
      "efbc476fbb677a266cd75e076656f49421aec38d91461bd114442c7a52ad704b"),
     ("diffusion", "0", "300", 0,
-     "1111922e0927d166a8bb4d53d9d4602d82c4b43b7bbfb1345cccef765fd7a54a"),
+     "6836a1b418d311ce19ed2c142895c0c022c70e80a2cb2b481a74a5e247f66ad0"),
     ("diffusion", "0.3", "300", 0,
      "20bc76c517f16fe3f0637dc333271937409a28640f0029ea6ff8d04ac9aef011"),
     ("mixed", "0", "300", 0,
-     "80024a84d43186a2bbd55260b133446dd41e2ceee74f3591c9213cc27ecf9b87"),
+     "44f2701c939644fbcdc62971fdd7a2b0d7f34956c301406a26592c72c2f0303f"),
     ("mixed", "0.3", "300", 0,
      "1e04c11bf9220da1c940ed04afa8fb5a2df6a35f28b765d39a999a443bbfb6f0"),
     ("mixed", "0.02", "40", 1,
@@ -374,6 +374,14 @@ def test_arb_demo_golden_stdout(capsys, case, tax, paths, code, digest):
 def test_arb_demo_rejects_huge_tax():
     assert main(["arb-demo", "--case", "fsquare", "--tax", "1.5",
                  "--paths", "10", "--steps", "64"]) == 2
+
+
+@pytest.mark.parametrize("tax", ["nan", "inf", "-0.3"])
+@pytest.mark.parametrize("case", ["shiryaev", "fsquare", "diffusion", "mixed"])
+def test_arb_demo_rejects_bad_tax(capsys, case, tax):
+    assert main(["arb-demo", "--case", case, "--tax", tax,
+                 "--paths", "10", "--steps", "16"]) == 2
+    assert "--tax" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +433,22 @@ def test_price_monotone_in_tax(capsys):
         assert main(_price_argv(tax=tax, grid="257", **{"time-steps": "128"})) == 0
         values.append(_parse_price(capsys))
     assert values[0] < values[1] < values[2]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["strike", "power-exp", "spot", "rate", "sigma", "tax",
+                                  "maturity", "grid", "time-steps"])
+def test_price_rejects_non_finite_flag(capsys, flag, value):
+    # Each flag on a claim that reads it; the message names the parameter.
+    payoff = "power" if flag == "power-exp" else "call"
+    assert main(_price_argv(payoff=payoff, **{flag: value})) == 2
+    named = {"power-exp": "exponent", "grid": "--grid", "time-steps": "--time-steps"}
+    assert named.get(flag, flag) in capsys.readouterr().err
+
+
+def test_price_rejects_negative_tax(capsys):
+    assert main(_price_argv(tax="-0.3")) == 2
+    assert "tax" in capsys.readouterr().err
 
 
 def test_price_ill_posed_exits_one(capsys):

@@ -104,6 +104,18 @@ def test_taxed_synthesis_validates_shapes():
         synth_riskless_taxed([0.1, 0.3], [0.03, 0.04], [-0.1, 0.2])
 
 
+def test_synthesis_rejects_non_finite_inputs(monkeypatch):
+    for synth in (synth_riskless, lambda sigma, mu: synth_riskless_taxed(sigma, mu, 0.3)):
+        with pytest.raises(ValueError, match="sigma"):
+            synth([np.nan, 0.3], [0.03, 0.04])
+        with pytest.raises(ValueError, match="mu"):
+            synth([0.1, 0.3], [0.03, np.inf])
+    # A NaN residual fails the convergence check as a large one does.
+    monkeypatch.setattr(markets, "_taxed_pair_root", lambda ratio, tax: np.nan)
+    with pytest.raises(InfeasibleMarketError, match="did not converge"):
+        synth_riskless_taxed([0.1, 0.3], [0.03, 0.04], 0.3)
+
+
 def _taxed_residual(sigma, c, phi):
     balance = float(np.sum(phi) - 1.0 + 0.5 * np.sum(c**2 * phi * (phi - 1.0)))
     return abs(balance) + abs(float(sigma @ phi))

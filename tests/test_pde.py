@@ -1,5 +1,6 @@
 """Crank-Nicolson pricing and the heat-equation change of variables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,25 @@ def test_call_price_monotone_in_tax():
     assert prices[-1] > prices[0]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name, build", [
+    ("strike", lambda v: TerminalClaim.call(v, MATURITY)),
+    ("maturity", lambda v: TerminalClaim.put(STRIKE, v)),
+    ("exponent", lambda v: TerminalClaim.power_claim(v, MATURITY)),
+    ("spot", lambda v: grid_for_spot(v, SIGMA, MATURITY)),
+    ("rate", lambda v: solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), v, SIGMA, 0.0,
+                                     _grid())),
+    ("sigma", lambda v: solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), RATE, v, 0.0,
+                                      _grid())),
+    ("tax", lambda v: solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), RATE, SIGMA, v,
+                                    _grid())),
+])
+def test_non_finite_pricing_input_names_parameter(name, build, bad):
+    with pytest.raises(ValueError, match=name) as caught:
+        build(bad)
+    assert not isinstance(caught.value, IllPosedProblemError)
+
+
 def test_ill_posed_effective_variance():
     with pytest.raises(IllPosedProblemError):
         solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), -0.1, 0.1, 0.4, _grid())
@@ -215,6 +235,10 @@ def test_heat_kernel_validation():
         heat_kernel(0.0, [0.0], 1.0)
     with pytest.raises(ValueError):
         heat_kernel(1.0, [0.0], -1.0)
+    with pytest.raises(ValueError, match="elapsed"):
+        heat_kernel(math.nan, [0.0], 1.0)
+    with pytest.raises(ValueError, match="diffusivities"):
+        heat_kernel(1.0, [0.0], math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +255,18 @@ def test_reduction_coefficients():
     a = red.exponents
     want_shift = r * a.sum() - r + 0.5 * float(np.sum(c**2 * a * (a - 1.0)))
     assert red.drift_shift == pytest.approx(want_shift)
+
+
+def test_reduction_derives_every_coefficient_from_three_fields():
+    red = reduce_to_heat([0.4, 0.5], 0.03, 1.0)
+    assert [f.name for f in dataclasses.fields(red)] == ["rate", "maturity", "intensities"]
+    c_sq = np.array([0.4, 0.5]) ** 2
+    a = -0.03 / c_sq
+    assert red.diffusivities.tobytes() == c_sq.tobytes()
+    assert red.exponents.tobytes() == a.tobytes()
+    assert red.time_tilt == float(c_sq.sum()) / 8.0
+    assert red.drift_shift == (0.03 * a.sum() - 0.03
+                               + 0.5 * float(np.sum(c_sq * a * (a - 1.0))))
 
 
 def test_reduction_requires_positive_intensities():

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from hermite_markets import (
     HermiteSpec,
     MixedMarket,
+    PdeGrid,
     PortfolioFunction,
     SamplePath,
-    TaxSchedule,
+    TerminalClaim,
     TwoAssetDiffusion,
     diffusion_arb_demo,
     f_strategy_demo,
@@ -28,15 +29,19 @@ from hermite_markets import (
     power_pair_exponents,
     power_pair_frictionless,
     power_portfolio,
+    reduce_to_heat,
     running_cost,
     self_financing_residual,
     shiryaev_demo,
     sqrt_spread_portfolio,
     sqrt_spread_portfolio_fn,
+    solve_tax_bsm,
+    synth_riskless_taxed,
     taxed_bsm_residual,
     taxed_self_financing_residual,
     wilson_ci,
 )
+from hermite_markets.markets import _intensities
 
 RNG = np.random.default_rng(515)
 
@@ -46,19 +51,73 @@ def _points(n=12):
 
 
 # ---------------------------------------------------------------------------
-# tax schedules
+# the tax rule: one reading of every tax argument
 
 def test_tax_schedule_rejects_negative():
-    with pytest.raises(ValueError):
-        TaxSchedule(np.array([0.2, -0.1]))
+    for bad in ([0.2, -0.1], [0.2, float("nan")], [float("inf"), 0.2], -0.1):
+        with pytest.raises(ValueError, match="tax"):
+            _intensities(bad, 2)
+    for wrong_shape in ([0.3], [0.3, 0.3, 0.3], [[0.3, 0.3]]):
+        with pytest.raises(ValueError, match="tax"):
+            _intensities(wrong_shape, 2)
 
 
 def test_tax_schedule_helpers():
-    z = TaxSchedule.zero(3)
-    assert z.is_zero
-    u = TaxSchedule.uniform(0.3, 2)
-    assert not u.is_zero
-    assert np.allclose(u.intensities, [0.3, 0.3])
+    # None is no tax and a scalar taxes every asset alike.
+    assert np.array_equal(_intensities(None, 3), np.zeros(3))
+    assert np.array_equal(_intensities(0.3, 2), [0.3, 0.3])
+    assert not _intensities([0.0, 0.0], 2).any()
+    given_tax = np.array([0.3, 0.2])
+    read = _intensities(given_tax, 2)
+    assert np.array_equal(read, given_tax) and read is not given_tax
+
+
+def _bits(*parts):
+    return b"".join(np.asarray(part, dtype=float).tobytes() for part in parts)
+
+
+_SPREAD = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+_TWO_PRICES = np.array([[1.0, 1.1, 0.9, 1.2], [1.0, 0.95, 1.05, 1.0]])
+
+# consumer -> (assets, run(tax) -> its result's bits); reduce_to_heat takes its asset
+# count from the tax, so its malformed tax is a nested list.
+_TAX_CONSUMERS = {
+    "running_cost": (2, lambda tax: _bits(running_cost(_SPREAD, _TWO_PRICES, tax).values)),
+    "taxed_self_financing_residual": (
+        2, lambda tax: _bits(taxed_self_financing_residual(_SPREAD, [1.3, 0.8], tax))),
+    "taxed_bsm_residual": (2, lambda tax: _bits(taxed_bsm_residual(
+        power_portfolio([0.8, -0.4]), [1.3, 0.8], 0.03, [0.25, 0.2], tax))),
+    "power_pair_exponents": (2, lambda tax: _bits(
+        power_pair_exponents(0.8, 0.03, [0.25, 0.2], tax))),
+    "diffusion_arb_demo": (2, lambda tax: _demo_bytes(diffusion_arb_demo(
+        TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2), 20, 16, 1.0, 3, tax))),
+    "mixed_arb_demo": (2, lambda tax: _demo_bytes(
+        mixed_arb_demo(_mixed_market(), 20, 16, 1.0, 3, tax))),
+    "synth_riskless_taxed": (3, lambda tax: _bits(*vars(synth_riskless_taxed(
+        [0.2, 0.3, 0.5], [0.02, 0.03, 0.05], tax)).values())),
+    "solve_tax_bsm": (1, lambda tax: _bits(solve_tax_bsm(
+        TerminalClaim.call(1.0, 1.0), 0.05, 0.2, tax, PdeGrid(0.3, 3.0, 17, 4)).values)),
+    "reduce_to_heat": (None, lambda tax: _bits(*(
+        getattr(reduce_to_heat(tax, 0.03, 1.0), name) for name in
+        ("intensities", "diffusivities", "exponents", "drift_shift", "time_tilt")))),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_TAX_CONSUMERS))
+@pytest.mark.parametrize("bad", ["nan", "inf", "negative", "wrong length"])
+def test_every_consumer_reads_tax_through_one_rule(consumer, bad):
+    n_assets, run = _TAX_CONSUMERS[consumer]
+    tax = {"nan": float("nan"), "inf": math.inf, "negative": -0.1}.get(bad)
+    if bad == "wrong length":
+        tax = [[0.3]] if n_assets is None else [0.3] * (2 if n_assets == 1 else 1)
+    with pytest.raises(ValueError, match="tax"):
+        run(tax)
+
+
+@pytest.mark.parametrize("consumer", sorted(_TAX_CONSUMERS))
+def test_scalar_tax_equals_per_asset_list(consumer):
+    n_assets, run = _TAX_CONSUMERS[consumer]
+    assert run(0.3) == run([0.3] * (n_assets or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +191,7 @@ def test_taxed_residual_reduces_at_zero_tax():
     field = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
     for x, y in _points(4):
         a = self_financing_residual(field, [x, y])
-        b = taxed_self_financing_residual(field, [x, y], TaxSchedule.zero(2))
+        b = taxed_self_financing_residual(field, [x, y], None)
         assert float(a) == float(b)
 
 
@@ -329,6 +388,15 @@ def test_wilson_interval_validation():
         wilson_ci(7, 5)
 
 
+def test_wilson_interval_ends_are_exact():
+    # Rounding used to leave wilson_ci(0, n) above 0 for 5,736 of these n
+    # and wilson_ci(n, n) off 1 for 10,113 (1.0000000000000002 at n = 40).
+    for n in range(1, 20_001):
+        none, every = wilson_ci(0, n), wilson_ci(n, n)
+        assert none[0] == 0.0 and 0.0 < none[1] < 1.0
+        assert every[1] == 1.0 and 0.0 < every[0] < 1.0
+
+
 # ---------------------------------------------------------------------------
 # demonstrations
 
@@ -386,10 +454,20 @@ def test_diffusion_demo_untaxed():
 def test_diffusion_demo_taxed():
     market = TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2)
     report = diffusion_arb_demo(market, paths=1500, steps=256, seed=9,
-                                tax=TaxSchedule.uniform(0.3, 2))
+                                tax=0.3)
     assert report.passed
     assert report.statistics["fraction_negative_net"] > 0.0
     assert report.ci_low > 0.0
+
+
+def test_taxed_demo_without_losing_path_fails():
+    # A 1e-6 tax sinks none of the 50 paths; with an inexact Wilson end
+    # (ci_low 6.9e-18) the demo used to pass all the same.
+    report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
+                                paths=50, steps=16, seed=42, tax=1e-6)
+    assert report.statistics["fraction_negative_net"] == 0.0
+    assert report.ci_low == 0.0
+    assert not report.passed
 
 
 def test_diffusion_demo_needs_shared_vol():
@@ -412,7 +490,7 @@ def test_mixed_demo_untaxed():
 
 def test_mixed_demo_taxed():
     report = mixed_arb_demo(_mixed_market(), paths=500, steps=256, seed=12,
-                            tax=TaxSchedule.uniform(0.4, 2))
+                            tax=0.4)
     assert report.passed
     assert report.statistics["fraction_negative_net"] > 0.0
 
@@ -437,13 +515,13 @@ def test_report_serialization():
 # pins both demos' reports bit for bit, taxed, untaxed and failing.
 _GOLDEN_DEMOS = [
     ("diffusion", None, 300, 9, None, True,
-     "192c6af0eb54fdb9e8c25b34a1672cf3b521418524b9bf1a1c37a16aefe25564"),
+     "2861867816aa0ffe3990082ada26e46d556cddb763ea2a6e016de3a250b4b6e1"),
     ("diffusion", 0.3, 300, 9, None, True,
      "e33850b8c6c1957bd3e922d4e2c804d1b3641d8e52bdf94afef3686b42c97946"),
     ("diffusion", 0.02, 40, 9, None, False,
      "bb6f94d7e77a476d8bf9b95e60f1dcb656b9921f0e32e5a67b1a33847b4156ca"),
     ("mixed", None, 300, 12, None, True,
-     "4f1707d29786ee5fc0a67ddef1d3d3364582a6e5ea0d990d78f392d4e0926d09"),
+     "4a6d1432fd17e72722efd51009463d38651efcd57100e32df1be701f77a339f7"),
     ("mixed", 0.3, 300, 12, None, True,
      "4f4fbb5f4d0acdabfa54dadf0ffd38dd3bfc1c4662e88a1c5f042f9a35f3fa26"),
     ("mixed", 0.02, 40, 12, None, False,
@@ -459,7 +537,7 @@ def _demo_bytes(report):
 
 
 @pytest.mark.parametrize("demo", ["diffusion", "mixed"])
-@pytest.mark.parametrize("scalar, schedule", [(0.0, None), (0.3, TaxSchedule.uniform(0.3, 2))])
+@pytest.mark.parametrize("scalar, schedule", [(0.0, None), (0.3, [0.3, 0.3])])
 def test_arb_demos_take_scalar_tax(demo, scalar, schedule):
     if demo == "diffusion":
         run = lambda tax: diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
@@ -471,13 +549,12 @@ def test_arb_demos_take_scalar_tax(demo, scalar, schedule):
 
 @pytest.mark.parametrize("demo, tax, paths, seed, rank, passed, digest", _GOLDEN_DEMOS)
 def test_golden_demo_reports(demo, tax, paths, seed, rank, passed, digest):
-    schedule = TaxSchedule.uniform(tax, 2) if tax else None
     if demo == "diffusion":
         report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
-                                    paths, 64, 1.0, seed, schedule)
+                                    paths, 64, 1.0, seed, tax)
     else:
         hermite = {} if rank is None else {"hermite": HermiteSpec(0.75, rank, 4)}
-        report = mixed_arb_demo(_mixed_market(), paths, 64, 1.0, seed, schedule,
+        report = mixed_arb_demo(_mixed_market(), paths, 64, 1.0, seed, tax,
                                 **hermite)
     sha = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode())
     sha.update(report.cost_path.tobytes())
