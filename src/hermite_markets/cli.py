@@ -14,6 +14,7 @@ environment variable, then 42.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,7 +62,9 @@ def _list_of(convert):
     return parse
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hermite-markets",
         description="Hermite-driven market simulation, arbitrage demos and pricing")

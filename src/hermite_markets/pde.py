@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .markets import _intensities
 
@@ -161,15 +161,35 @@ def _boundary_values(claim, x, payoff_vals, rate, sig_eff_sq, taus):
 
 
 def _effective_variance(rate, sigma, tax_hat):
-    """sigma^2 + rate * tax_hat^2 from a finite rate and sigma and one asset's tax."""
+    """sigma^2 + rate * tax_hat^2 from a finite rate and sigma and one asset's tax.
+
+    A term that overflows raises ValueError naming the parameter behind it.
+    """
     for name, value in (("rate", rate), ("sigma", sigma)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    sig_eff_sq = sigma ** 2 + rate * float(_intensities(tax_hat, 1)[0]) ** 2
+    tax = float(_intensities(tax_hat, 1)[0])
+    try:
+        sig_sq = sigma ** 2
+    except OverflowError:
+        raise ValueError(f"sigma^2 overflows at sigma = {sigma:g}") from None
+    try:
+        tax_term = rate * tax ** 2
+    except OverflowError:
+        raise ValueError(f"tax^2 overflows at tax = {tax:g}") from None
+    sig_eff_sq = sig_sq + tax_term
+    if sig_eff_sq == math.inf:
+        raise ValueError(f"sigma^2 + r c^2 overflows at rate = {rate:g}, "
+                         f"sigma = {sigma:g}, tax = {tax:g}")
     if not sig_eff_sq > 0.0:
         raise IllPosedProblemError(
             f"effective variance sigma^2 + r c^2 = {sig_eff_sq:.6g} is not positive")
     return sig_eff_sq
+
+
+def _require_finite(claim, part, values):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{claim.kind} claim: non-finite {part}")
 
 
 def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
@@ -199,14 +219,22 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     taus = np.linspace(0.0, claim.maturity, steps + 1)
     bound_l, bound_r = _boundary_values(claim, x, payoff_vals, rate, sig_eff_sq, taus)
 
-    def step_system(theta):
-        ab = np.zeros((3, grid.nodes - 2))
-        ab[0, 1:] = -theta * d_tau * upper
-        ab[1, :] = 1.0 - theta * d_tau * diag
-        ab[2, :-1] = -theta * d_tau * lower
-        return ab
+    _require_finite(claim, "payoff values", payoff_vals)
+    _require_finite(claim, "boundary values", [bound_l, bound_r])
 
-    implicit, crank_nicolson = step_system(1.0), step_system(0.5)
+    def step_factors(theta):
+        """LU factors of the tridiagonal step system, with partial pivoting."""
+        sub, main, sup = (-theta * d_tau * lower, 1.0 - theta * d_tau * diag,
+                          -theta * d_tau * upper)
+        _require_finite(claim, "step-system coefficients", [sub, main, sup])
+        interior = grid.nodes - 2
+        *factors, info = dgttrf(np.full(interior - 1, sub), np.full(interior, main),
+                                np.full(interior - 1, sup))
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return factors
+
+    implicit, crank_nicolson = step_factors(1.0), step_factors(0.5)
     # Rows in calendar order: step m fills row steps - m - 1, whose boundary
     # values are set here, from row steps - m.
     surface = np.empty((steps + 1, grid.nodes))
@@ -214,13 +242,14 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     surface[:-1, -1] = bound_r[:0:-1]
     surface[-1] = payoff_vals
     for m in range(steps):
-        theta, system = (1.0, implicit) if m < 2 else (0.5, crank_nicolson)
+        theta, factors = (1.0, implicit) if m < 2 else (0.5, crank_nicolson)
         known, new = surface[steps - m], surface[steps - m - 1]
         stencil = lower * known[:-2] + diag * known[1:-1] + upper * known[2:]
         rhs = known[1:-1] + (1.0 - theta) * d_tau * stencil
         rhs[0] += theta * d_tau * lower * new[0]
         rhs[-1] += theta * d_tau * upper * new[-1]
-        new[1:-1] = solve_banded((1, 1), system, rhs)
+        new[1:-1] = dgttrs(*factors, rhs, overwrite_b=1)[0]
+    _require_finite(claim, "solution surface", surface)
 
     times = claim.maturity - taus[::-1]
     return PdeSurface(times=times, prices=x, values=surface,

@@ -1,6 +1,12 @@
-"""Closed-form reference values used by several test modules."""
+"""Closed-form reference values and a reference solver used by several test
+modules."""
 
 import math
+
+import numpy as np
+from scipy.linalg import solve_banded
+
+from hermite_markets.pde import _boundary_values, _effective_variance
 
 
 def _norm_cdf(x):
@@ -30,3 +36,49 @@ def power_claim_value(spot, rate, sigma, power, tau):
     """
     growth = rate * (power - 1.0) + 0.5 * sigma**2 * power * (power - 1.0)
     return spot**power * math.exp(growth * tau)
+
+
+def banded_step_surface(claim, rate, sigma, tax_hat, grid):
+    """``solve_tax_bsm(...).values`` by one ``solve_banded`` call per step.
+
+    The solver's step loop as it was before the step systems were factored
+    once; its surfaces are the bit-for-bit reference for the factored loop.
+    """
+    sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
+    y = grid.log_nodes
+    x = np.exp(y)
+    dy = y[1] - y[0]
+    d_tau = claim.maturity / grid.time_steps
+    diffusion = 0.5 * sig_eff_sq
+    drift = rate - 0.5 * sig_eff_sq
+
+    lower = diffusion / dy ** 2 - drift / (2.0 * dy)
+    diag = -2.0 * diffusion / dy ** 2 - rate
+    upper = diffusion / dy ** 2 + drift / (2.0 * dy)
+
+    payoff_vals = np.asarray(claim.payoff(x), dtype=float)
+    steps = grid.time_steps
+    taus = np.linspace(0.0, claim.maturity, steps + 1)
+    bound_l, bound_r = _boundary_values(claim, x, payoff_vals, rate, sig_eff_sq, taus)
+
+    def step_system(theta):
+        ab = np.zeros((3, grid.nodes - 2))
+        ab[0, 1:] = -theta * d_tau * upper
+        ab[1, :] = 1.0 - theta * d_tau * diag
+        ab[2, :-1] = -theta * d_tau * lower
+        return ab
+
+    implicit, crank_nicolson = step_system(1.0), step_system(0.5)
+    surface = np.empty((steps + 1, grid.nodes))
+    surface[:-1, 0] = bound_l[:0:-1]
+    surface[:-1, -1] = bound_r[:0:-1]
+    surface[-1] = payoff_vals
+    for m in range(steps):
+        theta, system = (1.0, implicit) if m < 2 else (0.5, crank_nicolson)
+        known, new = surface[steps - m], surface[steps - m - 1]
+        stencil = lower * known[:-2] + diag * known[1:-1] + upper * known[2:]
+        rhs = known[1:-1] + (1.0 - theta) * d_tau * stencil
+        rhs[0] += theta * d_tau * lower * new[0]
+        rhs[-1] += theta * d_tau * upper * new[-1]
+        new[1:-1] = solve_banded((1, 1), system, rhs)
+    return surface

@@ -446,6 +446,24 @@ def test_price_rejects_non_finite_flag(capsys, flag, value):
     assert named.get(flag, flag) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [({"sigma": "1e200"}, "sigma^2 overflows"),
+                                          ({"tax": "1e200"}, "tax^2 overflows"),
+                                          ({"rate": "1e300", "tax": "1e10"},
+                                           "sigma^2 + r c^2 overflows")],
+                         ids=["sigma", "tax", "sum"])
+def test_price_overflowing_effective_variance_exits_two(capsys, flags, named):
+    assert main(_price_argv(**flags)) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_price_overflowing_payoff_exits_two(capsys):
+    with pytest.warns(RuntimeWarning):
+        code = main(["price", "--payoff", "power", "--power-exp", "400",
+                     "--spot", "100", "--sigma", "0.2"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_price_rejects_negative_tax(capsys):
     assert main(_price_argv(tax="-0.3")) == 2
     assert "tax" in capsys.readouterr().err
@@ -474,3 +492,14 @@ def test_usage_error_exit_code():
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
+
+
+def test_each_subcommand_keeps_its_own_defaults(capsys):
+    # The parser is built once per process; a flag given to one call must
+    # not become the default of the next, on the same or another subcommand.
+    for argv in (_price_argv(tax="0.5", grid="65", **{"time-steps": "8"}),
+                 ["arb-demo", "--case", "shiryaev", "--tax", "0.3", "--paths", "10",
+                  "--steps", "16"],
+                 _price_argv(grid="65", **{"time-steps": "8"})):
+        assert main(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith("(effective vol 0.2)")

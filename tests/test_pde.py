@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgttrf
 
 from hermite_markets import (
     IllPosedProblemError,
@@ -18,7 +19,7 @@ from hermite_markets import (
     solve_tax_bsm,
 )
 from hermite_markets import pde
-from _oracles import black_scholes, power_claim_value
+from _oracles import banded_step_surface, black_scholes, power_claim_value
 
 SPOT, STRIKE, RATE, SIGMA, MATURITY = 100.0, 100.0, 0.05, 0.2, 1.0
 
@@ -170,6 +171,100 @@ def test_surface_payoff_row_and_far_field_columns(claim):
                                        SIGMA**2 + RATE * tax_hat**2, taus)
     assert np.array_equal(surface.values[:-1, 0], left[:0:-1])
     assert np.array_equal(surface.values[:-1, -1], right[:0:-1])
+
+
+# ---------------------------------------------------------------------------
+# factored step systems against the per-step banded solve
+
+def _claim(kind, strike, exponent, maturity):
+    if kind == "power":
+        return TerminalClaim.power_claim(exponent, maturity)
+    return getattr(TerminalClaim, kind)(strike, maturity)
+
+
+_BENCH_CLAIMS = [(kind, tax, strike) for kind in ("call", "put", "power")
+                 for tax in (0.0, 0.2, 0.5) for strike in (80.0, 100.0, 120.0)]
+
+
+@pytest.mark.parametrize("kind, tax_hat, strike", _BENCH_CLAIMS)
+def test_solver_matches_banded_step_loop_on_default_grid(kind, tax_hat, strike):
+    claim = _claim(kind, strike, 2.0, MATURITY)
+    sig_eff = math.sqrt(pde._effective_variance(RATE, SIGMA, tax_hat))
+    grid = grid_for_spot(SPOT, sig_eff, MATURITY, RATE, 513, 512)
+    surface = solve_tax_bsm(claim, RATE, SIGMA, tax_hat, grid)
+    assert np.array_equal(surface.values,
+                          banded_step_surface(claim, RATE, SIGMA, tax_hat, grid))
+
+
+# Coarse, wide grids at a high rate and a small volatility break the Peclet
+# condition: the drift outweighs the diffusion across one node, so the
+# lower or the upper off-diagonal of the step matrix changes sign and,
+# over a long time step, outweighs the diagonal.
+_PIVOTING = [(0.5, 0.02, 0.0, 16, 1, 5.0, 1.0), (0.8, 0.05, 0.1, 40, 3, 4.0, 3.0),
+             (-0.5, 0.02, 0.0, 16, 2, 5.0, 1.0)]
+
+
+def _step_matrix_pivots(rate, sigma, tax_hat, grid, maturity):
+    sig_eff_sq = pde._effective_variance(rate, sigma, tax_hat)
+    dy = grid.log_nodes[1] - grid.log_nodes[0]
+    diffusion, drift = 0.5 * sig_eff_sq, rate - 0.5 * sig_eff_sq
+    d_tau, n = maturity / grid.time_steps, grid.nodes - 2
+    ipiv = dgttrf(np.full(n - 1, -d_tau * (diffusion / dy ** 2 - drift / (2.0 * dy))),
+                  np.full(n, 1.0 + d_tau * (2.0 * diffusion / dy ** 2 + rate)),
+                  np.full(n - 1, -d_tau * (diffusion / dy ** 2 + drift / (2.0 * dy))))[4]
+    return not np.array_equal(ipiv, np.arange(1, n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["call", "put", "power"]),
+       rate=st.one_of(st.just(0.0), st.floats(-0.5, 0.8)),
+       sigma=st.floats(0.01, 1.0), tax_hat=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       nodes=st.integers(16, 300), steps=st.integers(1, 80),
+       maturity=st.floats(0.05, 5.0), half_width=st.floats(0.2, 3.0),
+       strike=st.floats(50.0, 150.0), exponent=st.floats(-2.0, 3.0))
+def test_solver_matches_banded_step_loop(kind, rate, sigma, tax_hat, nodes, steps,
+                                         maturity, half_width, strike, exponent):
+    assume(sigma ** 2 + rate * tax_hat ** 2 > 1e-6)
+    claim = _claim(kind, strike, exponent, maturity)
+    grid = PdeGrid(SPOT * math.exp(-half_width), SPOT * math.exp(half_width),
+                   nodes, steps)
+    surface = solve_tax_bsm(claim, rate, sigma, tax_hat, grid)
+    assert np.array_equal(surface.values,
+                          banded_step_surface(claim, rate, sigma, tax_hat, grid))
+
+
+@pytest.mark.parametrize("rate, sigma, tax_hat, nodes, steps, maturity, half_width",
+                         _PIVOTING)
+@pytest.mark.parametrize("kind", ["call", "put", "power"])
+def test_solver_matches_banded_step_loop_when_lapack_pivots(
+        kind, rate, sigma, tax_hat, nodes, steps, maturity, half_width):
+    claim = _claim(kind, STRIKE, 2.0, maturity)
+    grid = PdeGrid(SPOT * math.exp(-half_width), SPOT * math.exp(half_width),
+                   nodes, steps)
+    assert _step_matrix_pivots(rate, sigma, tax_hat, grid, maturity)
+    surface = solve_tax_bsm(claim, rate, sigma, tax_hat, grid)
+    assert np.array_equal(surface.values,
+                          banded_step_surface(claim, rate, sigma, tax_hat, grid))
+
+
+@pytest.mark.parametrize("claim, sigma, grid, part", [
+    (TerminalClaim.power_claim(400.0, MATURITY), SIGMA, _grid(),
+     "power claim: non-finite payoff"),
+    (TerminalClaim.call(STRIKE, MATURITY), 1e154, PdeGrid(50.0, 200.0, 17, 4),
+     "call claim: non-finite step-system"),
+    (TerminalClaim(lambda x: np.where(np.abs(x - SPOT) < 1.0, 1e308, 0.0), MATURITY),
+     SIGMA, _grid(nodes=65, time_steps=8), "custom claim: non-finite solution"),
+], ids=["payoff", "coefficients", "surface"])
+def test_non_finite_solve_part_is_named(claim, sigma, grid, part):
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=part):
+        solve_tax_bsm(claim, RATE, sigma, 0.0, grid)
+
+
+def test_singular_step_system_raises_linalg_error(monkeypatch):
+    monkeypatch.setattr(pde, "dgttrf", lambda *diagonals: (*dgttrf(*diagonals)[:-1], 3))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), RATE, SIGMA, 0.0,
+                      _grid(nodes=65, time_steps=8))
 
 
 def test_value_at_interpolates_and_validates():

@@ -547,7 +547,8 @@ def test_arb_demos_take_scalar_tax(demo, scalar, schedule):
     assert _demo_bytes(run(scalar)) == _demo_bytes(run(schedule))
 
 
-@pytest.mark.parametrize("demo, tax, paths, seed, rank, passed, digest", _GOLDEN_DEMOS)
+@pytest.mark.parametrize("demo, tax, paths, seed, rank, passed, digest", _GOLDEN_DEMOS,
+                         ids=["-".join(map(str, row[:-1])) for row in _GOLDEN_DEMOS])
 def test_golden_demo_reports(demo, tax, paths, seed, rank, passed, digest):
     if demo == "diffusion":
         report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
