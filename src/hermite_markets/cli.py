@@ -317,6 +317,9 @@ def _cmd_arb_demo(args):
 # ---------------------------------------------------------------------------
 # pricing
 
+# An overflowing payoff or boundary reaches the solver's finite checks,
+# which name it; numpy's warnings would only repeat it, with source lines.
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_price(args):
     if args.payoff == "call":
         claim = TerminalClaim.call(args.strike, args.maturity)

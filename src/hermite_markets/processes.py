@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 # Bound on the rows x 2 count entries drawn and transformed per FFT batch.
-_CHUNK_ENTRIES = 1 << 23
+_CHUNK_ENTRIES = 1 << 20
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _EIG_TOL = -1e-10
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .calculus import GridFunction
 from .markets import _intensities, price_mixed_market
-from .processes import SamplePath, gen_bm, gen_hermite, derive_seeds, HermiteSpec
+from .processes import SamplePath, gen_bm, gen_hermite, derive_seeds, HermiteSpec, _check_grid
 
 __all__ = [
     "PortfolioFunction",
@@ -44,6 +44,9 @@ __all__ = [
 _FD_SCALE = 1e-5
 # Prices per block of paths in running_cost: a few such arrays fit in L2.
 _COST_BLOCK_ENTRIES = 1 << 15
+# Prices per block of paths in the arbitrage demos: they hold about ten
+# such arrays at once, in place of as many over the whole ensemble.
+_DEMO_BLOCK_ENTRIES = 1 << 17
 _Z95 = 1.959963984540054
 
 
@@ -522,20 +525,35 @@ def f_strategy_demo(f, df, driver, intensity, t=None, threshold_check=False):
                      cost_path=cost.mean(axis=0), net_path=net.mean(axis=0))
 
 
+def _path_blocks(paths, steps):
+    """(first path, path count) of each block of paths a demo prices at once."""
+    size = max(1, _DEMO_BLOCK_ENTRIES // (steps + 1))
+    for start in range(0, paths, size):
+        yield start, min(size, paths - start)
+
+
 def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, tax=None):
     """Square-root spread arbitrage on two shared-driver diffusions.
 
     Frictionless, (sqrt(S) - sqrt(V))^2 starts at zero and is positive for
     t > 0 on every path; under a positive tax the running cost drives the
-    net value negative on a nonzero fraction of paths.
+    net value negative on a nonzero fraction of paths.  Paths are drawn
+    and charged a block at a time; of a path only its terminal cost stays.
     """
     if market.variant != "shared_vol":
         raise ValueError("demo needs the shared-volatility two-asset market")
     intensities = _intensities(tax, 2)
-    w = gen_bm(horizon, steps, paths, seed=seed)
-    s_vals, v_vals = market.price_paths(w)
-    g_values = (np.sqrt(s_vals) - np.sqrt(v_vals)) ** 2
+    _check_grid(horizon, steps, paths)
     portfolio = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    tally = _ArbTally(portfolio, intensities)
+    initial, terminal = [], []
+    for start, count in _path_blocks(paths, steps):
+        w = gen_bm(horizon, steps, count, seed=seed, path_offset=start)
+        s_vals, v_vals = market.price_paths(w)
+        g_values = (np.sqrt(s_vals) - np.sqrt(v_vals)) ** 2
+        initial.append(np.abs(g_values[:, 0]).max())
+        terminal.append(g_values[:, -1].min())
+        tally.add(g_values, (s_vals, v_vals))
     rng = np.random.default_rng(seed)
     spots = 0.5 + 1.5 * rng.random((20, 2))
     x, y = spots[:, 0], spots[:, 1]
@@ -544,18 +562,17 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     residual = max(float(np.abs(identity(field, x, y)).max()) for field in fields
                    for identity in (pair_value_residual, pair_curvature_residual))
     stats = {
-        "initial_value_max_abs": float(np.abs(g_values[:, 0]).max()),
-        "min_terminal_value": float(g_values[:, -1].min()),
+        "initial_value_max_abs": float(np.max(initial)),
+        "min_terminal_value": float(np.min(terminal)),
         "pair_residual_max": residual,
     }
     invariant = (stats["initial_value_max_abs"] == 0.0
                  and stats["min_terminal_value"] > 0.0
                  and stats["pair_residual_max"] < 1e-8)
-    return _arb_report("diffusion_arbitrage",
-                       {"mu1": market.mu1, "mu2": market.mu2, "sigma": market.sigma1,
-                        "tax": intensities.tolist(), "steps": steps, "horizon": horizon},
-                       seed, stats, invariant, portfolio, g_values, (s_vals, v_vals),
-                       intensities)
+    return tally.report("diffusion_arbitrage",
+                        {"mu1": market.mu1, "mu2": market.mu2, "sigma": market.sigma1,
+                         "tax": intensities.tolist(), "steps": steps, "horizon": horizon},
+                        seed, stats, invariant)
 
 
 def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
@@ -564,62 +581,97 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
 
     The field (sqrt(x) + sqrt(y) - 2 exp(rt/2))^2 starts at zero from unit
     prices, never goes negative, and solves the time-dependent pricing
-    identity; a positive tax on both legs produces losing paths.
+    identity; a positive tax on both legs produces losing paths.  Paths
+    are drawn and charged a block at a time, as in diffusion_arb_demo.
     """
     intensities = _intensities(tax, 2)
     if hermite is None:
         hermite = HermiteSpec(market.hurst, 1)
     w_seed, h_seed = derive_seeds(seed, 2)
-    assets = price_mixed_market(market, gen_bm(horizon, steps, paths, seed=w_seed),
-                                gen_hermite(hermite, horizon, steps, paths, seed=h_seed))
-    # Keep only the two traded legs: the bond and the stock would otherwise
-    # stay alive through the running cost.
-    x_vals, y_vals, t = assets.tilted.values, assets.unit_exposure.values, assets.tilted.times
-    del assets
+    _check_grid(horizon, steps, paths)
     portfolio = mixed_arbitrage_portfolio(market.r)
-    values = portfolio.value([x_vals, y_vals], t)
+    tally = _ArbTally(portfolio, intensities)
+    initial, lowest = [], []
+    for start, count in _path_blocks(paths, steps):
+        assets = price_mixed_market(
+            market, gen_bm(horizon, steps, count, seed=w_seed, path_offset=start),
+            gen_hermite(hermite, horizon, steps, count, seed=h_seed, path_offset=start))
+        legs, t = (assets.tilted.values, assets.unit_exposure.values), assets.tilted.times
+        values = portfolio.value(legs, t)
+        initial.append(np.abs(values[:, 0]).max())
+        lowest.append(values.min())
+        tally.add(values, legs, t)
     rng = np.random.default_rng(seed)
     spots = 0.5 + 1.5 * rng.random((20, 2))
     ts = 0.1 + 0.8 * rng.random(20)
     residual = float(np.abs(mixed_market_residual(portfolio, ts, spots[:, 0], spots[:, 1],
                                                   market.r)).max())
     stats = {
-        "initial_value_max_abs": float(np.abs(values[:, 0]).max()),
-        "min_value": float(values.min()),
+        "initial_value_max_abs": float(np.max(initial)),
+        "min_value": float(np.min(lowest)),
         "pricing_residual_max": residual,
     }
     invariant = (stats["initial_value_max_abs"] == 0.0
                  and stats["min_value"] >= 0.0 and residual < 1e-8)
-    return _arb_report("mixed_arbitrage",
-                       {"r": market.r, "b": market.b, "rho": market.rho,
-                        "hurst": market.hurst, "tax": intensities.tolist(),
-                        "steps": steps, "horizon": horizon},
-                       seed, stats, invariant, portfolio, values, (x_vals, y_vals),
-                       intensities, times=t)
+    return tally.report("mixed_arbitrage",
+                        {"r": market.r, "b": market.b, "rho": market.rho,
+                         "hurst": market.hurst, "tax": intensities.tolist(),
+                         "steps": steps, "horizon": horizon},
+                        seed, stats, invariant)
 
 
-def _arb_report(demo, parameters, seed, stats, invariant, portfolio, values, assets,
-                intensities, times=None):
-    """TaxReport of an arbitrage field's ``values`` charged the running tax.
+def _add_rows(total, rows):
+    """``total`` plus each row of ``rows`` in turn; None starts the sum.
 
-    Untaxed, the Wilson interval covers the share of paths ending positive
-    and the demo passes on ``invariant``.  Under a positive tax the cost is
-    charged on ``assets``, the interval covers the share whose net value
-    ends negative, and passing also needs that interval clear of 0.
+    numpy's axis-0 sum of a C-contiguous array adds its rows one after
+    another, so summing a block at a time this way gives the sum over
+    the whole ensemble bit for bit.
     """
-    paths = values.shape[0]
-    taxed = bool(intensities.any())
-    if taxed:
-        cost = running_cost(portfolio, assets, intensities, times=times)
-        net = values - cost
-        losses = int((net[:, -1] < 0).sum())
-        low, high = wilson_ci(losses, paths)
-        stats["fraction_negative_net"] = losses / paths
-        stats["mean_cost"] = float(cost[:, -1].mean())
-        cost_mean, net_mean = cost.mean(axis=0), net.mean(axis=0)
-    else:
-        low, high = wilson_ci(int((values[:, -1] > 0).sum()), paths)
-        cost_mean, net_mean = np.zeros(values.shape[1]), values.mean(axis=0)
-    passed = bool(invariant and (not taxed or low > 0.0))
-    return TaxReport(demo, parameters, paths, seed, stats, low, high, passed,
-                     cost_path=cost_mean, net_path=net_mean)
+    if total is not None:
+        rows = np.vstack([total[None], rows])
+    return np.add.reduce(rows, axis=0)
+
+
+class _ArbTally:
+    """An arbitrage field's report, gathered over blocks of paths in order.
+
+    Untaxed, the Wilson interval covers the share of paths whose value
+    ends positive and the demo passes on its invariant.  Under a positive
+    tax the running cost is charged on each block's assets, the interval
+    covers the share whose net value ends negative, and passing also needs
+    that interval clear of 0.  Only counts, terminal costs and column sums
+    are kept from a block.
+    """
+
+    def __init__(self, portfolio, intensities):
+        self.portfolio = portfolio
+        self.intensities = intensities
+        self.taxed = bool(intensities.any())
+        self.paths = self.hits = 0
+        self.cost_ends = []
+        self.cost_sum = self.net_sum = None
+
+    def add(self, values, assets, times=None):
+        self.paths += values.shape[0]
+        if self.taxed:
+            cost = running_cost(self.portfolio, assets, self.intensities, times=times)
+            net = values - cost
+            self.hits += int((net[:, -1] < 0).sum())
+            self.cost_ends.append(cost[:, -1].copy())
+            self.cost_sum = _add_rows(self.cost_sum, cost)
+        else:
+            net = values
+            self.hits += int((values[:, -1] > 0).sum())
+        self.net_sum = _add_rows(self.net_sum, net)
+
+    def report(self, demo, parameters, seed, stats, invariant):
+        low, high = wilson_ci(self.hits, self.paths)
+        if self.taxed:
+            stats["fraction_negative_net"] = self.hits / self.paths
+            stats["mean_cost"] = float(np.concatenate(self.cost_ends).mean())
+            cost_mean = self.cost_sum / self.paths
+        else:
+            cost_mean = np.zeros(self.net_sum.shape)
+        passed = bool(invariant and (not self.taxed or low > 0.0))
+        return TaxReport(demo, parameters, self.paths, seed, stats, low, high, passed,
+                         cost_path=cost_mean, net_path=self.net_sum / self.paths)

@@ -51,6 +51,17 @@ def test_path_offset_matches_block_slice():
     assert np.array_equal(whole.values[2:6], part.values)
 
 
+@pytest.mark.parametrize("entries", [1, 3 * 128 + 5])
+def test_mixture_does_not_depend_on_fft_batches(monkeypatch, entries):
+    # One row per batch, and 3 rows of the rank-2 lattice (64 points, 128
+    # normals) against 12 of the rank-1 one, ending mid-ensemble.
+    spec = MixedHermiteSpec(0.75, ((0.6, 1), (0.8, 2)), approx_factor=4)
+    whole = gen_mixed(spec, 1.0, 16, paths=11, seed=4, path_offset=3).values
+    monkeypatch.setattr(processes, "_CHUNK_ENTRIES", entries)
+    assert np.array_equal(gen_mixed(spec, 1.0, 16, paths=11, seed=4, path_offset=3).values,
+                          whole)
+
+
 def test_components_are_independent_streams():
     a = gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=5, component=0)
     b = gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=5, component=1)

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from hermite_markets import (
     taxed_self_financing_residual,
     wilson_ci,
 )
+from hermite_markets import strategies
 from hermite_markets.markets import _intensities
 
 RNG = np.random.default_rng(515)
@@ -440,6 +444,90 @@ def test_f_strategy_positive_tax_loses_sometimes():
     # The win region {S > theta} or {S < 1} counts the same paths.
     assert report.statistics["threshold_probability"] == pytest.approx(
         report.statistics["probability"], abs=1e-12)
+
+
+# Demo runs at 23 paths x 16 steps: block sizes of 1, 3 and 7 paths (17
+# prices per path) end mid-ensemble, and 2**40 entries is one block, the
+# whole-array arithmetic.
+_BLOCK_ENTRIES = [17, 3 * 17, 7 * 17 + 5]
+
+
+def _demo_run(demo, tax, rank=None, paths=23, steps=16, seed=5):
+    if demo == "diffusion":
+        return diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
+                                  paths, steps, 1.0, seed, tax)
+    hermite = {} if rank is None else {"hermite": HermiteSpec(0.75, rank, 4)}
+    return mixed_arb_demo(_mixed_market(), paths, steps, 1.0, seed, tax, **hermite)
+
+
+@pytest.mark.parametrize("demo, rank", [("diffusion", None), ("mixed", None), ("mixed", 2)])
+@pytest.mark.parametrize("tax", [None, 0.3, [0.1, 0.4]], ids=["untaxed", "scalar", "per-asset"])
+def test_demo_reports_do_not_depend_on_path_blocks(monkeypatch, demo, rank, tax):
+    monkeypatch.setattr(strategies, "_DEMO_BLOCK_ENTRIES", 2**40)
+    whole = _demo_bytes(_demo_run(demo, tax, rank))
+    for entries in _BLOCK_ENTRIES:
+        monkeypatch.setattr(strategies, "_DEMO_BLOCK_ENTRIES", entries)
+        assert _demo_bytes(_demo_run(demo, tax, rank)) == whole, entries
+
+
+@pytest.mark.parametrize("tax", [None, 0.3])
+def test_demo_extremes_keep_nan_across_blocks(monkeypatch, tax):
+    # Drifts near log(max float) overflow both prices on the paths whose
+    # W(1) exceeds 0.5, and inf - inf is NaN.  Path 0 ends finite, so a
+    # reduction that drops NaN after a finite block minimum would report
+    # a number where the whole ensemble's minimum is NaN.
+    market = TwoAssetDiffusion.shared_vol(709.7, 709.75, 0.2)
+    s_first, v_first = market.price_paths(gen_bm(1.0, 16, 1, seed=2))
+    assert math.isfinite(s_first[0, -1]) and math.isfinite(v_first[0, -1])
+    reports = []
+    with np.errstate(all="ignore"):
+        for entries in (17, 2**40):
+            monkeypatch.setattr(strategies, "_DEMO_BLOCK_ENTRIES", entries)
+            reports.append(diffusion_arb_demo(market, 12, 16, 1.0, 2, tax))
+    assert math.isnan(reports[0].statistics["min_terminal_value"])
+    assert _demo_bytes(reports[0]) == _demo_bytes(reports[1])
+
+
+@pytest.mark.parametrize("demo", ["diffusion", "mixed"])
+@pytest.mark.parametrize("grid, message", [
+    ({"paths": 0}, "paths must be an integer >= 1, got 0"),
+    ({"paths": 2.5}, "paths must be an integer >= 1, got 2.5"),
+    ({"steps": 0}, "steps must be an integer >= 1, got 0"),
+    ({"steps": 8.0}, "steps must be an integer >= 1, got 8.0"),
+    ({"horizon": 0.0}, "horizon must be positive, got 0.0"),
+])
+def test_demos_check_the_grid_before_any_block(demo, grid, message):
+    args = dict({"paths": 10, "steps": 8, "horizon": 1.0}, **grid)
+    market = (TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2) if demo == "diffusion"
+              else _mixed_market())
+    run = diffusion_arb_demo if demo == "diffusion" else mixed_arb_demo
+    with pytest.raises(ValueError) as err:
+        run(market, args["paths"], args["steps"], args["horizon"], 3, 0.3)
+    assert str(err.value) == message
+
+
+# The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork
+# and exec, so a child started from a large test process would report
+# the parent's peak from its first line.
+_FLAT_MEMORY_SCRIPT = """
+from hermite_markets import MixedMarket, mixed_arb_demo
+market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2, sigma_h=0.3, hurst=0.75)
+for paths in (2000, 20000):
+    mixed_arb_demo(market, paths, 64, 1.0, 7, 0.3)
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is Linux's")
+def test_taxed_mixed_demo_memory_stays_flat_as_paths_grow():
+    # Holding every path, 18,000 more paths of 65 prices would add about
+    # 65 MiB to the peak; streamed blocks add under 10 MiB.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strategies.__file__)))
+    out = subprocess.run([sys.executable, "-c", _FLAT_MEMORY_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    small, large = (int(kib) / 1024 for kib in out)
+    assert large - small < 25.0, (small, large)
 
 
 def test_diffusion_demo_untaxed():
