@@ -26,10 +26,10 @@ from scipy import stats as sps
 
 from .markets import MixedMarket, TwoAssetDiffusion
 from .pathio import read_path_csv, write_path_csv, write_sidecar, write_surface_csv
-from .pde import IllPosedProblemError, TerminalClaim, _effective_variance, grid_for_spot, \
-    solve_tax_bsm
+from .pde import _DEFAULT_NODES, _DEFAULT_TIME_STEPS, IllPosedProblemError, TerminalClaim, \
+    _effective_variance, _solve_bytes, grid_for_spot, solve_tax_bsm
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
-    gen_fbm, gen_hermite, gen_hou, gen_mixed
+    _physical_memory, gen_fbm, gen_hermite, gen_hou, gen_mixed
 from .stats import autocov_slope, centered_qv, estimate_hurst, theoretical_cov
 from .strategies import diffusion_arb_demo, f_strategy_demo, mixed_arb_demo, \
     shiryaev_demo
@@ -118,12 +118,20 @@ def build_parser():
     prc.add_argument("--sigma", type=float, required=True)
     prc.add_argument("--tax", type=float, default=0.0)
     prc.add_argument("--maturity", type=float, default=1.0)
-    prc.add_argument("--grid", type=int, default=513)
-    prc.add_argument("--time-steps", type=int, default=512)
+    prc.add_argument("--grid", type=int, default=_DEFAULT_NODES)
+    prc.add_argument("--time-steps", type=int, default=_DEFAULT_TIME_STEPS)
     prc.add_argument("--out", default=None)
     prc.set_defaults(func=_cmd_price)
 
     return parser
+
+
+def _check_memory(command, need, flags):
+    """ValueError naming ``flags`` when ``need`` bytes exceed physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(f"{command} would need about {need / 2**30:.1f} GiB, more than the "
+                         f"{have / 2**30:.1f} GiB of physical memory; lower {flags}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +298,20 @@ def _cmd_stats(args):
 # ---------------------------------------------------------------------------
 # arbitrage demos
 
+# The shiryaev and fsquare demos hold the FBM driver and several arrays of
+# its shape at once: at 512 steps their in-process peak grew by about 7.2
+# (shiryaev) and 4.0 (fsquare) driver sizes from 2,000 to 8,000 paths.
+_DRIVER_ARRAYS = 8
+
+
 def _cmd_arb_demo(args):
     seed = _resolve_seed(args.seed)
     if not 0 <= args.tax < math.inf:
         raise ValueError(f"--tax must be finite and nonnegative, got {args.tax}")
     if args.case in ("shiryaev", "fsquare"):
+        _check_memory(f"arb-demo --case {args.case}",
+                      _DRIVER_ARRAYS * 8 * args.paths * (args.steps + 1),
+                      "--paths or --steps")
         driver = gen_fbm(HermiteSpec(args.hurst, 1), args.horizon, args.steps,
                          args.paths, seed)
         if args.case == "shiryaev":
@@ -331,12 +348,15 @@ def _cmd_price(args):
         sig_eff_sq = _effective_variance(args.rate, args.sigma, args.tax)
         grid = grid_for_spot(args.spot, math.sqrt(sig_eff_sq), args.maturity,
                              args.rate, args.grid, args.time_steps)
+        _check_memory("price", _solve_bytes(grid), "--grid or --time-steps")
         surface = solve_tax_bsm(claim, args.rate, args.sigma, args.tax, grid)
     except IllPosedProblemError as exc:
         print(f"pricing failed: {exc}", file=sys.stderr)
         return 1
     value = surface.value_at(args.spot)
-    print(f"{args.payoff} value at spot {args.spot:g}: {value:.10g} "
+    estimate = surface.meta["error_estimate"]
+    spread = "" if estimate is None else f" +/- {estimate:.2g}"
+    print(f"{args.payoff} value at spot {args.spot:g}: {value:.10g}{spread} "
           f"(effective vol {math.sqrt(sig_eff_sq):.6g})")
     if args.out:
         write_surface_csv(surface, args.out)

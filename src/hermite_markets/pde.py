@@ -56,7 +56,14 @@ class PdeGrid:
         return np.linspace(math.log(self.x_min), math.log(self.x_max), self.nodes)
 
 
-def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=513, time_steps=512):
+# The default grid. Here doubling either the nodes or the time steps cuts
+# the worst error over the README's 27 claims by less than 2x for 1.6-2x
+# the time: neither step dominates the error.
+_DEFAULT_NODES, _DEFAULT_TIME_STEPS = 1025, 128
+
+
+def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
+                  time_steps=_DEFAULT_TIME_STEPS):
     """Grid whose log-nodes are centred on ln(spot).
 
     The middle node equals ln(spot) up to the rounding of exp, log and
@@ -192,15 +199,8 @@ def _require_finite(claim, part, values):
         raise ValueError(f"{claim.kind} claim: non-finite {part}")
 
 
-def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
-    """Price a terminal claim under the tax-adjusted lognormal operator.
-
-    ``tax_hat`` is the scalar tax intensity entering through
-    sigma_eff^2 = sigma^2 + rate * tax_hat^2; a nonpositive effective
-    variance raises IllPosedProblemError.  Crank-Nicolson in log price
-    with two fully implicit start-up steps.
-    """
-    sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
+def _march(claim, rate, sig_eff_sq, grid):
+    """solve_tax_bsm's value surface on one grid: rows in calendar order, the last the payoff."""
     y = grid.log_nodes
     x = np.exp(y)
     dy = y[1] - y[0]
@@ -250,13 +250,63 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
         rhs[-1] += theta * d_tau * upper * new[-1]
         new[1:-1] = dgttrs(*factors, rhs, overwrite_b=1)[0]
     _require_finite(claim, "solution surface", surface)
+    return surface
 
-    times = claim.maturity - taus[::-1]
-    return PdeSurface(times=times, prices=x, values=surface,
+
+def _half_grid(grid):
+    """The same ends with (nodes + 1) // 2 nodes and time_steps // 2 steps.
+
+    None when that is below PdeGrid's floor.  On an odd node count its
+    nodes are every other node of ``grid``.
+    """
+    nodes, steps = (grid.nodes + 1) // 2, grid.time_steps // 2
+    if nodes < 16 or steps < 1:
+        return None
+    return PdeGrid(grid.x_min, grid.x_max, nodes, steps)
+
+
+def _solve_bytes(grid):
+    """Bytes of the surfaces solve_tax_bsm holds at once: the grid's and its half's."""
+    grids = [grid, _half_grid(grid)]
+    return sum(8 * g.nodes * (g.time_steps + 1) for g in grids if g is not None)
+
+
+def _middle_value(grid, surface):
+    """Time-0 value at the middle log-price, linear in log-price."""
+    y = grid.log_nodes
+    return float(np.interp(0.5 * (y[0] + y[-1]), y, surface[0]))
+
+
+def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
+    """Price a terminal claim under the tax-adjusted lognormal operator.
+
+    ``tax_hat`` is the scalar tax intensity entering through
+    sigma_eff^2 = sigma^2 + rate * tax_hat^2; a nonpositive effective
+    variance raises IllPosedProblemError.  Crank-Nicolson in log price
+    with two fully implicit start-up steps.
+
+    The solve is repeated on the half grid (same ends, (nodes + 1) // 2
+    nodes, time_steps // 2 steps).  The scheme is second order, so
+    |v - v_half| / 3 at the middle log-price, where grid_for_spot puts
+    the spot, estimates the error of v; ``meta["error_estimate"]`` holds
+    it, or None when the half grid would have fewer than 16 nodes or no
+    step.
+    """
+    sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
+    surface = _march(claim, rate, sig_eff_sq, grid)
+    half = _half_grid(grid)
+    estimate = None
+    if half is not None:
+        coarse = _march(claim, rate, sig_eff_sq, half)
+        estimate = abs(_middle_value(grid, surface) - _middle_value(half, coarse)) / 3.0
+
+    times = claim.maturity - np.linspace(0.0, claim.maturity, grid.time_steps + 1)[::-1]
+    return PdeSurface(times=times, prices=np.exp(grid.log_nodes), values=surface,
                       meta={"rate": rate, "sigma": sigma, "tax_hat": tax_hat,
                             "sigma_eff_sq": sig_eff_sq, "kind": claim.kind,
                             "maturity": claim.maturity, "theta": 0.5,
-                            "nodes": grid.nodes, "time_steps": grid.time_steps})
+                            "nodes": grid.nodes, "time_steps": grid.time_steps,
+                            "error_estimate": estimate})
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hermite_markets import cli
 from hermite_markets.cli import main
 from hermite_markets.pathio import (
     PathFormatError,
@@ -385,6 +387,17 @@ def test_arb_demo_rejects_bad_tax(capsys, case, tax):
     assert "--tax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["shiryaev", "fsquare"])
+def test_arb_demo_exits_two_when_driver_exceeds_memory(monkeypatch, capsys, case):
+    # 100 paths x 65 points x 8 bytes x 8 arrays = 416,000 bytes; the
+    # driver is never drawn.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 415_999)
+    monkeypatch.setattr(cli, "gen_fbm", pytest.fail)
+    assert main(["arb-demo", "--case", case, "--paths", "100", "--steps", "64"]) == 2
+    err = capsys.readouterr().err
+    assert "--paths" in err and "--steps" in err
+
+
 # ---------------------------------------------------------------------------
 # pricing
 
@@ -481,6 +494,37 @@ def test_price_surface_output(tmp_path, capsys):
     assert out.exists()
     meta = read_sidecar(str(out))
     assert meta["kind"] == "call"
+
+
+_PRICE_LINE = re.compile(r"call value at spot 100: (\S+) \+/- (\S+) \(effective vol 0\.2\)\n")
+
+
+def test_price_line_and_sidecar_carry_the_error_estimate(tmp_path, capsys):
+    # The estimate sits between the value and the parenthetical, so the
+    # value is still the first number after "value at spot <spot>:".
+    assert main(_price_argv()) == 0
+    value, estimate = map(float, _PRICE_LINE.fullmatch(capsys.readouterr().out).groups())
+    assert estimate >= 0.8 * abs(value - black_scholes(100.0, 100.0, 0.05, 0.2, 1.0))
+    out = tmp_path / "surface.csv"
+    assert main(_price_argv(out=str(out), grid="65", **{"time-steps": "32"})) == 0
+    line = capsys.readouterr().out.splitlines()[0] + "\n"
+    assert float(_PRICE_LINE.fullmatch(line).group(2)) == pytest.approx(
+        read_sidecar(str(out))["error_estimate"], rel=0.05)
+
+
+def test_price_line_omits_a_missing_estimate(capsys):
+    assert main(_price_argv(grid="17", **{"time-steps": "8"})) == 0
+    assert re.fullmatch(r"call value at spot 100: \S+ \(effective vol 0\.2\)\n",
+                        capsys.readouterr().out)
+
+
+def test_price_exits_two_when_surfaces_exceed_memory(monkeypatch, capsys):
+    # 513 x 513 and 257 x 257 surfaces of 8 bytes; nothing is solved.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * (513 * 513 + 257 * 257) - 1)
+    monkeypatch.setattr(cli, "solve_tax_bsm", pytest.fail)
+    assert main(_price_argv(grid="513", **{"time-steps": "512"})) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and "--time-steps" in err
 
 
 def test_price_rejects_bad_payoff():

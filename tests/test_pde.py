@@ -190,7 +190,7 @@ _BENCH_CLAIMS = [(kind, tax, strike) for kind in ("call", "put", "power")
 def test_solver_matches_banded_step_loop_on_default_grid(kind, tax_hat, strike):
     claim = _claim(kind, strike, 2.0, MATURITY)
     sig_eff = math.sqrt(pde._effective_variance(RATE, SIGMA, tax_hat))
-    grid = grid_for_spot(SPOT, sig_eff, MATURITY, RATE, 513, 512)
+    grid = grid_for_spot(SPOT, sig_eff, MATURITY, RATE)
     surface = solve_tax_bsm(claim, RATE, SIGMA, tax_hat, grid)
     assert np.array_equal(surface.values,
                           banded_step_surface(claim, RATE, SIGMA, tax_hat, grid))
@@ -265,6 +265,61 @@ def test_singular_step_system_raises_linalg_error(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), RATE, SIGMA, 0.0,
                       _grid(nodes=65, time_steps=8))
+
+
+# ---------------------------------------------------------------------------
+# the half-grid error estimate
+
+def _middle_value(grid, values):
+    y = grid.log_nodes
+    return float(np.interp(0.5 * (y[0] + y[-1]), y, values[0]))
+
+
+@pytest.mark.parametrize("kind, tax_hat, grid", [
+    ("call", 0.0, None), ("put", 0.3, None), ("power", 0.5, None),
+    ("call", 0.2, PdeGrid(60.0, 170.0, 64, 33)),
+], ids=["call-default", "put-default", "power-default", "call-even-nodes-odd-steps"])
+def test_error_estimate_is_a_third_of_the_half_grid_gap(kind, tax_hat, grid):
+    claim = _claim(kind, STRIKE, 2.0, MATURITY)
+    if grid is None:
+        sig_eff = math.sqrt(pde._effective_variance(RATE, SIGMA, tax_hat))
+        grid = grid_for_spot(SPOT, sig_eff, MATURITY, RATE)
+    half = PdeGrid(grid.x_min, grid.x_max, (grid.nodes + 1) // 2, grid.time_steps // 2)
+    v = _middle_value(grid, banded_step_surface(claim, RATE, SIGMA, tax_hat, grid))
+    v_half = _middle_value(half, banded_step_surface(claim, RATE, SIGMA, tax_hat, half))
+    estimate = solve_tax_bsm(claim, RATE, SIGMA, tax_hat, grid).meta["error_estimate"]
+    assert estimate == pytest.approx(abs(v - v_half) / 3.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, tax_hat, strike", _BENCH_CLAIMS)
+def test_error_estimate_covers_the_closed_form_error_on_default_grid(kind, tax_hat, strike):
+    claim = _claim(kind, strike, 2.0, MATURITY)
+    sig_eff = math.sqrt(pde._effective_variance(RATE, SIGMA, tax_hat))
+    surface = solve_tax_bsm(claim, RATE, SIGMA, tax_hat,
+                            grid_for_spot(SPOT, sig_eff, MATURITY, RATE))
+    if kind == "power":
+        want = power_claim_value(SPOT, RATE, sig_eff, 2.0, MATURITY)
+    else:
+        want = black_scholes(SPOT, strike, RATE, sig_eff, MATURITY, put=kind == "put")
+    error = abs(surface.value_at(SPOT) - want)
+    assert error / want <= 1e-4
+    assert surface.meta["error_estimate"] >= 0.8 * error
+
+
+# The half grid needs 16 nodes and one step: 31 nodes and 2 steps are the least.
+@pytest.mark.parametrize("nodes, steps, estimated",
+                         [(30, 64, False), (31, 64, True), (65, 1, False), (65, 2, True)])
+def test_error_estimate_is_none_without_a_half_grid(nodes, steps, estimated):
+    surface = solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), RATE, SIGMA, 0.0,
+                            PdeGrid(60.0, 170.0, nodes, steps))
+    estimate = surface.meta["error_estimate"]
+    assert (estimate > 0.0) if estimated else (estimate is None)
+
+
+def test_solve_bytes_counts_both_surfaces():
+    grid = PdeGrid(60.0, 170.0, 65, 32)
+    assert pde._solve_bytes(grid) == 8 * (65 * 33 + 33 * 17)
+    assert pde._solve_bytes(PdeGrid(60.0, 170.0, 30, 1)) == 8 * 30 * 2
 
 
 def test_value_at_interpolates_and_validates():
