@@ -31,8 +31,8 @@ from .pde import _DEFAULT_NODES, _DEFAULT_TIME_STEPS, IllPosedProblemError, Term
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
     _physical_memory, gen_fbm, gen_hermite, gen_hou, gen_mixed
 from .stats import autocov_slope, centered_qv, estimate_hurst, theoretical_cov
-from .strategies import diffusion_arb_demo, f_strategy_demo, mixed_arb_demo, \
-    shiryaev_demo
+from .strategies import _demo_bytes, diffusion_arb_demo, f_strategy_demo, \
+    mixed_arb_demo, shiryaev_demo
 
 __all__ = ["main"]
 
@@ -298,35 +298,26 @@ def _cmd_stats(args):
 # ---------------------------------------------------------------------------
 # arbitrage demos
 
-# The shiryaev and fsquare demos hold the FBM driver and several arrays of
-# its shape at once: at 512 steps their in-process peak grew by about 7.2
-# (shiryaev) and 4.0 (fsquare) driver sizes from 2,000 to 8,000 paths.
-_DRIVER_ARRAYS = 8
-
-
 def _cmd_arb_demo(args):
     seed = _resolve_seed(args.seed)
     if not 0 <= args.tax < math.inf:
         raise ValueError(f"--tax must be finite and nonnegative, got {args.tax}")
-    if args.case in ("shiryaev", "fsquare"):
-        _check_memory(f"arb-demo --case {args.case}",
-                      _DRIVER_ARRAYS * 8 * args.paths * (args.steps + 1),
-                      "--paths or --steps")
-        driver = gen_fbm(HermiteSpec(args.hurst, 1), args.horizon, args.steps,
-                         args.paths, seed)
-        if args.case == "shiryaev":
-            report = shiryaev_demo(driver)
-        else:
-            report = f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
-                                     driver, args.tax, threshold_check=True)
+    _check_memory(f"arb-demo --case {args.case}", _demo_bytes(args.paths, args.steps),
+                  "--paths or --steps")
+    grid = (args.paths, args.steps, args.horizon, seed)
+    if args.case == "shiryaev":
+        report = shiryaev_demo(HermiteSpec(args.hurst), *grid)
+    elif args.case == "fsquare":
+        report = f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
+                                 HermiteSpec(args.hurst), args.tax, *grid,
+                                 threshold_check=True)
     elif args.case == "diffusion":
-        report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
-                                    args.paths, args.steps, args.horizon, seed, args.tax)
+        report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2), *grid,
+                                    args.tax)
     else:
         market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2,
                              sigma_h=0.3, hurst=args.hurst)
-        report = mixed_arb_demo(market, args.paths, args.steps, args.horizon,
-                                seed, args.tax)
+        report = mixed_arb_demo(market, *grid, args.tax)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 

@@ -361,8 +361,8 @@ def synth_riskless_taxed(sigma, mu, tax):
     sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0.  Two assets reduce
     to a quadratic in phi_1 after elimination, solved in closed form; more
     assets use a damped Gauss-Newton iteration.  Two assets take the root
-    with phi_1 > 0, so the order matters: at c = 1e-3, sigma = (0.3, 0.1)
-    gives phi near (4.0e5, -1.2e6) and (0.1, 0.3) about (1.5, -0.5).
+    that continues the untaxed exponents as the tax grows from zero, so
+    swapping the assets swaps the exponents.
     """
     sigma = _as_float_array(sigma, "sigma")
     mu = _as_float_array(mu, "mu")
@@ -398,20 +398,21 @@ def synth_riskless_taxed(sigma, mu, tax):
 
 
 def _taxed_pair_root(ratio, intensities):
-    """The positive root phi_1 of the two-asset balance A phi_1^2 + B phi_1 - 1.
+    """The root phi_1 of A phi_1^2 + B phi_1 - 1 that continues the untaxed 1 / (1 + ratio).
 
     With phi = (phi_1, ratio phi_1), A = (c_0^2 + c_1^2 ratio^2)/2 >= 0 and
-    B = 1 + ratio - (c_0^2 + c_1^2 ratio)/2; the constant -1 leaves exactly
-    one positive root.  Each sign of B takes the form of the quadratic
-    formula that does not cancel; one Newton step on the balance as
-    evaluated then moves it the ulp or so to where the caller's residual
-    check reads smallest.
+    B = 1 + ratio - (c_0^2 + c_1^2 ratio)/2.  The roots have opposite signs,
+    so that root keeps the sign s of 1 + ratio (+ for equal exposures): it is
+    s times the positive root of A psi^2 + s B psi - 1, in a form that does
+    not cancel.  One Newton step on the balance as evaluated then moves it
+    the ulp or so to where the caller's residual check reads smallest.
     """
     c0_sq, c1_sq = intensities ** 2
     a = 0.5 * (c0_sq + c1_sq * ratio ** 2)
     b = 1.0 + ratio - 0.5 * (c0_sq + c1_sq * ratio)
+    s = math.copysign(1.0, 1.0 + ratio)
     root = math.sqrt(b * b + 4.0 * a)
-    phi1 = 2.0 / (b + root) if b >= 0 else (root - b) / (2.0 * a)
+    phi1 = s * (2.0 / (s * b + root) if s * b >= 0 else (root - s * b) / (2.0 * a))
     balance = _taxed_balance(np.array([phi1, ratio * phi1]), intensities)
     return phi1 - balance / (2.0 * a * phi1 + b)
 

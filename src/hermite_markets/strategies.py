@@ -16,7 +16,7 @@ import numpy as np
 
 from .calculus import GridFunction
 from .markets import _intensities, price_mixed_market
-from .processes import SamplePath, gen_bm, gen_hermite, derive_seeds, HermiteSpec, _check_grid
+from .processes import SamplePath, gen_bm, gen_fbm, gen_hermite, derive_seeds, HermiteSpec, _check_grid
 
 __all__ = [
     "PortfolioFunction",
@@ -436,77 +436,99 @@ class TaxReport:
         }
 
 
-def shiryaev_demo(driver):
-    """Classic fractional arbitrage on S = exp(H) against a flat bond.
+def _path_blocks(paths, steps):
+    """(first path, path count) of each block of paths a demo prices at once."""
+    size = max(1, _DEMO_BLOCK_ENTRIES // (steps + 1))
+    for start in range(0, paths, size):
+        yield start, min(size, paths - start)
+
+
+def _demo_bytes(paths, steps):
+    """Bytes a demo holds at once: 8 a path, and ten arrays the size of one block."""
+    return 8 * paths + 10 * 8 * max(_DEMO_BLOCK_ENTRIES, steps + 1)
+
+
+def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
+    """Classic fractional arbitrage on S = exp(B_H) against a flat bond.
 
     Holding 2S - 2 shares of stock and 1 - S^2 bonds is self-financing
     with zero initial value, and its value (S - 1)^2 is positive for
     t > 0.  On any finite grid the left-point gain undershoots the value
     by exactly the accumulated squared increments of S, so the demo
     verifies that identity to rounding error; refining the grid sends the
-    gap itself to zero.
+    gap itself to zero.  Paths of the rank-1 ``spec`` are drawn a block at
+    a time.
     """
-    s = np.exp(driver.values)
-    value = (s - 1.0) ** 2
-    increments = np.diff(s, axis=1)
-    gains = np.zeros_like(s)
-    gains[:, 1:] = np.cumsum((2.0 * s[:, :-1] - 2.0) * increments, axis=1)
-    terminal = value[:, -1]
-    quad_var = (increments ** 2).sum(axis=1)
-    gap = terminal - gains[:, -1]
-    identity_err = np.abs(gap - quad_var) / np.maximum(1.0, terminal)
-    positive = int((terminal > 0).sum())
-    low, high = wilson_ci(positive, driver.n_paths)
+    _check_grid(horizon, steps, paths)
+    tally = _ArbTally(None, np.zeros(1))  # untaxed: no running cost is charged
+    identity_err, gap_ratios = [], []
+    for start, count in _path_blocks(paths, steps):
+        s = np.exp(gen_fbm(spec, horizon, steps, count, seed, path_offset=start).values)
+        value = (s - 1.0) ** 2
+        increments = np.diff(s, axis=1)
+        terminal = value[:, -1]
+        gap = terminal - np.cumsum((2.0 * s[:, :-1] - 2.0) * increments, axis=1)[:, -1]
+        quad_var = (increments ** 2).sum(axis=1)
+        identity_err.append((np.abs(gap - quad_var) / np.maximum(1.0, terminal)).max())
+        gap_ratios.append(gap / np.maximum(terminal, 1e-12))
+        tally.add(value, None)
     stats = {
-        "initial_value_max_abs": float(np.abs(value[:, 0]).max()),
-        "identity_max_rel_error": float(identity_err.max()),
-        "median_terminal_rel_gap": float(np.median(gap / np.maximum(terminal, 1e-12))),
-        "fraction_positive": positive / driver.n_paths,
+        "identity_max_rel_error": float(np.max(identity_err)),
+        "median_terminal_rel_gap": float(np.median(np.concatenate(gap_ratios))),
+        "fraction_positive": tally.hits / paths,
     }
-    passed = bool(value[:, 0].max() == 0.0 and positive == driver.n_paths
-                  and stats["identity_max_rel_error"] < 1e-8)
-    return TaxReport("shiryaev", {"hurst": driver.meta.get("hurst"),
-                                  "steps": driver.steps, "horizon": driver.horizon},
-                     driver.n_paths, driver.seed, stats, low, high, passed,
-                     cost_path=np.zeros(driver.steps + 1),
-                     net_path=value.mean(axis=0))
+    invariant = tally.hits == paths and stats["identity_max_rel_error"] < 1e-8
+    return tally.report("shiryaev", {"hurst": spec.hurst, "steps": steps, "horizon": horizon},
+                        seed, stats, invariant)
 
 
-def f_strategy_demo(f, df, driver, intensity, t=None, threshold_check=False):
-    """Tax a smooth single-asset strategy f(S) on S = exp(H).
+def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0, seed=42,
+                    t=None, threshold_check=False):
+    """Tax a smooth single-asset strategy f(S) on S = exp(B_H).
 
     The running tax admits the closed form
     c^2/2 (f'(S_t) S_t - f(S_t) - f'(S_0) S_0); the demo reports the
     probability that the strategy still wins after tax, with a Wilson 95%
     interval.  Intensities at or above sqrt(2) are rejected.  With
     ``threshold_check`` the quadratic-payoff threshold decomposition is
-    evaluated on the same terminal values.
+    evaluated on the same terminal values.  Paths of the rank-1 ``spec``
+    are drawn a block at a time; of a path only S_t stays.
     """
     c = float(intensity)
     if not 0.0 <= c < math.sqrt(2.0):
         raise ValueError(f"intensity must lie in [0, sqrt(2)), got {c}")
     if abs(f(1.0)) > 1e-12:
         raise ValueError("strategy must start worthless: f(1) != 0")
-    s = np.exp(driver.values)
-    horizon = driver.horizon
+    _check_grid(horizon, steps, paths)
     if t is None:
         t = horizon
     if not 0.0 < t <= horizon:
         raise ValueError(f"evaluation time {t} outside (0, {horizon}]")
-    index = int(round(t / horizon * driver.steps))
+    index = int(round(t / horizon * steps))
     anchor = df(1.0)
-    cost = 0.5 * c ** 2 * (df(s) * s - f(s) - anchor)
-    net = f(s) - cost
-    net_t = net[:, index]
-    wins = int((net_t > 0).sum())
-    low, high = wilson_ci(wins, driver.n_paths)
+
+    def tax(s):
+        return 0.5 * c ** 2 * (df(s) * s - f(s) - anchor)
+
+    cost_sum = net_sum = None
+    s_t = []
+    for start, count in _path_blocks(paths, steps):
+        s = np.exp(gen_fbm(spec, horizon, steps, count, seed, path_offset=start).values)
+        cost = tax(s)
+        cost_sum = _add_rows(cost_sum, cost)
+        net_sum = _add_rows(net_sum, f(s) - cost)
+        # a copy: a view of the column would keep the whole block alive
+        s_t.append(s[:, index].copy())
+    s_t = np.concatenate(s_t)
+    value_t, cost_t = f(s_t), tax(s_t)
+    wins = int((value_t - cost_t > 0).sum())
+    low, high = wilson_ci(wins, paths)
     stats = {
-        "probability": wins / driver.n_paths,
-        "mean_value": float(f(s[:, index]).mean()),
-        "mean_cost": float(cost[:, index].mean()),
+        "probability": wins / paths,
+        "mean_value": float(value_t.mean()),
+        "mean_cost": float(cost_t.mean()),
     }
     if threshold_check:
-        s_t = s[:, index]
         if c > 0:
             threshold = (1.0 + 0.5 * c ** 2) / (1.0 - 0.5 * c ** 2)
             alt = float(((s_t > threshold).mean() + (s_t < 1.0).mean()))
@@ -518,18 +540,10 @@ def f_strategy_demo(f, df, driver, intensity, t=None, threshold_check=False):
         passed = stats["probability"] == 1.0
     else:
         passed = bool(high < 1.0 and stats["probability"] < 1.0)
-    return TaxReport("f_strategy", {"intensity": c, "t": t,
-                                    "hurst": driver.meta.get("hurst"),
-                                    "steps": driver.steps, "horizon": driver.horizon},
-                     driver.n_paths, driver.seed, stats, low, high, passed,
-                     cost_path=cost.mean(axis=0), net_path=net.mean(axis=0))
-
-
-def _path_blocks(paths, steps):
-    """(first path, path count) of each block of paths a demo prices at once."""
-    size = max(1, _DEMO_BLOCK_ENTRIES // (steps + 1))
-    for start in range(0, paths, size):
-        yield start, min(size, paths - start)
+    return TaxReport("f_strategy", {"intensity": c, "t": t, "hurst": spec.hurst,
+                                    "steps": steps, "horizon": horizon},
+                     paths, seed, stats, low, high, passed,
+                     cost_path=cost_sum / paths, net_path=net_sum / paths)
 
 
 def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, tax=None):
@@ -546,12 +560,11 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     _check_grid(horizon, steps, paths)
     portfolio = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
     tally = _ArbTally(portfolio, intensities)
-    initial, terminal = [], []
+    terminal = []
     for start, count in _path_blocks(paths, steps):
         w = gen_bm(horizon, steps, count, seed=seed, path_offset=start)
         s_vals, v_vals = market.price_paths(w)
         g_values = (np.sqrt(s_vals) - np.sqrt(v_vals)) ** 2
-        initial.append(np.abs(g_values[:, 0]).max())
         terminal.append(g_values[:, -1].min())
         tally.add(g_values, (s_vals, v_vals))
     rng = np.random.default_rng(seed)
@@ -561,14 +574,8 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
                             for a in (-0.5, 0.3, 2.0)]
     residual = max(float(np.abs(identity(field, x, y)).max()) for field in fields
                    for identity in (pair_value_residual, pair_curvature_residual))
-    stats = {
-        "initial_value_max_abs": float(np.max(initial)),
-        "min_terminal_value": float(np.min(terminal)),
-        "pair_residual_max": residual,
-    }
-    invariant = (stats["initial_value_max_abs"] == 0.0
-                 and stats["min_terminal_value"] > 0.0
-                 and stats["pair_residual_max"] < 1e-8)
+    stats = {"min_terminal_value": float(np.min(terminal)), "pair_residual_max": residual}
+    invariant = stats["min_terminal_value"] > 0.0 and stats["pair_residual_max"] < 1e-8
     return tally.report("diffusion_arbitrage",
                         {"mu1": market.mu1, "mu2": market.mu2, "sigma": market.sigma1,
                          "tax": intensities.tolist(), "steps": steps, "horizon": horizon},
@@ -591,14 +598,13 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     _check_grid(horizon, steps, paths)
     portfolio = mixed_arbitrage_portfolio(market.r)
     tally = _ArbTally(portfolio, intensities)
-    initial, lowest = [], []
+    lowest = []
     for start, count in _path_blocks(paths, steps):
         assets = price_mixed_market(
             market, gen_bm(horizon, steps, count, seed=w_seed, path_offset=start),
             gen_hermite(hermite, horizon, steps, count, seed=h_seed, path_offset=start))
         legs, t = (assets.tilted.values, assets.unit_exposure.values), assets.tilted.times
         values = portfolio.value(legs, t)
-        initial.append(np.abs(values[:, 0]).max())
         lowest.append(values.min())
         tally.add(values, legs, t)
     rng = np.random.default_rng(seed)
@@ -606,13 +612,8 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     ts = 0.1 + 0.8 * rng.random(20)
     residual = float(np.abs(mixed_market_residual(portfolio, ts, spots[:, 0], spots[:, 1],
                                                   market.r)).max())
-    stats = {
-        "initial_value_max_abs": float(np.max(initial)),
-        "min_value": float(np.min(lowest)),
-        "pricing_residual_max": residual,
-    }
-    invariant = (stats["initial_value_max_abs"] == 0.0
-                 and stats["min_value"] >= 0.0 and residual < 1e-8)
+    stats = {"min_value": float(np.min(lowest)), "pricing_residual_max": residual}
+    invariant = stats["min_value"] >= 0.0 and residual < 1e-8
     return tally.report("mixed_arbitrage",
                         {"r": market.r, "b": market.b, "rho": market.rho,
                          "hurst": market.hurst, "tax": intensities.tolist(),
@@ -636,10 +637,11 @@ class _ArbTally:
     """An arbitrage field's report, gathered over blocks of paths in order.
 
     Untaxed, the Wilson interval covers the share of paths whose value
-    ends positive and the demo passes on its invariant.  Under a positive
-    tax the running cost is charged on each block's assets, the interval
-    covers the share whose net value ends negative, and passing also needs
-    that interval clear of 0.  Only counts, terminal costs and column sums
+    ends positive; under a positive tax the running cost is charged on
+    each block's assets and the interval covers the share whose net value
+    ends negative.  Passing needs the demo's invariant, a field that starts
+    at exactly zero (``initial_value_max_abs``) and, taxed, that interval
+    clear of 0.  Only counts, block maxima, terminal costs and column sums
     are kept from a block.
     """
 
@@ -648,11 +650,12 @@ class _ArbTally:
         self.intensities = intensities
         self.taxed = bool(intensities.any())
         self.paths = self.hits = 0
-        self.cost_ends = []
+        self.initial, self.cost_ends = [], []
         self.cost_sum = self.net_sum = None
 
     def add(self, values, assets, times=None):
         self.paths += values.shape[0]
+        self.initial.append(np.abs(values[:, 0]).max())
         if self.taxed:
             cost = running_cost(self.portfolio, assets, self.intensities, times=times)
             net = values - cost
@@ -665,6 +668,7 @@ class _ArbTally:
         self.net_sum = _add_rows(self.net_sum, net)
 
     def report(self, demo, parameters, seed, stats, invariant):
+        stats["initial_value_max_abs"] = start = float(np.max(self.initial))
         low, high = wilson_ci(self.hits, self.paths)
         if self.taxed:
             stats["fraction_negative_net"] = self.hits / self.paths
@@ -672,6 +676,6 @@ class _ArbTally:
             cost_mean = self.cost_sum / self.paths
         else:
             cost_mean = np.zeros(self.net_sum.shape)
-        passed = bool(invariant and (not self.taxed or low > 0.0))
+        passed = bool(invariant and start == 0.0 and (not self.taxed or low > 0.0))
         return TaxReport(demo, parameters, self.paths, seed, stats, low, high, passed,
                          cost_path=cost_mean, net_path=self.net_sum / self.paths)

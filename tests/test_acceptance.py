@@ -170,16 +170,16 @@ def test_acceptance_07_running_cost_closed_form():
 
 
 def test_acceptance_08_tax_kills_arbitrage():
-    driver = gen_fbm(HermiteSpec(0.7), 1.0, 512, paths=10_000, seed=13)
+    grid = (10_000, 512, 1.0, 13)
     taxed = f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
-                            driver, 0.2, threshold_check=True)
+                            HermiteSpec(0.7), 0.2, *grid, threshold_check=True)
     prob = taxed.statistics["probability"]
     alt = taxed.statistics["threshold_probability"]
-    se = math.sqrt(prob * (1.0 - prob) / driver.n_paths)
+    se = math.sqrt(prob * (1.0 - prob) / taxed.paths)
     inside = 0.0 < taxed.ci_low and taxed.ci_high < 1.0
     decomp = abs(prob - alt) <= 2.0 * se
     free = f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
-                           driver, 0.0)
+                           HermiteSpec(0.7), 0.0, *grid)
     certain = free.statistics["probability"] == 1.0
     ok = inside and decomp and certain
     _report(8, "tax-kills-arbitrage", ok,

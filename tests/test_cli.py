@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hermite_markets import cli
+from hermite_markets import cli, strategies
 from hermite_markets.cli import main
 from hermite_markets.pathio import (
     PathFormatError,
@@ -387,12 +387,12 @@ def test_arb_demo_rejects_bad_tax(capsys, case, tax):
     assert "--tax" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["shiryaev", "fsquare"])
+@pytest.mark.parametrize("case", ["shiryaev", "fsquare", "diffusion", "mixed"])
 def test_arb_demo_exits_two_when_driver_exceeds_memory(monkeypatch, capsys, case):
-    # 100 paths x 65 points x 8 bytes x 8 arrays = 416,000 bytes; the
-    # driver is never drawn.
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 415_999)
-    monkeypatch.setattr(cli, "gen_fbm", pytest.fail)
+    # One byte short of what the demo would hold: no demo starts.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: strategies._demo_bytes(100, 64) - 1)
+    for demo in ("shiryaev_demo", "f_strategy_demo", "diffusion_arb_demo", "mixed_arb_demo"):
+        monkeypatch.setattr(cli, demo, pytest.fail)
     assert main(["arb-demo", "--case", case, "--paths", "100", "--steps", "64"]) == 2
     err = capsys.readouterr().err
     assert "--paths" in err and "--steps" in err

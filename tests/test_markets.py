@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hermite_markets import (
@@ -122,26 +122,26 @@ def _taxed_residual(sigma, c, phi):
 
 
 def test_taxed_synthesis_large_root_passes_residual_check():
-    # phi_1 is about 25784.67 here. The quadratic formula alone lands one
-    # ulp from the float where the balance, as evaluated, is smallest, and
-    # misses the 1e-10 residual check (4.7e-10).
+    # The far root here, phi_1 = 25784.67, once was the answer, and the
+    # quadratic formula alone landed one ulp off and missed the 1e-10
+    # residual check; the answer is now the near root (60-digit value).
     sigma = np.array([-1.0383640820096394, -0.008988624172409018])
     c = np.array([0.07353757660360533, 0.000510310582033613])
     phi = synth_riskless_taxed(sigma, [0.02, 0.04], c).exponents
-    assert phi[0] == pytest.approx(25784.67206754937, rel=1e-14)
+    assert phi[0] == pytest.approx(-0.008731906340233272847461316064135, rel=1e-14)
     assert _taxed_residual(sigma, c, phi) < 1e-10
 
 
 def test_taxed_synthesis_residual_check_scales_with_terms(monkeypatch):
-    # phi = (20287.498, -1.6e7): the exposure's terms are about 7.7e4 and
-    # the balance's 3.2e7, so the float nearest the root leaves a balance
-    # residual of 1.9e-9 that an absolute 1e-10 check refused.  Checked
-    # against each equation's own terms, the root passes; moved by 1e-6
-    # relative, it does not.
+    # At the far root, phi = (20287.498, -1.6e7), the float nearest the
+    # root left a balance residual of 1.9e-9 that an absolute 1e-10 check
+    # refused.  Checked against each equation's own terms, the near root
+    # the synthesis now returns passes; moved by 1e-6 relative, it does not.
     sigma = np.array([3.8165161327922856, 0.004785791851107394])
     c = np.array([0.0004685353517989761, 0.0003513751355374688])
     phi = synth_riskless_taxed(sigma, [0.02, 0.04], c).exponents
-    assert phi[0] == pytest.approx(20287.49842758485, rel=1e-14)  # 60-digit root
+    assert phi[0] == pytest.approx(-0.001255543131861194845293540592496,
+                                   rel=1e-14)  # 60-digit root
     exact = markets._taxed_pair_root
     monkeypatch.setattr(markets, "_taxed_pair_root",
                         lambda ratio, tax: exact(ratio, tax) * (1.0 + 1e-6))
@@ -159,10 +159,26 @@ _INTENSITY = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
 @given(sigma=st.tuples(_EXPOSURE, _EXPOSURE),
        c=st.tuples(_INTENSITY, _INTENSITY).filter(any))
 def test_taxed_synthesis_two_assets_solves_balance(sigma, c):
-    sigma, c = np.array(sigma), np.array(c)
-    phi = synth_riskless_taxed(sigma, [0.02, 0.04], c).exponents
-    assert phi[0] > 0
+    sigma, c, mu = np.array(sigma), np.array(c), np.array([0.02, 0.04])
+    phi = synth_riskless_taxed(sigma, mu, c).exponents
     assert _taxed_residual(sigma, c, phi) < 1e-10
+    # Equal exposures have no untaxed exponents to continue, and their two
+    # roots are each other's swap.
+    assume(sigma[0] != sigma[1])
+    swapped = synth_riskless_taxed(sigma[::-1], mu[::-1], c[::-1]).exponents
+    assert np.abs(swapped[::-1] - phi).max() <= 1e-10 * np.abs(phi).max()
+    untaxed_norm = np.hypot(*sigma) / abs(sigma[0] - sigma[1])
+    # The iteration starts from the untaxed exponents and reaches the same
+    # root, until they pass about 1e14 and rounding loses that start.
+    if untaxed_norm < 1e12:
+        newton = markets._taxed_newton(sigma, c)
+        assert np.abs(phi - newton).max() <= 1e-10 * np.abs(phi).max()
+    # To first order a tax c moves the untaxed rate by c^2 |phi|^2 |rate| / 2
+    # at most: under 1e-10 at c = 1e-6 while the untaxed exponents stay
+    # below 10.
+    if untaxed_norm <= 10.0:
+        faint = synth_riskless_taxed(sigma, mu, 1e-6).rate
+        assert abs(faint - synth_riskless(sigma, mu).rate) < 1e-9
 
 
 def test_bsm_synthetic_rate_value():

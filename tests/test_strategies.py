@@ -405,8 +405,7 @@ def test_wilson_interval_ends_are_exact():
 # demonstrations
 
 def test_shiryaev_demo_identity():
-    driver = gen_fbm(HermiteSpec(0.7), 1.0, 1024, paths=200, seed=8)
-    report = shiryaev_demo(driver)
+    report = shiryaev_demo(HermiteSpec(0.7), 200, 1024, 1.0, 8)
     assert report.passed
     assert report.statistics["identity_max_rel_error"] < 1e-8
     assert report.statistics["fraction_positive"] == 1.0
@@ -414,30 +413,26 @@ def test_shiryaev_demo_identity():
 
 
 def test_f_strategy_rejects_large_intensity():
-    driver = gen_fbm(HermiteSpec(0.7), 1.0, 64, paths=10, seed=1)
     with pytest.raises(ValueError):
         f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
-                        driver, math.sqrt(2.0))
+                        HermiteSpec(0.7), math.sqrt(2.0), 10, 64, 1.0, 1)
 
 
 def test_f_strategy_rejects_nonzero_start():
-    driver = gen_fbm(HermiteSpec(0.7), 1.0, 64, paths=10, seed=1)
     with pytest.raises(ValueError, match="worthless"):
-        f_strategy_demo(lambda x: x, lambda x: 1.0, driver, 0.1)
+        f_strategy_demo(lambda x: x, lambda x: 1.0, HermiteSpec(0.7), 0.1, 10, 64, 1.0, 1)
 
 
 def test_f_strategy_zero_tax_always_wins():
-    driver = gen_fbm(HermiteSpec(0.7), 1.0, 512, paths=300, seed=5)
     report = f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
-                             driver, 0.0)
+                             HermiteSpec(0.7), 0.0, 300, 512, 1.0, 5)
     assert report.passed
     assert report.statistics["probability"] == 1.0
 
 
 def test_f_strategy_positive_tax_loses_sometimes():
-    driver = gen_fbm(HermiteSpec(0.7), 1.0, 512, paths=500, seed=5)
     report = f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
-                             driver, 0.5, threshold_check=True)
+                             HermiteSpec(0.7), 0.5, 500, 512, 1.0, 5, threshold_check=True)
     assert report.passed
     assert report.statistics["probability"] < 1.0
     assert report.ci_high < 1.0
@@ -452,22 +447,37 @@ def test_f_strategy_positive_tax_loses_sometimes():
 _BLOCK_ENTRIES = [17, 3 * 17, 7 * 17 + 5]
 
 
-def _demo_run(demo, tax, rank=None, paths=23, steps=16, seed=5):
+def _demo_run(demo, tax, option=None, paths=23, steps=16, seed=5, horizon=1.0):
+    """One demo's report; ``option`` is the mixed driver's Hermite rank or fsquare's t."""
+    grid = (paths, steps, horizon, seed)
+    if demo == "shiryaev":
+        return shiryaev_demo(HermiteSpec(0.7), *grid)
+    if demo == "fsquare":
+        return f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
+                               HermiteSpec(0.7), tax, *grid, t=option, threshold_check=True)
     if demo == "diffusion":
-        return diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
-                                  paths, steps, 1.0, seed, tax)
-    hermite = {} if rank is None else {"hermite": HermiteSpec(0.75, rank, 4)}
-    return mixed_arb_demo(_mixed_market(), paths, steps, 1.0, seed, tax, **hermite)
+        return diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2), *grid, tax)
+    hermite = {} if option is None else {"hermite": HermiteSpec(0.75, option, 4)}
+    return mixed_arb_demo(_mixed_market(), *grid, tax, **hermite)
 
 
-@pytest.mark.parametrize("demo, rank", [("diffusion", None), ("mixed", None), ("mixed", 2)])
-@pytest.mark.parametrize("tax", [None, 0.3, [0.1, 0.4]], ids=["untaxed", "scalar", "per-asset"])
-def test_demo_reports_do_not_depend_on_path_blocks(monkeypatch, demo, rank, tax):
+# (tax name, tax, demo, option): the two-asset demos under every tax form,
+# Shiryaev's untaxed portfolio, and fsquare's single intensity.
+_BLOCK_CASES = [(name, tax, demo, option)
+                for demo, option in [("diffusion", None), ("mixed", None), ("mixed", 2)]
+                for name, tax in [("untaxed", None), ("scalar", 0.3), ("per-asset", [0.1, 0.4])]]
+_BLOCK_CASES += [("untaxed", None, "shiryaev", None), ("untaxed", 0.0, "fsquare", None),
+                 ("scalar", 0.3, "fsquare", None), ("scalar", 0.3, "fsquare", 0.5)]
+
+
+@pytest.mark.parametrize("tax, demo, option", [case[1:] for case in _BLOCK_CASES],
+                         ids=[f"{name}-{demo}-{option}" for name, _, demo, option in _BLOCK_CASES])
+def test_demo_reports_do_not_depend_on_path_blocks(monkeypatch, tax, demo, option):
     monkeypatch.setattr(strategies, "_DEMO_BLOCK_ENTRIES", 2**40)
-    whole = _demo_bytes(_demo_run(demo, tax, rank))
+    whole = _demo_bytes(_demo_run(demo, tax, option))
     for entries in _BLOCK_ENTRIES:
         monkeypatch.setattr(strategies, "_DEMO_BLOCK_ENTRIES", entries)
-        assert _demo_bytes(_demo_run(demo, tax, rank)) == whole, entries
+        assert _demo_bytes(_demo_run(demo, tax, option)) == whole, entries
 
 
 @pytest.mark.parametrize("tax", [None, 0.3])
@@ -488,7 +498,7 @@ def test_demo_extremes_keep_nan_across_blocks(monkeypatch, tax):
     assert _demo_bytes(reports[0]) == _demo_bytes(reports[1])
 
 
-@pytest.mark.parametrize("demo", ["diffusion", "mixed"])
+@pytest.mark.parametrize("demo", ["diffusion", "mixed", "shiryaev", "fsquare"])
 @pytest.mark.parametrize("grid, message", [
     ({"paths": 0}, "paths must be an integer >= 1, got 0"),
     ({"paths": 2.5}, "paths must be an integer >= 1, got 2.5"),
@@ -498,11 +508,8 @@ def test_demo_extremes_keep_nan_across_blocks(monkeypatch, tax):
 ])
 def test_demos_check_the_grid_before_any_block(demo, grid, message):
     args = dict({"paths": 10, "steps": 8, "horizon": 1.0}, **grid)
-    market = (TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2) if demo == "diffusion"
-              else _mixed_market())
-    run = diffusion_arb_demo if demo == "diffusion" else mixed_arb_demo
     with pytest.raises(ValueError) as err:
-        run(market, args["paths"], args["steps"], args["horizon"], 3, 0.3)
+        _demo_run(demo, 0.3, seed=3, **args)
     assert str(err.value) == message
 
 
@@ -510,10 +517,19 @@ def test_demos_check_the_grid_before_any_block(demo, grid, message):
 # and exec, so a child started from a large test process would report
 # the parent's peak from its first line.
 _FLAT_MEMORY_SCRIPT = """
-from hermite_markets import MixedMarket, mixed_arb_demo
+import sys
+from hermite_markets import HermiteSpec, MixedMarket, f_strategy_demo, mixed_arb_demo, \\
+    shiryaev_demo
 market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2, sigma_h=0.3, hurst=0.75)
+demos = {
+    "mixed": lambda paths: mixed_arb_demo(market, paths, 64, 1.0, 7, 0.3),
+    "shiryaev": lambda paths: shiryaev_demo(HermiteSpec(0.75), paths, 64, 1.0, 7),
+    "fsquare": lambda paths: f_strategy_demo(lambda x: (x - 1.0) ** 2,
+                                             lambda x: 2.0 * (x - 1.0), HermiteSpec(0.75),
+                                             0.3, paths, 64, 1.0, 7),
+}
 for paths in (2000, 20000):
-    mixed_arb_demo(market, paths, 64, 1.0, 7, 0.3)
+    demos[sys.argv[1]](paths)
     with open("/proc/self/status") as status:
         print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
@@ -522,12 +538,14 @@ for paths in (2000, 20000):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is Linux's")
 def test_taxed_mixed_demo_memory_stays_flat_as_paths_grow():
     # Holding every path, 18,000 more paths of 65 prices would add about
-    # 65 MiB to the peak; streamed blocks add under 10 MiB.
+    # 65 MiB to the peak; streamed blocks add under 10 MiB.  One process
+    # per demo, because VmHWM is the peak of the whole process.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strategies.__file__)))
-    out = subprocess.run([sys.executable, "-c", _FLAT_MEMORY_SCRIPT], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    small, large = (int(kib) / 1024 for kib in out)
-    assert large - small < 25.0, (small, large)
+    for demo in ("mixed", "shiryaev", "fsquare"):
+        out = subprocess.run([sys.executable, "-c", _FLAT_MEMORY_SCRIPT, demo], env=env,
+                             check=True, capture_output=True, text=True).stdout.split()
+        small, large = (int(kib) / 1024 for kib in out)
+        assert large - small < 25.0, (demo, small, large)
 
 
 def test_diffusion_demo_untaxed():
@@ -590,17 +608,18 @@ def test_mixed_demo_rosenblatt_driver():
 
 
 def test_report_serialization():
-    driver = gen_fbm(HermiteSpec(0.7), 1.0, 128, paths=50, seed=2)
-    data = shiryaev_demo(driver).to_json_dict()
+    data = shiryaev_demo(HermiteSpec(0.7), 50, 128, 1.0, 2).to_json_dict()
     for key in ("demo", "parameters", "paths", "seed", "statistics",
                 "ci_low", "ci_high", "pass"):
         assert key in data
     assert isinstance(data["pass"], bool)
 
 
-# (demo, tax, paths, seed, Hermite rank of the mixed driver, passed, sha256
-# of to_json_dict() and the cost and net paths' bytes), all at 64 steps:
-# pins both demos' reports bit for bit, taxed, untaxed and failing.
+# (demo, tax, paths, seed, option, passed, sha256 of to_json_dict() and the
+# cost and net paths' bytes), all at 64 steps; the option is the Hermite rank
+# of the mixed driver or fsquare's evaluation time t.  Pins every demo's
+# report bit for bit, taxed, untaxed and failing.  The shiryaev and fsquare
+# rows were recorded when those demos took a whole FBM driver.
 _GOLDEN_DEMOS = [
     ("diffusion", None, 300, 9, None, True,
      "2861867816aa0ffe3990082ada26e46d556cddb763ea2a6e016de3a250b4b6e1"),
@@ -616,6 +635,16 @@ _GOLDEN_DEMOS = [
      "e0a7ad61ca65f3f7c3a56182b3f9163825390a624fb4acf6d4d7f8633eb12c85"),
     ("mixed", 0.3, 100, 4, 2, True,
      "d87f49c9293d2828b39b73a39430bbb73407d1e859acd799e99c3b8bfc245817"),
+    ("shiryaev", None, 300, 8, None, True,
+     "68989883abf025ce79cc3728138ae21d80d1afac24f4eb0b3a1ba0a29a5577ca"),
+    ("fsquare", 0.0, 300, 5, None, True,
+     "79821ef1c2eba2741ad861f22099730e5d349210440baad0293d35b3340cdfc0"),
+    ("fsquare", 0.3, 300, 5, None, True,
+     "4e52eb4f3e29ea5bfa04e2fa10b68196dc3cf8d285648c7807e234311f65cbfa"),
+    ("fsquare", 0.3, 300, 5, 0.5, True,
+     "89a9d9760628085f970717e787f55da25109da5ecb2eff678a9f22d10a325b79"),
+    ("fsquare", 0.02, 40, 5, None, False,
+     "64758fd5fcbe12903324de6fbede70fd0b3bfeb90ab9103acc4e7381d1bec441"),
 ]
 
 
@@ -635,16 +664,10 @@ def test_arb_demos_take_scalar_tax(demo, scalar, schedule):
     assert _demo_bytes(run(scalar)) == _demo_bytes(run(schedule))
 
 
-@pytest.mark.parametrize("demo, tax, paths, seed, rank, passed, digest", _GOLDEN_DEMOS,
+@pytest.mark.parametrize("demo, tax, paths, seed, option, passed, digest", _GOLDEN_DEMOS,
                          ids=["-".join(map(str, row[:-1])) for row in _GOLDEN_DEMOS])
-def test_golden_demo_reports(demo, tax, paths, seed, rank, passed, digest):
-    if demo == "diffusion":
-        report = diffusion_arb_demo(TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2),
-                                    paths, 64, 1.0, seed, tax)
-    else:
-        hermite = {} if rank is None else {"hermite": HermiteSpec(0.75, rank, 4)}
-        report = mixed_arb_demo(_mixed_market(), paths, 64, 1.0, seed, tax,
-                                **hermite)
+def test_golden_demo_reports(demo, tax, paths, seed, option, passed, digest):
+    report = _demo_run(demo, tax, option, paths, 64, seed)
     sha = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode())
     sha.update(report.cost_path.tobytes())
     sha.update(report.net_path.tobytes())
