@@ -344,8 +344,9 @@ def _cmd_price(args):
     except IllPosedProblemError as exc:
         print(f"pricing failed: {exc}", file=sys.stderr)
         return 1
-    value = surface.value_at(args.spot)
     estimate = surface.meta["error_estimate"]
+    value = (surface.value_at(args.spot) if estimate is None
+             else surface.meta["extrapolated_value"])
     spread = "" if estimate is None else f" +/- {estimate:.2g}"
     print(f"{args.payoff} value at spot {args.spot:g}: {value:.10g}{spread} "
           f"(effective vol {math.sqrt(sig_eff_sq):.6g})")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
-from hermite_markets.pde import _boundary_values, _effective_variance
+from hermite_markets.pde import _boundary_values, _effective_variance, _start_row
 
 
 def _norm_cdf(x):
@@ -43,6 +43,8 @@ def banded_step_surface(claim, rate, sigma, tax_hat, grid):
 
     The solver's step loop as it was before the step systems were factored
     once; its surfaces are the bit-for-bit reference for the factored loop.
+    It marches from the solver's own start row, so a surface differs only
+    if the step loop does.
     """
     sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
     y = grid.log_nodes
@@ -72,7 +74,7 @@ def banded_step_surface(claim, rate, sigma, tax_hat, grid):
     surface = np.empty((steps + 1, grid.nodes))
     surface[:-1, 0] = bound_l[:0:-1]
     surface[:-1, -1] = bound_r[:0:-1]
-    surface[-1] = payoff_vals
+    surface[-1] = _start_row(claim, y, payoff_vals)
     for m in range(steps):
         theta, system = (1.0, implicit) if m < 2 else (0.5, crank_nicolson)
         known, new = surface[steps - m], surface[steps - m - 1]
@@ -81,4 +83,5 @@ def banded_step_surface(claim, rate, sigma, tax_hat, grid):
         rhs[0] += theta * d_tau * lower * new[0]
         rhs[-1] += theta * d_tau * upper * new[-1]
         new[1:-1] = solve_banded((1, 1), system, rhs)
+    surface[-1] = payoff_vals
     return surface

@@ -21,7 +21,8 @@ from hermite_markets.pathio import (
     read_sidecar,
     write_path_csv,
 )
-from hermite_markets import HermiteSpec, SamplePath, gen_fbm
+from hermite_markets import (HermiteSpec, SamplePath, TerminalClaim, gen_fbm, grid_for_spot,
+                             solve_tax_bsm)
 from _oracles import black_scholes, power_claim_value
 
 
@@ -510,6 +511,25 @@ def test_price_line_and_sidecar_carry_the_error_estimate(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[0] + "\n"
     assert float(_PRICE_LINE.fullmatch(line).group(2)) == pytest.approx(
         read_sidecar(str(out))["error_estimate"], rel=0.05)
+
+
+@pytest.mark.parametrize("payoff", ["call", "put", "power"])
+def test_price_line_prints_the_extrapolated_value(tmp_path, capsys, payoff):
+    # The line prints meta["extrapolated_value"]; the surface, and so
+    # value_at, stays second order, one error estimate away from it.
+    out = tmp_path / "surface.csv"
+    assert main(_price_argv(payoff=payoff, tax="0.3", out=str(out),
+                            **{"power-exp": "2"})) == 0
+    value = _parse_price(capsys)
+    meta = read_sidecar(str(out))
+    assert value == float(f"{meta['extrapolated_value']:.10g}")
+    sig_eff = math.sqrt(0.2 ** 2 + 0.05 * 0.3 ** 2)
+    claim = (TerminalClaim.power_claim(2.0, 1.0) if payoff == "power"
+             else getattr(TerminalClaim, payoff)(100.0, 1.0))
+    surface = solve_tax_bsm(claim, 0.05, 0.2, 0.3, grid_for_spot(100.0, sig_eff, 1.0, 0.05))
+    assert surface.meta["extrapolated_value"] == meta["extrapolated_value"]
+    assert abs(meta["extrapolated_value"] - surface.value_at(100.0)) == pytest.approx(
+        meta["error_estimate"], rel=1e-12, abs=math.ulp(meta["extrapolated_value"]))
 
 
 def test_price_line_omits_a_missing_estimate(capsys):

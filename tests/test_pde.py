@@ -1,12 +1,14 @@
 """Crank-Nicolson pricing and the heat-equation change of variables."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg.lapack import dgttrf
 
 from hermite_markets import (
@@ -43,6 +45,12 @@ def test_grid_validation():
         PdeGrid(2.0, 1.0)
     with pytest.raises(ValueError):
         PdeGrid(1.0, 2.0, nodes=8)
+
+
+def test_grid_defaults_are_the_pricers_default_grid():
+    grid = PdeGrid(60.0, 170.0)
+    assert (grid.nodes, grid.time_steps) == (pde._DEFAULT_NODES, pde._DEFAULT_TIME_STEPS)
+    assert (_grid().nodes, _grid().time_steps) == (grid.nodes, grid.time_steps)
 
 
 def test_grid_for_spot_centers_log_spot():
@@ -174,6 +182,73 @@ def test_surface_payoff_row_and_far_field_columns(claim):
 
 
 # ---------------------------------------------------------------------------
+# the start row: calls and puts averaged over each log-cell
+
+_CELL_GRID = PdeGrid(50.0, 200.0, 65, 8)
+_CELL_Y = _CELL_GRID.log_nodes
+_CELL_DY = _CELL_Y[1] - _CELL_Y[0]
+
+
+def _quad_cell_mean(claim, y):
+    """The payoff's mean over [y - h/2, y + h/2] by adaptive quadrature."""
+    lo, hi = y - 0.5 * _CELL_DY, y + 0.5 * _CELL_DY
+    kink = math.log(claim.strike)
+    value, _ = quad(lambda s: float(claim.payoff(math.exp(s))), lo, hi,
+                    points=[kink] if lo < kink < hi else None, epsabs=0.0, epsrel=1e-13)
+    return value / _CELL_DY
+
+
+@pytest.mark.parametrize("strike", [
+    math.exp(_CELL_Y[20]), math.exp(0.5 * (_CELL_Y[20] + _CELL_Y[21])),
+    0.5 * _CELL_GRID.x_min, math.exp(_CELL_Y[0] - 0.25 * _CELL_DY),
+    2.0 * _CELL_GRID.x_max, math.exp(_CELL_Y[-1] + 0.25 * _CELL_DY),
+], ids=["on-a-node", "on-a-cell-edge", "below-x-min", "in-the-first-cell",
+        "above-x-max", "in-the-last-cell"])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_start_row_is_the_cell_average_of_the_payoff(kind, strike):
+    claim = getattr(TerminalClaim, kind)(strike, MATURITY)
+    got = pde._start_row(claim, _CELL_Y, claim.payoff(np.exp(_CELL_Y)))
+    want = np.array([_quad_cell_mean(claim, y) for y in _CELL_Y])
+    # Cells far from the strike, the two end cells among them, take the
+    # form that does not cancel; the cells beside it divide a difference
+    # of two numbers near the strike by h.
+    far = np.abs(_CELL_Y - math.log(strike)) > 8 * _CELL_DY
+    assert np.all(got[far & (want == 0.0)] == 0.0)
+    assert got[far] == pytest.approx(want[far], rel=1e-14, abs=0.0)
+    assert got == pytest.approx(want, rel=0.0, abs=4.0 * math.ulp(strike) / _CELL_DY)
+
+
+def test_start_row_is_the_payoff_for_power_and_custom_claims():
+    x = np.exp(_CELL_Y)
+    for claim in (TerminalClaim.power_claim(2.0, MATURITY), TerminalClaim(np.sqrt, MATURITY)):
+        payoff = claim.payoff(x)
+        assert pde._start_row(claim, _CELL_Y, payoff) is payoff
+
+
+# sha256 of surface.values for claims whose march starts from the payoff
+# at the nodes; they were recorded before calls and puts moved to the
+# cell average, and must not move with it.
+_POINTWISE_SURFACES = {
+    ("power", 1025, 128): "dc08c733eb19930f417c0632e8ac25bacdbdfecb7648d7041e2850d8b4e4aa76",
+    ("power", 65, 32): "8950028c164c92545c2dc59cab2f66443290782461694655349d18b5207bfaef",
+    ("custom", 1025, 128): "20b5bff0a62e4a8cc2b4dbcf5e28500027d4b9f19e4e97967fcccff6760cc0e3",
+    ("custom", 65, 32): "8669f484bfe19309a5d28724a40f7a525957f34482d3d02902b13724d095e8a7",
+}
+
+
+@pytest.mark.parametrize("kind, nodes, steps", sorted(_POINTWISE_SURFACES))
+def test_pointwise_payoff_surfaces_are_unchanged(kind, nodes, steps):
+    if kind == "power":
+        claim = TerminalClaim.power_claim(2.0, MATURITY)
+    else:
+        claim = TerminalClaim(lambda x: np.sqrt(np.asarray(x, float))
+                              * np.maximum(np.asarray(x, float) - 95.0, 0.0), MATURITY)
+    surface = solve_tax_bsm(claim, RATE, SIGMA, 0.3, _grid(nodes=nodes, time_steps=steps))
+    digest = hashlib.sha256(surface.values.tobytes()).hexdigest()
+    assert digest == _POINTWISE_SURFACES[kind, nodes, steps]
+
+
+# ---------------------------------------------------------------------------
 # factored step systems against the per-step banded solve
 
 def _claim(kind, strike, exponent, maturity):
@@ -287,23 +362,40 @@ def test_error_estimate_is_a_third_of_the_half_grid_gap(kind, tax_hat, grid):
     half = PdeGrid(grid.x_min, grid.x_max, (grid.nodes + 1) // 2, grid.time_steps // 2)
     v = _middle_value(grid, banded_step_surface(claim, RATE, SIGMA, tax_hat, grid))
     v_half = _middle_value(half, banded_step_surface(claim, RATE, SIGMA, tax_hat, half))
-    estimate = solve_tax_bsm(claim, RATE, SIGMA, tax_hat, grid).meta["error_estimate"]
-    assert estimate == pytest.approx(abs(v - v_half) / 3.0, rel=1e-12, abs=0.0)
+    meta = solve_tax_bsm(claim, RATE, SIGMA, tax_hat, grid).meta
+    assert meta["error_estimate"] == pytest.approx(abs(v - v_half) / 3.0, rel=1e-12, abs=0.0)
+    assert meta["extrapolated_value"] == v + (v - v_half) / 3.0
 
 
-@pytest.mark.parametrize("kind, tax_hat, strike", _BENCH_CLAIMS)
-def test_error_estimate_covers_the_closed_form_error_on_default_grid(kind, tax_hat, strike):
+def _bench_claim_surface(kind, tax_hat, strike, **grid):
+    """A README claim's surface on a grid sized as ``price`` sizes it, and its closed form."""
     claim = _claim(kind, strike, 2.0, MATURITY)
     sig_eff = math.sqrt(pde._effective_variance(RATE, SIGMA, tax_hat))
     surface = solve_tax_bsm(claim, RATE, SIGMA, tax_hat,
-                            grid_for_spot(SPOT, sig_eff, MATURITY, RATE))
+                            grid_for_spot(SPOT, sig_eff, MATURITY, RATE, **grid))
     if kind == "power":
         want = power_claim_value(SPOT, RATE, sig_eff, 2.0, MATURITY)
     else:
         want = black_scholes(SPOT, strike, RATE, sig_eff, MATURITY, put=kind == "put")
+    return surface, want
+
+
+# 1025 x 128 was the default grid when these bounds were set, for value_at.
+@pytest.mark.parametrize("kind, tax_hat, strike", _BENCH_CLAIMS)
+def test_error_estimate_covers_the_closed_form_error_on_default_grid(kind, tax_hat, strike):
+    surface, want = _bench_claim_surface(kind, tax_hat, strike, nodes=1025, time_steps=128)
     error = abs(surface.value_at(SPOT) - want)
     assert error / want <= 1e-4
     assert surface.meta["error_estimate"] >= 0.8 * error
+
+
+@pytest.mark.parametrize("kind, tax_hat, strike", _BENCH_CLAIMS)
+def test_extrapolated_value_meets_the_closed_form_on_default_grid(kind, tax_hat, strike):
+    surface, want = _bench_claim_surface(kind, tax_hat, strike)
+    assert (surface.meta["nodes"], surface.meta["time_steps"]) == (
+        pde._DEFAULT_NODES, pde._DEFAULT_TIME_STEPS)
+    assert abs(surface.meta["extrapolated_value"] - want) / want <= 1e-5
+    assert surface.meta["error_estimate"] >= 0.8 * abs(surface.value_at(SPOT) - want)
 
 
 # The half grid needs 16 nodes and one step: 31 nodes and 2 steps are the least.
@@ -314,6 +406,7 @@ def test_error_estimate_is_none_without_a_half_grid(nodes, steps, estimated):
                             PdeGrid(60.0, 170.0, nodes, steps))
     estimate = surface.meta["error_estimate"]
     assert (estimate > 0.0) if estimated else (estimate is None)
+    assert (surface.meta["extrapolated_value"] is None) is not estimated
 
 
 def test_solve_bytes_counts_both_surfaces():

@@ -71,11 +71,12 @@ def test_norm_const_rejects_high_rank():
 
 
 def test_library_import_leaves_out_scipy_special_and_optimize():
-    # Closed forms replace scipy's gamma and root finder; only the CLI's
-    # checks still pull in scipy.stats, and with it both modules.
+    # Closed forms replace scipy's gamma, root finder and, for the
+    # pricer's cell-averaged payoff, quadrature; only the CLI's checks
+    # still pull in scipy.stats, and with it the first two modules.
     src = os.path.dirname(os.path.dirname(hermite_markets.__file__))
     code = ("import sys, hermite_markets; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'scipy.integrate') "
             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
