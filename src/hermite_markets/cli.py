@@ -118,7 +118,10 @@ def build_parser():
     prc.add_argument("--sigma", type=float, required=True)
     prc.add_argument("--tax", type=float, default=0.0)
     prc.add_argument("--maturity", type=float, default=1.0)
-    prc.add_argument("--grid", type=int, default=_DEFAULT_NODES)
+    prc.add_argument("--grid", type=int, default=_DEFAULT_NODES,
+                     help="price nodes (default %(default)s); the error estimate was "
+                          "validated on grids of 2^k + 1 nodes only, and at 385 nodes "
+                          "it read 0.12x the true error")
     prc.add_argument("--time-steps", type=int, default=_DEFAULT_TIME_STEPS)
     prc.add_argument("--out", default=None)
     prc.set_defaults(func=_cmd_price)

@@ -29,13 +29,18 @@ class PathFormatError(ValueError):
 
 
 def _write_table(filename, label, times, table):
-    """Write ``t,<label>0,<label>1,...`` then one row per time, %.17g."""
-    rows = np.column_stack([times, table]).tolist()
-    width = len(rows[0])
-    line = ",".join(["%.17g"] * width) + "\n"
+    """Write ``t,<label>0,<label>1,...`` then one row per time, %.17g.
+
+    Rows are converted to Python floats one at a time, so the memory this
+    takes does not grow with the table.
+    """
+    table = np.asarray(table, dtype=float)
+    width = table.shape[1]
+    line = ",".join(["%.17g"] * (width + 1)) + "\n"
     with open(filename, "w") as fh:
-        fh.write("t," + ",".join(f"{label}{i}" for i in range(width - 1)) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.write("t," + ",".join(f"{label}{i}" for i in range(width)) + "\n")
+        fh.writelines(line % (t, *row.tolist())
+                      for t, row in zip(np.asarray(times, dtype=float).tolist(), table, strict=True))
 
 
 def write_path_csv(path, filename):

@@ -324,7 +324,9 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     error of the extrapolated value.  ``values`` and ``value_at`` stay
     the second-order surface, so value_at at the middle log-price and
     the extrapolated value differ by the estimate.  Both keys are None
-    when the half grid would have fewer than 16 nodes or no step.
+    when the half grid would have fewer than 16 nodes or no step.  The
+    estimate was validated on grids of 2^k + 1 nodes only: at 385 x 48
+    it read as little as 0.12x the error of v.
     """
     sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
     surface = _march(claim, rate, sig_eff_sq, grid)

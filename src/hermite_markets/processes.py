@@ -21,6 +21,18 @@ law, so ``approx_factor`` plays no part.
 Every path derives its own random stream from ``(seed, path index,
 component index)``, so ensembles can be generated in any order, split
 across workers, and reassembled by index with bit-identical results.
+
+Memory
+------
+The inner FGN lattice is drawn and transformed in batches of paths, each
+at most ``_CHUNK_ENTRIES`` = 2**18 normals (rows x 2 count), or one path
+when a single path needs more.  A generator call allocates one batch's
+work arrays once, 48 bytes per row and lattice point (the normals, the
+complex half spectrum and the inverse transform), and every batch
+refills them; ranks of 2 and more add the Hermite terms, 8 to 40 bytes.
+So a call holds its output plus one batch: a rank-2 lattice of 32,768
+points takes 4 rows a batch, about 8 MiB in all.  How the paths fall
+into batches changes no bit of the output.
 """
 
 import math
@@ -49,7 +61,7 @@ __all__ = [
 ]
 
 # Bound on the rows x 2 count entries drawn and transformed per FFT batch.
-_CHUNK_ENTRIES = 1 << 20
+_CHUNK_ENTRIES = 1 << 18
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _EIG_TOL = -1e-10
 
@@ -378,17 +390,21 @@ def _fgn_draws(count, seed, path_indices, component):
     return draws
 
 
-def _fgn_transform(hurst, draws):
+def _fgn_transform(hurst, draws, half=None, out=None):
     """Exact FGN rows from rows of 2 count unit normals; linear in ``draws``.
 
     Normal 0 and normal 1 are the real zero and Nyquist frequencies,
     normals 2..count the real parts and count+1..2 count-1 the imaginary
     parts of frequencies 1..count-1 (Davies-Harte, in real-FFT form).
+    ``half``, complex of shape (rows, count + 1), and ``out``, of shape
+    (rows, 2 count), are work arrays to fill in place of fresh ones; the
+    result is then a view of ``out``.
     """
     rows, m = draws.shape
     count = m // 2
     scale = _half_spectrum_scale(hurst, count)
-    half = np.empty((rows, count + 1), dtype=np.complex128)
+    if half is None:
+        half = np.empty((rows, count + 1), dtype=np.complex128)
     re, im = half.real, half.imag
     re[:, 0] = draws[:, 0]
     re[:, count] = draws[:, 1]
@@ -397,12 +413,7 @@ def _fgn_transform(hurst, draws):
     im[:, 1:count] = draws[:, count + 1:]
     re *= scale
     im *= scale
-    return np.fft.irfft(half, n=m, axis=1)[:, :count]
-
-
-def _fgn_block(hurst, count, seed, path_indices, component):
-    """Exact FGN rows for the given absolute path indices."""
-    return _fgn_transform(hurst, _fgn_draws(count, seed, path_indices, component))
+    return np.fft.irfft(half, n=m, axis=1, out=out)[:, :count]
 
 
 def gen_fgn(inner_hurst, count, seed=0):
@@ -414,7 +425,7 @@ def gen_fgn(inner_hurst, count, seed=0):
     """
     _require(0.5 < inner_hurst < 1.0, f"inner_hurst must lie in (1/2, 1), got {inner_hurst}")
     _require(count >= 1, f"count must be >= 1, got {count}")
-    return _fgn_block(inner_hurst, int(count), seed, [0], 0)[0]
+    return _fgn_transform(inner_hurst, _fgn_draws(int(count), seed, [0], 0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +536,22 @@ def _hermite_values(spec, horizon, steps, paths, seed, component, path_offset=0)
         scale = horizon ** spec.hurst * _partial_sum_scale(spec, n_inner)
     values = np.zeros((paths, steps + 1))
     take = slice(factor - 1, None, factor)
+    # The eigenvalues are built, and the embedding checked, before the work
+    # arrays exist.  Those hold one batch and every batch refills them; a
+    # short last batch uses their leading rows.  Arrays freed after each
+    # batch would go back to the kernel and be faulted in again by the next.
+    _half_spectrum_scale(spec.inner_hurst, n_inner)
+    rows = min(paths, _chunk_rows(n_inner))
+    draws = np.empty((rows, 2 * n_inner))
+    half = np.empty((rows, n_inner + 1), dtype=np.complex128)
+    out = np.empty((rows, 2 * n_inner))
     for start, stop in _chunk_slices(paths, n_inner):
-        idx = range(path_offset + start, path_offset + stop)
-        fgn = _fgn_block(spec.inner_hurst, n_inner, seed, idx, component)
+        n = stop - start
+        _fill_normals(draws[:n], seed, range(path_offset + start, path_offset + stop), component)
+        fgn = _fgn_transform(spec.inner_hurst, draws[:n], half[:n], out[:n])
         terms = fgn if spec.rank == 1 else hermite_poly(spec.rank, fgn)
-        values[start:stop, 1:] = np.cumsum(terms, axis=1)[:, take]
+        np.cumsum(terms, axis=1, out=terms)
+        values[start:stop, 1:] = terms[:, take]
     values[:, 1:] *= scale
     return values
 
@@ -576,16 +598,19 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
 
 
 def _hou_working_bytes(hermite, total, paths):
-    """Bytes gen_hou holds at once over ``total`` grid steps, an estimate.
+    """Bytes gen_hou holds at once over ``total`` grid steps, an over-estimate.
 
     The driver, its increments and the OU values are (paths, total + 1)
-    each.  Building the circulant's eigenvalues and each row of one FFT
-    chunk of the driver (draws, half spectrum, inverse transform) take
-    about 48 bytes per inner lattice point.
+    each.  Building the circulant's eigenvalues holds about 56 bytes per
+    inner lattice point, before the work arrays of one FFT batch exist:
+    per row and inner point, 16 bytes each for the normals, the half
+    spectrum and the inverse transform, and for rank >= 2 up to five
+    arrays of Hermite terms from He_rank's recurrence, 40 more.
     """
     n_inner = total * _lattice_factor(hermite)
     rows = min(paths, _chunk_rows(n_inner))
-    return 8 * 3 * paths * (total + 1) + 48 * (rows + 1) * n_inner
+    per_row = 48 if hermite.rank == 1 else 88
+    return 8 * 3 * paths * (total + 1) + (56 + per_row * rows) * n_inner
 
 
 def _physical_memory():

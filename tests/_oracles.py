@@ -1,11 +1,15 @@
-"""Closed-form reference values and a reference solver used by several test
-modules."""
+"""Closed-form reference values, a reference solver and a peak-memory probe
+used by several test modules."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+import hermite_markets
 from hermite_markets.pde import _boundary_values, _effective_variance, _start_row
 
 
@@ -85,3 +89,27 @@ def banded_step_surface(claim, rate, sigma, tax_hat, grid):
         new[1:-1] = solve_banded((1, 1), system, rhs)
     surface[-1] = payoff_vals
     return surface
+
+
+# The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork
+# and exec, so a child started from a large test process would report
+# the parent's peak from its first line.
+_PEAK_PRELUDE = """
+def print_peak():
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def subprocess_peaks_mib(script, *args):
+    """Peak resident memory, in MiB, at each ``print_peak()`` call of ``script``.
+
+    The script runs with ``args`` in a fresh interpreter that imports this
+    package's sources; VmHWM is the peak of the whole process, so each
+    measurement needs its own process.
+    """
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hermite_markets.__file__)))
+    out = subprocess.run([sys.executable, "-c", _PEAK_PRELUDE + script, *args], env=env,
+                         check=True, capture_output=True, text=True).stdout.split()
+    return [int(kib) / 1024 for kib in out]

@@ -1,6 +1,8 @@
 """Generator-level checks: seeding, marginal laws, scaling, memory."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from hermite_markets import processes
 from hermite_markets.processes import _fgn_autocov, _fgn_draws, _fgn_transform, _raw_sum_std, \
     _stream_states, gen_fgn, hermite_poly
 from hermite_markets.stats import autocov_slope
+from _oracles import subprocess_peaks_mib
 
 
 # ---------------------------------------------------------------------------
@@ -51,15 +54,49 @@ def test_path_offset_matches_block_slice():
     assert np.array_equal(whole.values[2:6], part.values)
 
 
+# Each generator at 11 paths from path 3.  At 389 entries a batch holds 3
+# rows of a 64-point lattice (128 normals) and 4 of hou's 40-point one, so
+# the last batch is short and reuses only the leading rows of the work
+# arrays; a stale row would show.  The mixture's rank-1 lattice (16 points)
+# takes all 11 rows in one batch.
+_BATCH_CASES = {
+    "fbm": lambda: gen_fbm(HermiteSpec(0.7), 1.0, 64, paths=11, seed=4, path_offset=3),
+    "hermite3": lambda: gen_hermite(HermiteSpec(0.7, 3, approx_factor=4), 1.0, 16, paths=11,
+                                    seed=4, path_offset=3),
+    "mixed": lambda: gen_mixed(MixedHermiteSpec(0.75, ((0.6, 1), (0.8, 2)), approx_factor=4),
+                               1.0, 16, paths=11, seed=4, path_offset=3),
+    "hou": lambda: gen_hou(HouSpec(2.0, 0.5, history_truncation=0.25),
+                           HermiteSpec(0.75, 2, approx_factor=2), 1.0, 16, paths=11, seed=4,
+                           path_offset=3),
+}
+
+
 @pytest.mark.parametrize("entries", [1, 3 * 128 + 5])
-def test_mixture_does_not_depend_on_fft_batches(monkeypatch, entries):
-    # One row per batch, and 3 rows of the rank-2 lattice (64 points, 128
-    # normals) against 12 of the rank-1 one, ending mid-ensemble.
-    spec = MixedHermiteSpec(0.75, ((0.6, 1), (0.8, 2)), approx_factor=4)
-    whole = gen_mixed(spec, 1.0, 16, paths=11, seed=4, path_offset=3).values
+@pytest.mark.parametrize("process", sorted(_BATCH_CASES))
+def test_generators_do_not_depend_on_fft_batches(monkeypatch, process, entries):
+    whole = _BATCH_CASES[process]().values
     monkeypatch.setattr(processes, "_CHUNK_ENTRIES", entries)
-    assert np.array_equal(gen_mixed(spec, 1.0, 16, paths=11, seed=4, path_offset=3).values,
-                          whole)
+    assert np.array_equal(_BATCH_CASES[process]().values, whole)
+
+
+_GENERATOR_MEMORY_SCRIPT = """
+from hermite_markets import MixedHermiteSpec, gen_mixed
+spec = MixedHermiteSpec(0.75, ((0.5 ** 0.5, 1), (0.5 ** 0.5, 2)))
+gen_mixed(spec, 1.0, 16, paths=2, seed=1)
+print_peak()
+gen_mixed(spec, 1.0, 1024, paths=64, seed=1)
+print_peak()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is Linux's")
+def test_mixture_batches_keep_the_peak_small():
+    # The output is 0.5 MiB; the rank-2 lattice has 32,768 points and 1.5
+    # MiB of work arrays a row.  A batch of 2**18 entries holds 4 rows, and
+    # the peak grows about 11 MiB; batches of 2**20 entries, 16 rows with
+    # their arrays allocated afresh for each, grew it about 47 MiB.
+    small, large = subprocess_peaks_mib(_GENERATOR_MEMORY_SCRIPT)
+    assert large - small < 25.0, (small, large)
 
 
 def test_components_are_independent_streams():
@@ -487,15 +524,33 @@ def test_hou_value_autocov_decay():
 
 def test_hou_working_bytes_counts_driver_and_chunk():
     # Rank 2, approx_factor 32, 100 steps, 3 paths: three (3, 101) arrays
-    # of 8 bytes, and 48 bytes per inner point for the eigenvalues and for
-    # each of the 3 rows of one chunk (3200 inner points).
+    # of 8 bytes, 56 bytes per inner point for the eigenvalues, and 48 for
+    # the work arrays plus 40 for the Hermite terms in each of the 3 rows
+    # of one batch (3200 inner points).
     estimate = processes._hou_working_bytes(HermiteSpec(0.75, 2), 100, 3)
-    assert estimate == 8 * 3 * 3 * 101 + 48 * 4 * 3200
-    # Rank 1 runs on the output grid, and a lattice longer than one chunk
-    # is transformed a row at a time.
-    assert processes._hou_working_bytes(HermiteSpec(0.75), 100, 3) == 8 * 3 * 3 * 101 + 48 * 4 * 100
+    assert estimate == 8 * 3 * 3 * 101 + (56 + 88 * 3) * 3200
+    # Rank 1 runs on the output grid with no Hermite terms, and a lattice
+    # longer than one batch is transformed a row at a time.
+    assert processes._hou_working_bytes(HermiteSpec(0.75), 100, 3) == \
+        8 * 3 * 3 * 101 + (56 + 48 * 3) * 100
     big = 2**23
-    assert processes._hou_working_bytes(HermiteSpec(0.75), big, 5) == 8 * 3 * 5 * (big + 1) + 48 * 2 * big
+    assert processes._hou_working_bytes(HermiteSpec(0.75), big, 5) == \
+        8 * 3 * 5 * (big + 1) + (56 + 48) * big
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 5])
+def test_hou_working_bytes_bounds_the_measured_peak(rank):
+    # The estimate covers what numpy allocates while the driver is drawn,
+    # eigenvalues included (their cache is cleared first).
+    hermite = HermiteSpec(0.75, rank, approx_factor=4)
+    processes._half_spectrum_scale.cache_clear()
+    tracemalloc.start()
+    try:
+        processes._hermite_values(hermite, 1.0, 4096, 5, seed=2, component=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < processes._hou_working_bytes(hermite, 4096, 5)
 
 
 def test_hou_preflight_raises_before_allocating(monkeypatch):
@@ -509,4 +564,4 @@ def test_hou_preflight_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(processes, "_physical_memory", lambda: 2**30)
     with pytest.raises(ValueError, match=r"ou_lambda \(0\.01\).*history_truncation") as err:
         gen_hou(HouSpec(0.01, 1.0), HermiteSpec(0.75, 2), 1.0, 1024, paths=10)
-    assert "6.3 GiB" in str(err.value)
+    assert "9.3 GiB" in str(err.value)

@@ -4,8 +4,6 @@ import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -46,6 +44,7 @@ from hermite_markets import (
 )
 from hermite_markets import strategies
 from hermite_markets.markets import _intensities
+from _oracles import subprocess_peaks_mib
 
 RNG = np.random.default_rng(515)
 
@@ -513,9 +512,6 @@ def test_demos_check_the_grid_before_any_block(demo, grid, message):
     assert str(err.value) == message
 
 
-# The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork
-# and exec, so a child started from a large test process would report
-# the parent's peak from its first line.
 _FLAT_MEMORY_SCRIPT = """
 import sys
 from hermite_markets import HermiteSpec, MixedMarket, f_strategy_demo, mixed_arb_demo, \\
@@ -530,8 +526,7 @@ demos = {
 }
 for paths in (2000, 20000):
     demos[sys.argv[1]](paths)
-    with open("/proc/self/status") as status:
-        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    print_peak()
 """
 
 
@@ -540,11 +535,8 @@ def test_taxed_mixed_demo_memory_stays_flat_as_paths_grow():
     # Holding every path, 18,000 more paths of 65 prices would add about
     # 65 MiB to the peak; streamed blocks add under 10 MiB.  One process
     # per demo, because VmHWM is the peak of the whole process.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strategies.__file__)))
     for demo in ("mixed", "shiryaev", "fsquare"):
-        out = subprocess.run([sys.executable, "-c", _FLAT_MEMORY_SCRIPT, demo], env=env,
-                             check=True, capture_output=True, text=True).stdout.split()
-        small, large = (int(kib) / 1024 for kib in out)
+        small, large = subprocess_peaks_mib(_FLAT_MEMORY_SCRIPT, demo)
         assert large - small < 25.0, (demo, small, large)
 
 
