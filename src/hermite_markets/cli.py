@@ -29,7 +29,7 @@ from .pathio import read_path_csv, write_path_csv, write_sidecar, write_surface_
 from .pde import _DEFAULT_NODES, _DEFAULT_TIME_STEPS, IllPosedProblemError, TerminalClaim, \
     _effective_variance, _solve_bytes, grid_for_spot, solve_tax_bsm
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
-    _physical_memory, gen_fbm, gen_hermite, gen_hou, gen_mixed
+    _check_memory, gen_fbm, gen_hermite, gen_hou, gen_mixed
 from .stats import autocov_slope, centered_qv, estimate_hurst, theoretical_cov
 from .strategies import _demo_bytes, diffusion_arb_demo, f_strategy_demo, \
     mixed_arb_demo, shiryaev_demo
@@ -129,14 +129,6 @@ def build_parser():
     return parser
 
 
-def _check_memory(command, need, flags):
-    """ValueError naming ``flags`` when ``need`` bytes exceed physical memory."""
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(f"{command} would need about {need / 2**30:.1f} GiB, more than the "
-                         f"{have / 2**30:.1f} GiB of physical memory; lower {flags}")
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -171,15 +163,15 @@ def _cmd_simulate(args):
         raise ValueError("--workers must be >= 1")
     generate = _make_generator(args, seed)
     workers = min(args.workers, args.paths)
-    if workers == 1:
-        ensemble = generate(args.paths, 0)
-    else:
-        chunks = np.array_split(np.arange(args.paths), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda idx: generate(len(idx), int(idx[0])), chunks))
-        ensemble = SamplePath(horizon=args.horizon, steps=args.steps,
-                              values=np.vstack([p.values for p in parts]),
-                              seed=seed, meta=dict(parts[0].meta, paths=args.paths))
+    chunks = np.array_split(np.arange(args.paths), workers)
+    # The calling thread draws the first chunk, so one worker starts no
+    # thread, whose own allocator arena would raise the process's peak memory.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rest = [pool.submit(generate, len(idx), int(idx[0])) for idx in chunks[1:]]
+        parts = [generate(len(chunks[0]), 0)] + [future.result() for future in rest]
+    ensemble = SamplePath(horizon=args.horizon, steps=args.steps,
+                          values=np.vstack([p.values for p in parts]),
+                          seed=seed, meta=dict(parts[0].meta, paths=args.paths))
     write_path_csv(ensemble, args.out)
     write_sidecar(args.out, dict(ensemble.meta, seed=seed, horizon=args.horizon,
                                  steps=args.steps))
@@ -306,7 +298,7 @@ def _cmd_arb_demo(args):
     if not 0 <= args.tax < math.inf:
         raise ValueError(f"--tax must be finite and nonnegative, got {args.tax}")
     _check_memory(f"arb-demo --case {args.case}", _demo_bytes(args.paths, args.steps),
-                  "--paths or --steps")
+                  "lower --paths or --steps")
     grid = (args.paths, args.steps, args.horizon, seed)
     if args.case == "shiryaev":
         report = shiryaev_demo(HermiteSpec(args.hurst), *grid)
@@ -342,7 +334,7 @@ def _cmd_price(args):
         sig_eff_sq = _effective_variance(args.rate, args.sigma, args.tax)
         grid = grid_for_spot(args.spot, math.sqrt(sig_eff_sq), args.maturity,
                              args.rate, args.grid, args.time_steps)
-        _check_memory("price", _solve_bytes(grid), "--grid or --time-steps")
+        _check_memory("price", _solve_bytes(grid), "lower --grid or --time-steps")
         surface = solve_tax_bsm(claim, args.rate, args.sigma, args.tax, grid)
     except IllPosedProblemError as exc:
         print(f"pricing failed: {exc}", file=sys.stderr)

@@ -12,8 +12,9 @@ Three market families:
   stock price system.
 
 Riskless synthesis solves the exposure constraints directly; the taxed
-variant solves the balance equation that includes the quadratic
-transaction-tax term.
+variant scales the untaxed exponents (for two assets, the exposure-free
+direction) by the root of the quadratic that the balance equation, with
+its transaction-tax term, becomes along them.
 """
 
 import math
@@ -342,10 +343,14 @@ def synth_riskless(sigma, mu):
     design = np.vstack([np.ones_like(sigma), sigma])
     target = np.array([1.0, 0.0])
     exponents, *_ = np.linalg.lstsq(design, target, rcond=None)
-    defect = np.abs(design @ exponents - target).max()
-    if not defect <= 1e-9:
+    # Each constraint is checked against the size of its own terms: the
+    # large exponents of near-collinear exposures leave more rounding than
+    # an absolute tolerance allows.
+    defect = np.abs(design @ exponents - target)
+    size = np.abs(design * exponents).sum(axis=1) + target
+    if not (defect <= 1e-9 * np.maximum(1.0, size)).all():
         raise InfeasibleMarketError(
-            f"no exponents satisfy the constraints (defect {defect:.3e}); "
+            f"no exponents satisfy the constraints (defect {defect.max():.3e}); "
             "exposures are collinear with the budget constraint")
     return RisklessSynthesis(exponents=exponents, rate=float(exponents @ mu))
 
@@ -358,11 +363,13 @@ def synth_riskless_taxed(sigma, mu, tax):
     """Exponents phi with zero driver exposure and taxed budget balance.
 
     Solves sum(sigma phi) = 0 together with
-    sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0.  Two assets reduce
-    to a quadratic in phi_1 after elimination, solved in closed form; more
-    assets use a damped Gauss-Newton iteration.  Two assets take the root
-    that continues the untaxed exponents as the tax grows from zero, so
-    swapping the assets swaps the exponents.
+    sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0 in closed form, with
+    phi = psi d on an exposure-free direction d: (1, -sigma_0/sigma_1) for
+    two assets (equal exposures included), the untaxed exponents of
+    ``synth_riskless`` for more.  The balance is then a quadratic in psi,
+    and the root taken continues the untaxed exponents as the tax grows
+    from zero (sum(phi) > 0), so permuting the assets permutes the
+    exponents.
     """
     sigma = _as_float_array(sigma, "sigma")
     mu = _as_float_array(mu, "mu")
@@ -377,11 +384,10 @@ def synth_riskless_taxed(sigma, mu, tax):
     if len(sigma) == 2:
         if sigma[1] == 0:
             raise InfeasibleMarketError("second exposure must be nonzero for elimination")
-        ratio = -sigma[0] / sigma[1]
-        phi1 = _taxed_pair_root(ratio, intensities)
-        phi = np.array([phi1, ratio * phi1])
+        direction = np.array([1.0, -sigma[0] / sigma[1]])
     else:
-        phi = _taxed_newton(sigma, intensities)
+        direction = synth_riskless(sigma, mu).exponents
+    phi = _taxed_root(direction, intensities) * direction
 
     # Each equation is checked against the size of its own terms, which
     # bounds what rounding can leave; absolute, large roots would fail.
@@ -397,52 +403,27 @@ def synth_riskless_taxed(sigma, mu, tax):
     return RisklessSynthesis(exponents=phi, rate=float(phi @ mu))
 
 
-def _taxed_pair_root(ratio, intensities):
-    """The root phi_1 of A phi_1^2 + B phi_1 - 1 that continues the untaxed 1 / (1 + ratio).
+def _taxed_root(direction, intensities):
+    """The root psi of A psi^2 + B psi - 1 that continues the untaxed exponents.
 
-    With phi = (phi_1, ratio phi_1), A = (c_0^2 + c_1^2 ratio^2)/2 >= 0 and
-    B = 1 + ratio - (c_0^2 + c_1^2 ratio)/2.  The roots have opposite signs,
-    so that root keeps the sign s of 1 + ratio (+ for equal exposures): it is
-    s times the positive root of A psi^2 + s B psi - 1, in a form that does
-    not cancel.  One Newton step on the balance as evaluated then moves it
-    the ulp or so to where the caller's residual check reads smallest.
+    With phi = psi d for the exposure-free direction d, the taxed balance
+    reads A psi^2 + B psi - 1 = 0, A = sum(c^2 d^2)/2 >= 0 and
+    B = sum(d) - sum(c^2 d)/2.  The roots have opposite signs, so that root
+    keeps the sign s of sum(d) (+ when it is zero): it is s times the
+    positive root of A psi^2 + s B psi - 1, in a form that does not cancel,
+    and sum(phi) > 0.  One Newton step on the balance as evaluated then
+    moves it the ulp or so to where the caller's residual check reads
+    smallest.
     """
-    c0_sq, c1_sq = intensities ** 2
-    a = 0.5 * (c0_sq + c1_sq * ratio ** 2)
-    b = 1.0 + ratio - 0.5 * (c0_sq + c1_sq * ratio)
-    s = math.copysign(1.0, 1.0 + ratio)
+    c_sq = intensities ** 2
+    total = float(np.sum(direction))
+    a = 0.5 * float(np.sum(c_sq * direction ** 2))
+    b = total - 0.5 * float(np.sum(c_sq * direction))
+    s = math.copysign(1.0, total)
     root = math.sqrt(b * b + 4.0 * a)
-    phi1 = s * (2.0 / (s * b + root) if s * b >= 0 else (root - s * b) / (2.0 * a))
-    balance = _taxed_balance(np.array([phi1, ratio * phi1]), intensities)
-    return phi1 - balance / (2.0 * a * phi1 + b)
-
-
-def _taxed_newton(sigma, intensities, max_iter=200):
-    n = len(sigma)
-    design = np.vstack([sigma, np.ones(n)])
-    start, *_ = np.linalg.lstsq(design, np.array([0.0, 1.0]), rcond=None)
-    phi = start - sigma * (sigma @ start) / (sigma @ sigma)
-
-    def system(p):
-        return np.array([float(sigma @ p), _taxed_balance(p, intensities)])
-
-    for _ in range(max_iter):
-        f = system(phi)
-        if np.abs(f).max() < 1e-14:
-            break
-        jac = np.vstack([sigma, np.ones(n) + 0.5 * intensities ** 2 * (2.0 * phi - 1.0)])
-        step = np.linalg.pinv(jac) @ f
-        damping = 1.0
-        base = np.abs(f).max()
-        while damping > 1e-8:
-            trial = phi - damping * step
-            if np.abs(system(trial)).max() < base:
-                phi = trial
-                break
-            damping /= 2.0
-        else:
-            raise InfeasibleMarketError("damped iteration stalled")
-    return phi
+    psi = s * (2.0 / (s * b + root) if s * b >= 0 else (root - s * b) / (2.0 * a))
+    balance = _taxed_balance(psi * direction, intensities)
+    return psi - balance / (2.0 * a * psi + b)
 
 
 def bsm_synthetic_rate(mu1, sigma1, mu2, sigma2):

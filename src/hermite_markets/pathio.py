@@ -72,34 +72,33 @@ def read_path_csv(filename):
     The header must start with ``t``, every row must parse as floats of
     consistent width, and the time column must be a uniform grid starting
     at zero.  Violations raise PathFormatError naming the offending line.
+    The file is read a line at a time and each row parsed into one float
+    array, so the text is never held whole.
     """
     with open(filename) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise PathFormatError("line 1: empty file")
-    header = lines[0].split(",")
-    if header[0] != "t" or len(header) < 2:
-        raise PathFormatError("line 1: header must be t,p0,p1,...")
-    n_cols = len(header)
-    times = []
-    columns = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise PathFormatError(
-                f"line {lineno}: expected {n_cols} columns, found {len(cells)}")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError as exc:
-            raise PathFormatError(f"line {lineno}: {exc}") from None
-        times.append(row[0])
-        columns.append(row[1:])
-    if len(times) < 2:
+        header = fh.readline()
+        if not header:
+            raise PathFormatError("line 1: empty file")
+        header = header.rstrip("\n").split(",")
+        if header[0] != "t" or len(header) < 2:
+            raise PathFormatError("line 1: header must be t,p0,p1,...")
+        n_cols = len(header)
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != n_cols:
+                raise PathFormatError(
+                    f"line {lineno}: expected {n_cols} columns, found {len(cells)}")
+            try:
+                rows.append(np.array(cells, dtype=float))
+            except ValueError as exc:
+                raise PathFormatError(f"line {lineno}: {exc}") from None
+    if len(rows) < 2:
         raise PathFormatError("line 2: need at least two time rows")
-    times = np.asarray(times)
-    values = np.asarray(columns).T
+    times = np.array([row[0] for row in rows])
+    values = np.array([row[1:] for row in rows]).T
     if abs(times[0]) > 1e-12:
         raise PathFormatError("line 2: time grid must start at 0")
     dt = times[1] - times[0]

@@ -621,6 +621,14 @@ def _physical_memory():
         return None
 
 
+def _check_memory(what, need, remedy):
+    """ValueError ending in ``remedy`` when ``need`` bytes exceed physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(f"{what} would need about {need / 2**30:.1f} GiB, more than the "
+                         f"{have / 2**30:.1f} GiB of physical memory; {remedy}")
+
+
 def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     """Hermite-driven Ornstein-Uhlenbeck process on [0, horizon].
 
@@ -635,13 +643,10 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     dt = horizon / steps
     burn = int(math.ceil(spec.history_truncation / dt))
     total = burn + steps
-    need, have = _hou_working_bytes(hermite, total, paths), _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(
-            f"gen_hou would need about {need / 2**30:.1f} GiB for {paths} paths of "
-            f"{total} steps ({burn} of them history), more than the {have / 2**30:.1f} GiB "
-            f"of physical memory; raise ou_lambda ({spec.lam}) or lower "
-            f"history_truncation ({spec.history_truncation})")
+    _check_memory(f"gen_hou for {paths} paths of {total} steps ({burn} of them history)",
+                  _hou_working_bytes(hermite, total, paths),
+                  f"raise ou_lambda ({spec.lam}) or lower "
+                  f"history_truncation ({spec.history_truncation})")
     driver = _hermite_values(hermite, total * dt, total, paths, seed, component=0,
                              path_offset=path_offset)
     deltas = np.diff(driver, axis=1)

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hermite_markets import cli, strategies
+from hermite_markets import cli, processes, strategies
 from hermite_markets.cli import main
 from hermite_markets.pathio import (
     PathFormatError,
@@ -211,9 +212,31 @@ def test_csv_round_trip_is_bitwise(values, horizon):
 
 def test_csv_malformed_field_is_located(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("t,p0\n0.0,0.0\n0.5,not-a-number\n1.0,0.2\n")
-    with pytest.raises(PathFormatError, match="line 3"):
-        read_path_csv(str(bad))
+    for text, message in [
+            ("t,p0\n0.0,0.0\n0.5,not-a-number\n1.0,0.2\n",
+             "line 3: could not convert string to float: 'not-a-number'"),
+            # Blank lines are skipped but still counted.
+            ("t,p0\n0.0,0.0\n\n0.5,0.1,0.2\n", "line 4: expected 2 columns, found 3"),
+            ("", "line 1: empty file")]:
+        bad.write_text(text)
+        with pytest.raises(PathFormatError, match=re.escape(message)):
+            read_path_csv(str(bad))
+
+
+def test_csv_read_holds_about_two_arrays(tmp_path):
+    # The parsed rows and the assembled array; holding the text and a
+    # Python float per cell instead peaked at about 7.7x.
+    values = np.random.default_rng(0).standard_normal((100, 513))
+    target = str(tmp_path / "big.csv")
+    write_path_csv(SamplePath(1.0, 512, values), target)
+    tracemalloc.start()
+    try:
+        back = read_path_csv(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == values.tobytes()
+    assert peak <= 3 * values.nbytes
 
 
 def test_csv_rejects_nonuniform_grid(tmp_path):
@@ -391,7 +414,8 @@ def test_arb_demo_rejects_bad_tax(capsys, case, tax):
 @pytest.mark.parametrize("case", ["shiryaev", "fsquare", "diffusion", "mixed"])
 def test_arb_demo_exits_two_when_driver_exceeds_memory(monkeypatch, capsys, case):
     # One byte short of what the demo would hold: no demo starts.
-    monkeypatch.setattr(cli, "_physical_memory", lambda: strategies._demo_bytes(100, 64) - 1)
+    monkeypatch.setattr(processes, "_physical_memory",
+                        lambda: strategies._demo_bytes(100, 64) - 1)
     for demo in ("shiryaev_demo", "f_strategy_demo", "diffusion_arb_demo", "mixed_arb_demo"):
         monkeypatch.setattr(cli, demo, pytest.fail)
     assert main(["arb-demo", "--case", case, "--paths", "100", "--steps", "64"]) == 2
@@ -540,7 +564,7 @@ def test_price_line_omits_a_missing_estimate(capsys):
 
 def test_price_exits_two_when_surfaces_exceed_memory(monkeypatch, capsys):
     # 513 x 513 and 257 x 257 surfaces of 8 bytes; nothing is solved.
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * (513 * 513 + 257 * 257) - 1)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: 8 * (513 * 513 + 257 * 257) - 1)
     monkeypatch.setattr(cli, "solve_tax_bsm", pytest.fail)
     assert main(_price_argv(grid="513", **{"time-steps": "512"})) == 2
     err = capsys.readouterr().err

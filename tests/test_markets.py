@@ -42,6 +42,16 @@ def test_synthesis_constraints_hold_three_assets():
     assert float(out.exponents @ [0.1, 0.25, 0.4]) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_synthesis_near_collinear_exposures():
+    # Exponents of about 3e6 leave each constraint about 1e-9 of rounding,
+    # small against its terms.
+    sigma = np.array([1.2772690472613746, 1.2772694427007896, 1.2772694861018308])
+    phi = synth_riskless(sigma, [0.02, 0.03, 0.05]).exponents
+    size = np.abs(phi).sum()
+    assert abs(phi.sum() - 1.0) <= 1e-15 * size
+    assert abs(float(sigma @ phi)) <= 1e-15 * size
+
+
 def test_synthesis_infeasible_when_exposures_equal():
     with pytest.raises(InfeasibleMarketError):
         synth_riskless([0.2, 0.2], [0.01, 0.02])
@@ -89,6 +99,20 @@ def test_taxed_synthesis_three_assets():
     assert abs(float(sigma @ phi)) < 1e-10
     balance = float(np.sum(phi) - 1.0 + 0.5 * np.sum(c**2 * phi * (phi - 1.0)))
     assert abs(balance) < 1e-10
+    # The exponents the damped Gauss-Newton iteration that once served
+    # three or more assets reached here.
+    assert phi == pytest.approx([1.2024629834463034, 0.534427992642802, -0.8016419889642026],
+                                rel=1e-12)
+
+
+def test_taxed_synthesis_near_collinear_exposures():
+    # A relative exposure spread of 1e-6 makes the untaxed exponents about
+    # 1e5; the damped iteration stalled here, the closed form solves it.
+    sigma = np.array([0.3810545923530526, 0.38105186799141744, 0.38105186799141744])
+    c = np.array([0.0, 0.8697042768583632, 0.0])
+    phi = synth_riskless_taxed(sigma, [0.02, 0.03, 0.05], c).exponents
+    assert phi == pytest.approx([-4.402, 2.201, 2.201], rel=1e-3)
+    assert _taxed_residual(sigma, c, phi) < 1e-10
 
 
 def test_taxed_synthesis_zero_tax_reduces_to_plain():
@@ -111,7 +135,7 @@ def test_synthesis_rejects_non_finite_inputs(monkeypatch):
         with pytest.raises(ValueError, match="mu"):
             synth([0.1, 0.3], [0.03, np.inf])
     # A NaN residual fails the convergence check as a large one does.
-    monkeypatch.setattr(markets, "_taxed_pair_root", lambda ratio, tax: np.nan)
+    monkeypatch.setattr(markets, "_taxed_root", lambda direction, tax: np.nan)
     with pytest.raises(InfeasibleMarketError, match="did not converge"):
         synth_riskless_taxed([0.1, 0.3], [0.03, 0.04], 0.3)
 
@@ -142,9 +166,9 @@ def test_taxed_synthesis_residual_check_scales_with_terms(monkeypatch):
     phi = synth_riskless_taxed(sigma, [0.02, 0.04], c).exponents
     assert phi[0] == pytest.approx(-0.001255543131861194845293540592496,
                                    rel=1e-14)  # 60-digit root
-    exact = markets._taxed_pair_root
-    monkeypatch.setattr(markets, "_taxed_pair_root",
-                        lambda ratio, tax: exact(ratio, tax) * (1.0 + 1e-6))
+    exact = markets._taxed_root
+    monkeypatch.setattr(markets, "_taxed_root",
+                        lambda direction, tax: exact(direction, tax) * (1.0 + 1e-6))
     with pytest.raises(InfeasibleMarketError, match="did not converge"):
         synth_riskless_taxed(sigma, [0.02, 0.04], c)
 
@@ -168,17 +192,33 @@ def test_taxed_synthesis_two_assets_solves_balance(sigma, c):
     swapped = synth_riskless_taxed(sigma[::-1], mu[::-1], c[::-1]).exponents
     assert np.abs(swapped[::-1] - phi).max() <= 1e-10 * np.abs(phi).max()
     untaxed_norm = np.hypot(*sigma) / abs(sigma[0] - sigma[1])
-    # The iteration starts from the untaxed exponents and reaches the same
-    # root, until they pass about 1e14 and rounding loses that start.
-    if untaxed_norm < 1e12:
-        newton = markets._taxed_newton(sigma, c)
-        assert np.abs(phi - newton).max() <= 1e-10 * np.abs(phi).max()
     # To first order a tax c moves the untaxed rate by c^2 |phi|^2 |rate| / 2
     # at most: under 1e-10 at c = 1e-6 while the untaxed exponents stay
     # below 10.
     if untaxed_norm <= 10.0:
         faint = synth_riskless_taxed(sigma, mu, 1e-6).rate
         assert abs(faint - synth_riskless(sigma, mu).rate) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(3, 5))
+def test_taxed_synthesis_many_assets_scales_untaxed(data, n):
+    sigma = np.array(data.draw(st.lists(_EXPOSURE, min_size=n, max_size=n)))
+    c = np.array(data.draw(st.lists(_INTENSITY, min_size=n, max_size=n).filter(any)))
+    mu = np.linspace(0.02, 0.06, n)
+    # Exposures this far apart keep the untaxed exponents below about 10.
+    assume(np.ptp(sigma) >= 0.5)
+    untaxed = synth_riskless(sigma, mu)
+    phi = synth_riskless_taxed(sigma, mu, c).exponents
+    assert _taxed_residual(sigma, c, phi) < 1e-10
+    # phi = psi phi_0 with psi = sum(phi) > 0.
+    assert phi.sum() > 0
+    assert np.abs(phi - phi.sum() * untaxed.exponents).max() <= 1e-12 * np.abs(phi).max()
+    order = np.array(data.draw(st.permutations(range(n))))
+    permuted = synth_riskless_taxed(sigma[order], mu[order], c[order]).exponents
+    assert np.abs(permuted - phi[order]).max() <= 1e-10 * np.abs(phi).max()
+    faint = synth_riskless_taxed(sigma, mu, 1e-6).rate
+    assert abs(faint - untaxed.rate) < 1e-9
 
 
 def test_bsm_synthetic_rate_value():
