@@ -340,6 +340,9 @@ def _cmd_price(args):
         print(f"pricing failed: {exc}", file=sys.stderr)
         return 1
     estimate = surface.meta["error_estimate"]
+    if estimate is not None and (grid.nodes - 1) & (grid.nodes - 2):
+        print(f"note: --grid {grid.nodes} is not 2^k + 1 nodes; the error estimate is "
+              "unvalidated there (at 385 nodes it read 0.12x the true error)", file=sys.stderr)
     value = (surface.value_at(args.spot) if estimate is None
              else surface.meta["extrapolated_value"])
     spread = "" if estimate is None else f" +/- {estimate:.2g}"

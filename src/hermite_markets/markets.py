@@ -364,9 +364,10 @@ def synth_riskless_taxed(sigma, mu, tax):
 
     Solves sum(sigma phi) = 0 together with
     sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0 in closed form, with
-    phi = psi d on an exposure-free direction d: (1, -sigma_0/sigma_1) for
-    two assets (equal exposures included), the untaxed exponents of
-    ``synth_riskless`` for more.  The balance is then a quadratic in psi,
+    phi = psi d on an exposure-free direction d: the untaxed exponents of
+    ``synth_riskless`` for three or more assets, and (1, -sigma_0/sigma_1),
+    padded with zeros, for two or where there are no untaxed exponents
+    (all exposures equal).  The balance is then a quadratic in psi,
     and the root taken continues the untaxed exponents as the tax grows
     from zero (sum(phi) > 0), so permuting the assets permutes the
     exponents.
@@ -381,12 +382,17 @@ def synth_riskless_taxed(sigma, mu, tax):
     if not intensities.any():
         return synth_riskless(sigma, mu)
 
-    if len(sigma) == 2:
+    direction = None
+    if len(sigma) > 2:
+        try:
+            direction = synth_riskless(sigma, mu).exponents
+        except InfeasibleMarketError:
+            pass  # equal exposures; the first pair's direction still carries none
+    if direction is None:
         if sigma[1] == 0:
             raise InfeasibleMarketError("second exposure must be nonzero for elimination")
-        direction = np.array([1.0, -sigma[0] / sigma[1]])
-    else:
-        direction = synth_riskless(sigma, mu).exponents
+        direction = np.zeros(len(sigma))
+        direction[:2] = 1.0, -sigma[0] / sigma[1]
     phi = _taxed_root(direction, intensities) * direction
 
     # Each equation is checked against the size of its own terms, which

@@ -27,12 +27,12 @@ Memory
 The inner FGN lattice is drawn and transformed in batches of paths, each
 at most ``_CHUNK_ENTRIES`` = 2**18 normals (rows x 2 count), or one path
 when a single path needs more.  A generator call allocates one batch's
-work arrays once, 48 bytes per row and lattice point (the normals, the
-complex half spectrum and the inverse transform), and every batch
-refills them; ranks of 2 and more add the Hermite terms, 8 to 40 bytes.
-So a call holds its output plus one batch: a rank-2 lattice of 32,768
-points takes 4 rows a batch, about 8 MiB in all.  How the paths fall
-into batches changes no bit of the output.
+work arrays once, 32 bytes per row and lattice point (the normals, which
+the inverse transform overwrites, and the complex half spectrum), and
+every batch refills them; ranks of 2 and more add the Hermite terms, 8
+to 40 bytes.  So a call holds its output plus one batch: a rank-2
+lattice of 32,768 points takes 4 rows a batch, about 5 MiB in all.  How
+the paths fall into batches changes no bit of the output.
 """
 
 import math
@@ -256,37 +256,62 @@ def _hash_constants(init, mult):
         const = following
 
 
-def _hashmix(value, constants):
-    xor, mult = next(constants)
-    value = (value ^ np.uint32(xor)) * np.uint32(mult)
-    return value ^ (value >> np.uint32(16))
+def _take(constants, n):
+    """The next ``n`` (xor, multiplier) pairs of ``constants`` as two (n, 1) uint32 columns."""
+    pairs = np.array([next(constants) for _ in range(n)], dtype=np.uint32)
+    return pairs[:, :1], pairs[:, 1:]
+
+
+# The two mixing steps take Python ints or uint32 arrays alike; the masks
+# keep Python ints to 32 bits and cost uint32 arrays nothing but a call.
+def _hashmix(value, xor, mult):
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return value ^ (value >> np.uint32(16))
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
 
 
-def _seed_sequence_states(entropy):
-    """``SeedSequence.generate_state(4, np.uint64)`` for each row of words.
+@lru_cache(maxsize=64)
+def _seed_pool(seed):
+    """SeedSequence's pool once the words of ``seed`` are mixed in, and the next constant.
 
-    ``entropy`` is the assembled entropy as a list of uint32 columns, at
-    least the pool size long; the result has one row of four words per
-    entry of the columns.
+    Those words come before every path's own, so one seed's paths share
+    this state.  Python ints throughout: numpy uint32 scalars warn on
+    overflow.
     """
+    run = _uint32_words(seed, "seed")
+    run += [0] * (_POOL_SIZE - len(run))
     constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, constants) for word in entropy[:_POOL_SIZE]]
+    pool = [_hashmix(word, *next(constants)) for word in run[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
-    for word in entropy[_POOL_SIZE:]:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
+    for word in run[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    halves = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
-    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(halves[::2], halves[1::2])],
-                    axis=1)
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(constants)))
+    return tuple(pool), next(constants)[0]
+
+
+def _pool_states(seeded, own, tail):
+    """``SeedSequence.generate_state(4, np.uint64)`` for each path, one row each.
+
+    ``seeded`` is what ``_seed_pool`` returns, ``own`` holds the paths'
+    words as uint32 arrays and ``tail`` the component's words as ints.
+    The four pool words of every path are one (4, paths) array, and each
+    word is mixed into all four at once.
+    """
+    start, const = seeded
+    constants = _hash_constants(const, _MULT_A)
+    pool = np.array(start, dtype=np.uint32)[:, None]
+    for word in own + tail:
+        pool = _mix(pool, _hashmix(word, *_take(constants, _POOL_SIZE)))
+    halves = _hashmix(np.tile(pool, (2, 1)), *_take(_hash_constants(_INIT_B, _MULT_B), 8))
+    halves = halves.astype(np.uint64)
+    return (halves[0::2] | (halves[1::2] << np.uint64(32))).T
 
 
 def _stream_states(seed, path_indices, component):
@@ -295,8 +320,7 @@ def _stream_states(seed, path_indices, component):
     Path indices must lie below 2**64; numpy codes those of 2**32 and above
     in two words, so the rows are hashed in two groups.
     """
-    run = _uint32_words(seed, "seed")
-    run += [0] * (_POOL_SIZE - len(run))
+    seeded = _seed_pool(int(seed))
     tail = _uint32_words(component, "component")
     try:
         paths = np.asarray(path_indices, dtype=np.uint64)
@@ -310,8 +334,7 @@ def _stream_states(seed, path_indices, component):
         if len(rows) == 0:
             continue
         own = [low[rows], high[rows]] if wide else [low[rows]]
-        fixed = [np.full(len(rows), word, dtype=np.uint32) for word in run + tail]
-        states[rows] = _seed_sequence_states(fixed[:len(run)] + own + fixed[len(run):])
+        states[rows] = _pool_states(seeded, own, tail)
     return states
 
 
@@ -398,7 +421,8 @@ def _fgn_transform(hurst, draws, half=None, out=None):
     parts of frequencies 1..count-1 (Davies-Harte, in real-FFT form).
     ``half``, complex of shape (rows, count + 1), and ``out``, of shape
     (rows, 2 count), are work arrays to fill in place of fresh ones; the
-    result is then a view of ``out``.
+    result is then a view of ``out``.  ``out`` may be ``draws`` itself:
+    the half spectrum is filled before the transform writes.
     """
     rows, m = draws.shape
     count = m // 2
@@ -538,17 +562,17 @@ def _hermite_values(spec, horizon, steps, paths, seed, component, path_offset=0)
     take = slice(factor - 1, None, factor)
     # The eigenvalues are built, and the embedding checked, before the work
     # arrays exist.  Those hold one batch and every batch refills them; a
-    # short last batch uses their leading rows.  Arrays freed after each
-    # batch would go back to the kernel and be faulted in again by the next.
+    # short last batch uses their leading rows, and the transform writes
+    # over the normals.  Arrays freed after each batch would go back to the
+    # kernel and be faulted in again by the next.
     _half_spectrum_scale(spec.inner_hurst, n_inner)
     rows = min(paths, _chunk_rows(n_inner))
     draws = np.empty((rows, 2 * n_inner))
     half = np.empty((rows, n_inner + 1), dtype=np.complex128)
-    out = np.empty((rows, 2 * n_inner))
     for start, stop in _chunk_slices(paths, n_inner):
         n = stop - start
         _fill_normals(draws[:n], seed, range(path_offset + start, path_offset + stop), component)
-        fgn = _fgn_transform(spec.inner_hurst, draws[:n], half[:n], out[:n])
+        fgn = _fgn_transform(spec.inner_hurst, draws[:n], half[:n], out=draws[:n])
         terms = fgn if spec.rank == 1 else hermite_poly(spec.rank, fgn)
         np.cumsum(terms, axis=1, out=terms)
         values[start:stop, 1:] = terms[:, take]
@@ -603,13 +627,13 @@ def _hou_working_bytes(hermite, total, paths):
     The driver, its increments and the OU values are (paths, total + 1)
     each.  Building the circulant's eigenvalues holds about 56 bytes per
     inner lattice point, before the work arrays of one FFT batch exist:
-    per row and inner point, 16 bytes each for the normals, the half
-    spectrum and the inverse transform, and for rank >= 2 up to five
-    arrays of Hermite terms from He_rank's recurrence, 40 more.
+    per row and inner point, 16 bytes each for the normals (which the
+    inverse transform overwrites) and the half spectrum, and for rank >= 2
+    up to five arrays of Hermite terms from He_rank's recurrence, 40 more.
     """
     n_inner = total * _lattice_factor(hermite)
     rows = min(paths, _chunk_rows(n_inner))
-    per_row = 48 if hermite.rank == 1 else 88
+    per_row = 32 if hermite.rank == 1 else 72
     return 8 * 3 * paths * (total + 1) + (56 + per_row * rows) * n_inner
 
 

@@ -42,11 +42,10 @@ __all__ = [
 ]
 
 _FD_SCALE = 1e-5
-# Prices per block of paths in running_cost: a few such arrays fit in L2.
-_COST_BLOCK_ENTRIES = 1 << 15
-# Prices per block of paths in the arbitrage demos: they hold about ten
-# such arrays at once, in place of as many over the whole ensemble.
-_DEMO_BLOCK_ENTRIES = 1 << 17
+# Prices per block of paths, in the demos and in running_cost: a few such
+# arrays fit in L2, and a demo's block is charged in one pass of
+# running_cost's loop.
+_BLOCK_ENTRIES = 1 << 15
 _Z95 = 1.959963984540054
 
 
@@ -366,7 +365,7 @@ def running_cost(P, prices, tax, times=None):
     out = np.zeros(rows[0].shape)
     # Blocks of paths keep the curvature's temporaries in cache; every
     # operation is elementwise or along a path, so the bits do not change.
-    block = max(1, _COST_BLOCK_ENTRIES // out.shape[1])
+    block = max(1, _BLOCK_ENTRIES // out.shape[1])
     for start in range(0, out.shape[0], block):
         paths = slice(start, start + block)
         increments = out[paths, 1:]
@@ -438,14 +437,19 @@ class TaxReport:
 
 def _path_blocks(paths, steps):
     """(first path, path count) of each block of paths a demo prices at once."""
-    size = max(1, _DEMO_BLOCK_ENTRIES // (steps + 1))
+    size = max(1, _BLOCK_ENTRIES // (steps + 1))
     for start in range(0, paths, size):
         yield start, min(size, paths - start)
 
 
 def _demo_bytes(paths, steps):
-    """Bytes a demo holds at once: 8 a path, and ten arrays the size of one block."""
-    return 8 * paths + 10 * 8 * max(_DEMO_BLOCK_ENTRIES, steps + 1)
+    """Bytes a demo holds at once: 8 a path, and 20 arrays the size of one block.
+
+    The mixed demo, the largest of the four, peaks at a little over 18 such
+    arrays (tracemalloc) when a block is one path, and at about 11 blocks
+    of ``_BLOCK_ENTRIES`` prices at 512 steps; the others at 7 to 11.
+    """
+    return 8 * paths + 20 * 8 * max(_BLOCK_ENTRIES, steps + 1)
 
 
 def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):

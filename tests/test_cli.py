@@ -562,6 +562,22 @@ def test_price_line_omits_a_missing_estimate(capsys):
                         capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("grid, noted", [("385", True), ("513", False), ("24", False)])
+def test_price_notes_a_grid_where_the_estimate_is_unvalidated(capsys, grid, noted):
+    # 385 nodes is not 2^k + 1, and there the estimate read 0.12x the true
+    # error; 24 nodes has no half grid and prints no estimate.  The note
+    # is one stderr line; the price line and the exit code stay the same.
+    assert main(_price_argv(grid=grid, **{"time-steps": "48"})) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"call value at spot 100: \S+( \+/- \S+)? \(effective vol 0\.2\)\n",
+                        captured.out)
+    if noted:
+        assert captured.err == ("note: --grid 385 is not 2^k + 1 nodes; the error estimate is "
+                                "unvalidated there (at 385 nodes it read 0.12x the true error)\n")
+    else:
+        assert captured.err == ""
+
+
 def test_price_exits_two_when_surfaces_exceed_memory(monkeypatch, capsys):
     # 513 x 513 and 257 x 257 surfaces of 8 bytes; nothing is solved.
     monkeypatch.setattr(processes, "_physical_memory", lambda: 8 * (513 * 513 + 257 * 257) - 1)

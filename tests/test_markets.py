@@ -80,6 +80,19 @@ def test_taxed_synthesis_equal_exposures():
     assert out.rate == pytest.approx((0.05 - 0.01) / 0.4, abs=1e-10)
 
 
+def test_taxed_synthesis_equal_exposures_many_assets():
+    # Three equal exposures leave no untaxed exponents to scale, but the
+    # first pair's direction (1, -1), zero on the third asset, carries no
+    # exposure, and c^2 phi1^2 = 1 again.
+    sigma, c = np.array([0.2, 0.2, 0.2]), np.full(3, 0.3)
+    with pytest.raises(InfeasibleMarketError):
+        synth_riskless(sigma, [0.05, 0.03, 0.01])
+    out = synth_riskless_taxed(sigma, [0.05, 0.03, 0.01], c)
+    assert out.exponents == pytest.approx([1 / 0.3, -1 / 0.3, 0.0], rel=1e-14, abs=0.0)
+    assert out.rate == pytest.approx((0.05 - 0.03) / 0.3, rel=1e-14)
+    assert _taxed_residual(sigma, c, out.exponents) < 1e-12
+
+
 def test_taxed_synthesis_residuals_tiny():
     sigma = np.array([0.15, 0.3])
     c = np.array([0.25, 0.25])

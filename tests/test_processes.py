@@ -91,7 +91,7 @@ print_peak()
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is Linux's")
 def test_mixture_batches_keep_the_peak_small():
-    # The output is 0.5 MiB; the rank-2 lattice has 32,768 points and 1.5
+    # The output is 0.5 MiB; the rank-2 lattice has 32,768 points and 1
     # MiB of work arrays a row.  A batch of 2**18 entries holds 4 rows, and
     # the peak grows about 11 MiB; batches of 2**20 entries, 16 rows with
     # their arrays allocated afresh for each, grew it about 47 MiB.
@@ -298,6 +298,19 @@ def test_fgn_transform_covariance_is_exact(count, hurst):
     a = _fgn_transform(hurst, np.eye(2 * count))
     want = toeplitz(_fgn_autocov(hurst, np.arange(count)))
     assert np.max(np.abs(a.T @ a - want)) < 1e-12
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 64, 257])
+def test_fgn_transform_may_write_over_its_normals(count):
+    # The generators pass the normals as the transform's output: the half
+    # spectrum is filled before the inverse FFT writes, so the result is
+    # bit for bit the one a fresh output array gives.
+    draws = _fgn_draws(count, 11, range(5), 0)
+    fresh = _fgn_transform(0.8, draws, np.empty((5, count + 1), complex), np.empty_like(draws))
+    fresh = fresh.copy()
+    same = _fgn_transform(0.8, draws, np.empty((5, count + 1), complex), out=draws)
+    assert np.shares_memory(same, draws)
+    assert same.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -524,18 +537,18 @@ def test_hou_value_autocov_decay():
 
 def test_hou_working_bytes_counts_driver_and_chunk():
     # Rank 2, approx_factor 32, 100 steps, 3 paths: three (3, 101) arrays
-    # of 8 bytes, 56 bytes per inner point for the eigenvalues, and 48 for
+    # of 8 bytes, 56 bytes per inner point for the eigenvalues, and 32 for
     # the work arrays plus 40 for the Hermite terms in each of the 3 rows
     # of one batch (3200 inner points).
     estimate = processes._hou_working_bytes(HermiteSpec(0.75, 2), 100, 3)
-    assert estimate == 8 * 3 * 3 * 101 + (56 + 88 * 3) * 3200
+    assert estimate == 8 * 3 * 3 * 101 + (56 + 72 * 3) * 3200
     # Rank 1 runs on the output grid with no Hermite terms, and a lattice
     # longer than one batch is transformed a row at a time.
     assert processes._hou_working_bytes(HermiteSpec(0.75), 100, 3) == \
-        8 * 3 * 3 * 101 + (56 + 48 * 3) * 100
+        8 * 3 * 3 * 101 + (56 + 32 * 3) * 100
     big = 2**23
     assert processes._hou_working_bytes(HermiteSpec(0.75), big, 5) == \
-        8 * 3 * 5 * (big + 1) + (56 + 48) * big
+        8 * 3 * 5 * (big + 1) + (56 + 32) * big
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 5])
@@ -564,4 +577,4 @@ def test_hou_preflight_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(processes, "_physical_memory", lambda: 2**30)
     with pytest.raises(ValueError, match=r"ou_lambda \(0\.01\).*history_truncation") as err:
         gen_hou(HouSpec(0.01, 1.0), HermiteSpec(0.75, 2), 1.0, 1024, paths=10)
-    assert "9.3 GiB" in str(err.value)
+    assert "8.3 GiB" in str(err.value)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,8 +443,8 @@ def test_f_strategy_positive_tax_loses_sometimes():
 
 # Demo runs at 23 paths x 16 steps: block sizes of 1, 3 and 7 paths (17
 # prices per path) end mid-ensemble, and 2**40 entries is one block, the
-# whole-array arithmetic.
-_BLOCK_ENTRIES = [17, 3 * 17, 7 * 17 + 5]
+# whole-array arithmetic.  The same constant sizes running_cost's blocks.
+_TRIAL_BLOCK_ENTRIES = [17, 3 * 17, 7 * 17 + 5]
 
 
 def _demo_run(demo, tax, option=None, paths=23, steps=16, seed=5, horizon=1.0):
@@ -472,10 +473,10 @@ _BLOCK_CASES += [("untaxed", None, "shiryaev", None), ("untaxed", 0.0, "fsquare"
 @pytest.mark.parametrize("tax, demo, option", [case[1:] for case in _BLOCK_CASES],
                          ids=[f"{name}-{demo}-{option}" for name, _, demo, option in _BLOCK_CASES])
 def test_demo_reports_do_not_depend_on_path_blocks(monkeypatch, tax, demo, option):
-    monkeypatch.setattr(strategies, "_DEMO_BLOCK_ENTRIES", 2**40)
+    monkeypatch.setattr(strategies, "_BLOCK_ENTRIES", 2**40)
     whole = _demo_bytes(_demo_run(demo, tax, option))
-    for entries in _BLOCK_ENTRIES:
-        monkeypatch.setattr(strategies, "_DEMO_BLOCK_ENTRIES", entries)
+    for entries in _TRIAL_BLOCK_ENTRIES:
+        monkeypatch.setattr(strategies, "_BLOCK_ENTRIES", entries)
         assert _demo_bytes(_demo_run(demo, tax, option)) == whole, entries
 
 
@@ -491,7 +492,7 @@ def test_demo_extremes_keep_nan_across_blocks(monkeypatch, tax):
     reports = []
     with np.errstate(all="ignore"):
         for entries in (17, 2**40):
-            monkeypatch.setattr(strategies, "_DEMO_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(strategies, "_BLOCK_ENTRIES", entries)
             reports.append(diffusion_arb_demo(market, 12, 16, 1.0, 2, tax))
     assert math.isnan(reports[0].statistics["min_terminal_value"])
     assert _demo_bytes(reports[0]) == _demo_bytes(reports[1])
@@ -514,18 +515,22 @@ def test_demos_check_the_grid_before_any_block(demo, grid, message):
 
 _FLAT_MEMORY_SCRIPT = """
 import sys
-from hermite_markets import HermiteSpec, MixedMarket, f_strategy_demo, mixed_arb_demo, \\
-    shiryaev_demo
+from hermite_markets import HermiteSpec, MixedMarket, TwoAssetDiffusion, \\
+    diffusion_arb_demo, f_strategy_demo, mixed_arb_demo, shiryaev_demo
 market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2, sigma_h=0.3, hurst=0.75)
+pair = TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2)
 demos = {
-    "mixed": lambda paths: mixed_arb_demo(market, paths, 64, 1.0, 7, 0.3),
-    "shiryaev": lambda paths: shiryaev_demo(HermiteSpec(0.75), paths, 64, 1.0, 7),
-    "fsquare": lambda paths: f_strategy_demo(lambda x: (x - 1.0) ** 2,
-                                             lambda x: 2.0 * (x - 1.0), HermiteSpec(0.75),
-                                             0.3, paths, 64, 1.0, 7),
+    "diffusion": lambda paths, steps: diffusion_arb_demo(pair, paths, steps, 1.0, 7, 0.3),
+    "mixed": lambda paths, steps: mixed_arb_demo(market, paths, steps, 1.0, 7, 0.3),
+    "shiryaev": lambda paths, steps: shiryaev_demo(HermiteSpec(0.75), paths, steps, 1.0, 7),
+    "fsquare": lambda paths, steps: f_strategy_demo(lambda x: (x - 1.0) ** 2,
+                                                    lambda x: 2.0 * (x - 1.0),
+                                                    HermiteSpec(0.75), 0.3, paths, steps,
+                                                    1.0, 7),
 }
-for paths in (2000, 20000):
-    demos[sys.argv[1]](paths)
+print_peak()
+for paths, steps in ((2000, 64), (20000, 64), (10000, 512)):
+    demos[sys.argv[1]](paths, steps)
     print_peak()
 """
 
@@ -533,11 +538,30 @@ for paths in (2000, 20000):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is Linux's")
 def test_taxed_mixed_demo_memory_stays_flat_as_paths_grow():
     # Holding every path, 18,000 more paths of 65 prices would add about
-    # 65 MiB to the peak; streamed blocks add under 10 MiB.  One process
-    # per demo, because VmHWM is the peak of the whole process.
-    for demo in ("mixed", "shiryaev", "fsquare"):
-        small, large = subprocess_peaks_mib(_FLAT_MEMORY_SCRIPT, demo)
+    # 65 MiB to the peak; streamed blocks add under 10 MiB.  And a demo of
+    # 10,000 x 512, the bench's size, adds under 8 MiB to the peak right
+    # after import: blocks of 2**15 prices added 3-4 MiB, blocks of 2**17
+    # 8-15.  One process per demo, because VmHWM is the peak of the whole
+    # process.
+    for demo in ("diffusion", "mixed", "shiryaev", "fsquare"):
+        imported, small, large, bench = subprocess_peaks_mib(_FLAT_MEMORY_SCRIPT, demo)
         assert large - small < 25.0, (demo, small, large)
+        assert bench - imported < 8.0, (demo, imported, bench)
+
+
+@pytest.mark.parametrize("paths, steps", [(300, 512), (3, 2**17)])
+@pytest.mark.parametrize("demo", ["diffusion", "mixed", "shiryaev", "fsquare"])
+def test_demo_bytes_bounds_the_traced_peak(demo, paths, steps):
+    # Blocks of 2**15 prices (63 paths of 513), and blocks of one path
+    # when one path holds more; the CLI's memory preflight reads the bound.
+    _demo_run(demo, 0.3, paths=4, steps=steps)  # the eigenvalues, cached
+    tracemalloc.start()
+    try:
+        _demo_run(demo, 0.3, paths=paths, steps=steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < strategies._demo_bytes(paths, steps), peak
 
 
 def test_diffusion_demo_untaxed():
