@@ -418,8 +418,6 @@ class TaxReport:
     ci_low: float
     ci_high: float
     passed: bool
-    cost_path: np.ndarray = None
-    net_path: np.ndarray = None
 
     def to_json_dict(self):
         return {
@@ -509,22 +507,12 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
     if not 0.0 < t <= horizon:
         raise ValueError(f"evaluation time {t} outside (0, {horizon}]")
     index = int(round(t / horizon * steps))
-    anchor = df(1.0)
-
-    def tax(s):
-        return 0.5 * c ** 2 * (df(s) * s - f(s) - anchor)
-
-    cost_sum = net_sum = None
-    s_t = []
-    for start, count in _path_blocks(paths, steps):
-        s = np.exp(gen_fbm(spec, horizon, steps, count, seed, path_offset=start).values)
-        cost = tax(s)
-        cost_sum = _add_rows(cost_sum, cost)
-        net_sum = _add_rows(net_sum, f(s) - cost)
-        # a copy: a view of the column would keep the whole block alive
-        s_t.append(s[:, index].copy())
-    s_t = np.concatenate(s_t)
-    value_t, cost_t = f(s_t), tax(s_t)
+    # copies: a view of the column would keep the whole block alive
+    s_t = np.exp(np.concatenate([
+        gen_fbm(spec, horizon, steps, count, seed, path_offset=start).values[:, index].copy()
+        for start, count in _path_blocks(paths, steps)]))
+    value_t = f(s_t)
+    cost_t = 0.5 * c ** 2 * (df(s_t) * s_t - value_t - df(1.0))
     wins = int((value_t - cost_t > 0).sum())
     low, high = wilson_ci(wins, paths)
     stats = {
@@ -546,8 +534,7 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
         passed = bool(high < 1.0 and stats["probability"] < 1.0)
     return TaxReport("f_strategy", {"intensity": c, "t": t, "hurst": spec.hurst,
                                     "steps": steps, "horizon": horizon},
-                     paths, seed, stats, low, high, passed,
-                     cost_path=cost_sum / paths, net_path=net_sum / paths)
+                     paths, seed, stats, low, high, passed)
 
 
 def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, tax=None):
@@ -625,18 +612,6 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
                         seed, stats, invariant)
 
 
-def _add_rows(total, rows):
-    """``total`` plus each row of ``rows`` in turn; None starts the sum.
-
-    numpy's axis-0 sum of a C-contiguous array adds its rows one after
-    another, so summing a block at a time this way gives the sum over
-    the whole ensemble bit for bit.
-    """
-    if total is not None:
-        rows = np.vstack([total[None], rows])
-    return np.add.reduce(rows, axis=0)
-
-
 class _ArbTally:
     """An arbitrage field's report, gathered over blocks of paths in order.
 
@@ -645,8 +620,8 @@ class _ArbTally:
     each block's assets and the interval covers the share whose net value
     ends negative.  Passing needs the demo's invariant, a field that starts
     at exactly zero (``initial_value_max_abs``) and, taxed, that interval
-    clear of 0.  Only counts, block maxima, terminal costs and column sums
-    are kept from a block.
+    clear of 0.  Only counts, block maxima and terminal costs are kept from
+    a block.
     """
 
     def __init__(self, portfolio, intensities):
@@ -655,21 +630,18 @@ class _ArbTally:
         self.taxed = bool(intensities.any())
         self.paths = self.hits = 0
         self.initial, self.cost_ends = [], []
-        self.cost_sum = self.net_sum = None
 
     def add(self, values, assets, times=None):
         self.paths += values.shape[0]
         self.initial.append(np.abs(values[:, 0]).max())
         if self.taxed:
             cost = running_cost(self.portfolio, assets, self.intensities, times=times)
-            net = values - cost
-            self.hits += int((net[:, -1] < 0).sum())
-            self.cost_ends.append(cost[:, -1].copy())
-            self.cost_sum = _add_rows(self.cost_sum, cost)
+            # a copy: a view of the column would keep the whole block alive
+            cost_end = cost[:, -1].copy()
+            self.hits += int((values[:, -1] - cost_end < 0).sum())
+            self.cost_ends.append(cost_end)
         else:
-            net = values
             self.hits += int((values[:, -1] > 0).sum())
-        self.net_sum = _add_rows(self.net_sum, net)
 
     def report(self, demo, parameters, seed, stats, invariant):
         stats["initial_value_max_abs"] = start = float(np.max(self.initial))
@@ -677,9 +649,5 @@ class _ArbTally:
         if self.taxed:
             stats["fraction_negative_net"] = self.hits / self.paths
             stats["mean_cost"] = float(np.concatenate(self.cost_ends).mean())
-            cost_mean = self.cost_sum / self.paths
-        else:
-            cost_mean = np.zeros(self.net_sum.shape)
         passed = bool(invariant and start == 0.0 and (not self.taxed or low > 0.0))
-        return TaxReport(demo, parameters, self.paths, seed, stats, low, high, passed,
-                         cost_path=cost_mean, net_path=self.net_sum / self.paths)
+        return TaxReport(demo, parameters, self.paths, seed, stats, low, high, passed)

@@ -147,6 +147,22 @@ def test_simulate_mixed_needs_weights(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("process", ["fbm", "hermite", "mixed"])
+def test_simulate_exits_two_when_ensemble_exceeds_memory(monkeypatch, capsys, tmp_path,
+                                                         process):
+    # One byte short of 100 paths of 65 points, the parts and their stacked
+    # copy: nothing is generated or written.
+    monkeypatch.setattr(processes, "_physical_memory", lambda: 16 * 100 * 65 - 1)
+    for gen in ("gen_fbm", "gen_hermite", "gen_mixed"):
+        monkeypatch.setattr(cli, gen, pytest.fail)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--process", process, "--hurst", "0.7", "--weights", "0.8,0.6",
+                 "--ranks", "1,2", "--paths", "100", "--steps", "64", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--paths" in err and "--steps" in err
+    assert not out.exists()
+
+
 def test_simulate_hou(tmp_path):
     out = _simulate(tmp_path, "hou.csv", process="hou", hurst="0.75",
                     paths="3", steps="64")
@@ -562,18 +578,21 @@ def test_price_line_omits_a_missing_estimate(capsys):
                         capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("grid, noted", [("385", True), ("513", False), ("24", False)])
-def test_price_notes_a_grid_where_the_estimate_is_unvalidated(capsys, grid, noted):
-    # 385 nodes is not 2^k + 1, and there the estimate read 0.12x the true
-    # error; 24 nodes has no half grid and prints no estimate.  The note
-    # is one stderr line; the price line and the exit code stay the same.
-    assert main(_price_argv(grid=grid, **{"time-steps": "48"})) == 0
+@pytest.mark.parametrize("grid, steps, noted", [("385", "48", True), ("513", "48", True),
+                                                 ("513", "64", False), ("24", "48", False)])
+def test_price_notes_a_grid_where_the_estimate_is_unvalidated(capsys, grid, steps, noted):
+    # The estimate was validated on the default 513 x 64 only: at 385 x 48
+    # it read 0.12x the true error, and at 513 x 48, 2^k + 1 nodes, 0.66x.
+    # 24 nodes has no half grid and prints no estimate.  The note is one
+    # stderr line; the price line and the exit code stay the same.
+    assert main(_price_argv(grid=grid, **{"time-steps": steps})) == 0
     captured = capsys.readouterr()
     assert re.fullmatch(r"call value at spot 100: \S+( \+/- \S+)? \(effective vol 0\.2\)\n",
                         captured.out)
     if noted:
-        assert captured.err == ("note: --grid 385 is not 2^k + 1 nodes; the error estimate is "
-                                "unvalidated there (at 385 nodes it read 0.12x the true error)\n")
+        assert captured.err == (f"note: the error estimate is unvalidated on {grid} x {steps}; "
+                                "it was validated on the default 513 x 64 only "
+                                "(at 385 x 48 it read 0.12x the true error)\n")
     else:
         assert captured.err == ""
 
