@@ -12,9 +12,8 @@ Three market families:
   stock price system.
 
 Riskless synthesis solves the exposure constraints directly; the taxed
-variant scales the untaxed exponents (for two assets, the exposure-free
-direction) by the root of the quadratic that the balance equation, with
-its transaction-tax term, becomes along them.
+variant scales the untaxed exponents by the root of the quadratic that
+the balance equation, with its transaction-tax term, becomes along them.
 """
 
 import math
@@ -355,50 +354,33 @@ def synth_riskless(sigma, mu):
     return RisklessSynthesis(exponents=exponents, rate=float(exponents @ mu))
 
 
-def _taxed_balance(phi, intensities):
-    return float(np.sum(phi) - 1.0 + 0.5 * np.sum(intensities ** 2 * phi * (phi - 1.0)))
-
-
 def synth_riskless_taxed(sigma, mu, tax):
     """Exponents phi with zero driver exposure and taxed budget balance.
 
     Solves sum(sigma phi) = 0 together with
-    sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0 in closed form, with
-    phi = psi d on an exposure-free direction d: the untaxed exponents of
-    ``synth_riskless`` for three or more assets, and (1, -sigma_0/sigma_1),
-    padded with zeros, for two or where there are no untaxed exponents
-    (all exposures equal).  The balance is then a quadratic in psi,
-    and the root taken continues the untaxed exponents as the tax grows
-    from zero (sum(phi) > 0), so permuting the assets permutes the
-    exponents.
+    sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0 in closed form as
+    phi = psi d, where d is the untaxed exponents of ``synth_riskless``, so
+    permuting the assets permutes the exponents.  Equal exposures have
+    none; there d = e_0 - e_k, with k the first asset after 0 such that
+    c_0 + c_k > 0.  Either d carries no exposure, and along it the balance
+    is a quadratic in psi whose positive root ``_taxed_root`` returns.
     """
     sigma = _as_float_array(sigma, "sigma")
-    mu = _as_float_array(mu, "mu")
-    if len(sigma) != len(mu):
-        raise ValueError("sigma and mu must have the same length")
-    if len(sigma) < 2:
-        raise ValueError("need at least two assets")
     intensities = _intensities(tax, len(sigma))
     if not intensities.any():
         return synth_riskless(sigma, mu)
-
-    direction = None
-    if len(sigma) > 2:
-        try:
-            direction = synth_riskless(sigma, mu).exponents
-        except InfeasibleMarketError:
-            pass  # equal exposures; the first pair's direction still carries none
-    if direction is None:
-        if sigma[1] == 0:
-            raise InfeasibleMarketError("second exposure must be nonzero for elimination")
+    try:
+        direction = synth_riskless(sigma, mu).exponents
+    except InfeasibleMarketError:
         direction = np.zeros(len(sigma))
-        direction[:2] = 1.0, -sigma[0] / sigma[1]
+        direction[0] = 1.0
+        direction[1 + int(np.argmax(intensities[0] + intensities[1:] > 0))] = -1.0
     phi = _taxed_root(direction, intensities) * direction
 
     # Each equation is checked against the size of its own terms, which
     # bounds what rounding can leave; absolute, large roots would fail.
     quadratic = 0.5 * intensities ** 2 * phi * (phi - 1.0)
-    checks = ((_taxed_balance(phi, intensities),
+    checks = ((float(np.sum(phi) - 1.0 + quadratic.sum()),
                np.abs(phi).sum() + 1.0 + np.abs(quadratic).sum()),
               (float(sigma @ phi), np.abs(sigma * phi).sum()))
     for residual, size in checks:
@@ -406,30 +388,22 @@ def synth_riskless_taxed(sigma, mu, tax):
             raise InfeasibleMarketError(
                 f"taxed synthesis did not converge (residual {abs(residual):.3e} "
                 f"against terms summing to {size:.3e})")
-    return RisklessSynthesis(exponents=phi, rate=float(phi @ mu))
+    return RisklessSynthesis(exponents=phi, rate=float(phi @ np.asarray(mu, dtype=float)))
 
 
 def _taxed_root(direction, intensities):
-    """The root psi of A psi^2 + B psi - 1 that continues the untaxed exponents.
+    """The positive root psi of A psi^2 + B psi - 1, in a form that does not cancel.
 
-    With phi = psi d for the exposure-free direction d, the taxed balance
-    reads A psi^2 + B psi - 1 = 0, A = sum(c^2 d^2)/2 >= 0 and
-    B = sum(d) - sum(c^2 d)/2.  The roots have opposite signs, so that root
-    keeps the sign s of sum(d) (+ when it is zero): it is s times the
-    positive root of A psi^2 + s B psi - 1, in a form that does not cancel,
-    and sum(phi) > 0.  One Newton step on the balance as evaluated then
-    moves it the ulp or so to where the caller's residual check reads
-    smallest.
+    With phi = psi d, the taxed balance reads A psi^2 + B psi - 1 = 0,
+    A = sum(c^2 d^2)/2 >= 0 and B = sum(d) - sum(c^2 d)/2.  The roots have
+    opposite signs; the positive one continues the untaxed exponents as
+    the tax grows from zero (sum(d) is 1, or 0 for equal exposures).
     """
     c_sq = intensities ** 2
-    total = float(np.sum(direction))
     a = 0.5 * float(np.sum(c_sq * direction ** 2))
-    b = total - 0.5 * float(np.sum(c_sq * direction))
-    s = math.copysign(1.0, total)
+    b = float(np.sum(direction)) - 0.5 * float(np.sum(c_sq * direction))
     root = math.sqrt(b * b + 4.0 * a)
-    psi = s * (2.0 / (s * b + root) if s * b >= 0 else (root - s * b) / (2.0 * a))
-    balance = _taxed_balance(psi * direction, intensities)
-    return psi - balance / (2.0 * a * psi + b)
+    return 2.0 / (b + root) if b >= 0 else (root - b) / (2.0 * a)
 
 
 def bsm_synthetic_rate(mu1, sigma1, mu2, sigma2):

@@ -273,16 +273,14 @@ def taxed_bsm_residual(g, x, r, sigmas, tax):
     intensities = _intensities(tax, 2)
     x0 = np.asarray(x[0], float)
     x1 = np.asarray(x[1], float)
-    out = (r * x0 * g.partial(0, x) + r * x1 * g.partial(1, x) - r * g.value(x)
-           + 0.5 * (sigmas[0] ** 2 + r * intensities[0] ** 2) * x0 ** 2 * g.second(0, 0, x)
-           + 0.5 * (sigmas[1] ** 2 + r * intensities[1] ** 2) * x1 ** 2 * g.second(1, 1, x))
-    return out
+    return (r * self_financing_residual(g, x)
+            + 0.5 * (sigmas[0] ** 2 + r * intensities[0] ** 2) * x0 ** 2 * g.second(0, 0, x)
+            + 0.5 * (sigmas[1] ** 2 + r * intensities[1] ** 2) * x1 ** 2 * g.second(1, 1, x))
 
 
 def pair_value_residual(P, x, y):
     """P - x P_x - y P_y for two assets on one Brownian driver."""
-    point = [np.asarray(x, float), np.asarray(y, float)]
-    return P.value(point) - point[0] * P.partial(0, point) - point[1] * P.partial(1, point)
+    return -self_financing_residual(P, [x, y])
 
 
 def pair_curvature_residual(P, x, y):

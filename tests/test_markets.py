@@ -93,6 +93,23 @@ def test_taxed_synthesis_equal_exposures_many_assets():
     assert _taxed_residual(sigma, c, out.exponents) < 1e-12
 
 
+def test_taxed_synthesis_zero_exposure_matches_its_swap():
+    # A zero second exposure solves as the swapped order does.
+    phi = synth_riskless_taxed([0.3, 0.0], [0.05, 0.02], 0.3).exponents
+    swapped = synth_riskless_taxed([0.0, 0.3], [0.02, 0.05], 0.3).exponents
+    assert np.abs(swapped[::-1] - phi).max() <= 1e-15
+    assert _taxed_residual(np.array([0.3, 0.0]), np.full(2, 0.3), phi) < 1e-12
+
+
+def test_taxed_synthesis_equal_exposures_untaxed_first_pair():
+    # Equal exposures take e_0 - e_k with k the first asset that pairs a
+    # tax: here e_0 - e_2, as (1, -1, 0) would leave the balance untaxed.
+    sigma, c = np.array([0.2, 0.2, 0.2]), np.array([0.0, 0.0, 0.3])
+    phi = synth_riskless_taxed(sigma, [0.01, 0.02, 0.03], c).exponents
+    assert phi[1] == 0.0 and phi[0] == -phi[2] > 0
+    assert _taxed_residual(sigma, c, phi) < 1e-12
+
+
 def test_taxed_synthesis_residuals_tiny():
     sigma = np.array([0.15, 0.3])
     c = np.array([0.25, 0.25])
@@ -214,7 +231,7 @@ def test_taxed_synthesis_two_assets_solves_balance(sigma, c):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(3, 5))
+@given(data=st.data(), n=st.integers(2, 5))
 def test_taxed_synthesis_many_assets_scales_untaxed(data, n):
     sigma = np.array(data.draw(st.lists(_EXPOSURE, min_size=n, max_size=n)))
     c = np.array(data.draw(st.lists(_INTENSITY, min_size=n, max_size=n).filter(any)))
