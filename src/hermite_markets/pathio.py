@@ -58,22 +58,31 @@ def write_sidecar(filename, payload):
 
 
 def read_sidecar(filename):
-    """Load the JSON sidecar for ``filename``; None when absent."""
+    """Load the JSON sidecar for ``filename``; None when absent.
+
+    A sidecar that is not a JSON object raises PathFormatError naming it.
+    """
     sidecar = f"{filename}.json"
     if not os.path.exists(sidecar):
         return None
     with open(sidecar) as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise PathFormatError(f"{sidecar}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise PathFormatError(f"{sidecar}: must hold a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def read_path_csv(filename):
     """Read a path ensemble back, validating the grid as it goes.
 
     The header must start with ``t``, every row must parse as floats of
-    consistent width, and the time column must be a uniform grid starting
-    at zero.  Violations raise PathFormatError naming the offending line.
-    The file is read a line at a time and each row parsed into one float
-    array, so the text is never held whole.
+    consistent width, every value must be finite, and the time column must
+    be a uniform grid starting at zero.  Violations raise PathFormatError
+    naming the offending line.  The file is read a line at a time and each
+    row parsed into one float array, so the text is never held whole.
     """
     with open(filename) as fh:
         header = fh.readline()
@@ -92,9 +101,15 @@ def read_path_csv(filename):
                 raise PathFormatError(
                     f"line {lineno}: expected {n_cols} columns, found {len(cells)}")
             try:
-                rows.append(np.array(cells, dtype=float))
+                row = np.array(cells, dtype=float)
             except ValueError as exc:
                 raise PathFormatError(f"line {lineno}: {exc}") from None
+            finite = np.isfinite(row)
+            if not finite.all():
+                col = int(np.argmin(finite))
+                raise PathFormatError(
+                    f"line {lineno}: {header[col]} is not finite: {cells[col]!r}")
+            rows.append(row)
     if len(rows) < 2:
         raise PathFormatError("line 2: need at least two time rows")
     times = np.array([row[0] for row in rows])

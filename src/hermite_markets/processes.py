@@ -168,7 +168,9 @@ class HouSpec:
 
     def __post_init__(self):
         _require(self.lam > 0, f"lam must be positive, got {self.lam}")
+        _require(math.isfinite(self.lam), f"lam must be finite, got {self.lam}")
         _require(self.sigma >= 0, f"sigma must be nonnegative, got {self.sigma}")
+        _require(math.isfinite(self.sigma), f"sigma must be finite, got {self.sigma}")
         if self.history_truncation is None:
             object.__setattr__(self, "history_truncation", 20.0 / self.lam)
         _require(self.history_truncation > 0,
@@ -229,7 +231,9 @@ def path_rng(seed, path_index, component=0):
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), run once for
 # all paths at a time: one SeedSequence per path costs about twice the
-# draws of a 512-step path.
+# draws of a 512-step path.  numpy hashes the seed, whose words come first
+# in every path's entropy; the generators mix in each path's and
+# component's words.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -248,80 +252,39 @@ def _uint32_words(value, name):
     return words
 
 
-def _hash_constants(init, mult):
-    const = init
-    while True:
-        following = const * mult & _MASK32
-        yield const, following
-        const = following
+def _hash_constants(init, mult, first, n):
+    """Hash constants ``first`` to ``first + n - 1`` as (xor, multiplier) (n, 1) uint32 columns.
+
+    Constant k is ``init * mult**k`` mod 2**32, and each one's multiplier
+    is the constant after it.
+    """
+    consts = [init * pow(mult, first, 1 << 32) & _MASK32]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
 
 
-def _take(constants, n):
-    """The next ``n`` (xor, multiplier) pairs of ``constants`` as two (n, 1) uint32 columns."""
-    pairs = np.array([next(constants) for _ in range(n)], dtype=np.uint32)
-    return pairs[:, :1], pairs[:, 1:]
-
-
-# The two mixing steps take Python ints or uint32 arrays alike; the masks
-# keep Python ints to 32 bits and cost uint32 arrays nothing but a call.
 def _hashmix(value, xor, mult):
-    value = ((value ^ xor) * mult) & _MASK32
+    value = (value ^ xor) * mult
     return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ (value >> 16)
-
-
-@lru_cache(maxsize=64)
-def _seed_pool(seed):
-    """SeedSequence's pool once the words of ``seed`` are mixed in, and the next constant.
-
-    Those words come before every path's own, so one seed's paths share
-    this state.  Python ints throughout: numpy uint32 scalars warn on
-    overflow.
-    """
-    run = _uint32_words(seed, "seed")
-    run += [0] * (_POOL_SIZE - len(run))
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, *next(constants)) for word in run[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
-    for word in run[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(constants)))
-    return tuple(pool), next(constants)[0]
-
-
-def _pool_states(seeded, own, tail):
-    """``SeedSequence.generate_state(4, np.uint64)`` for each path, one row each.
-
-    ``seeded`` is what ``_seed_pool`` returns, ``own`` holds the paths'
-    words as uint32 arrays and ``tail`` the component's words as ints.
-    The four pool words of every path are one (4, paths) array, and each
-    word is mixed into all four at once.
-    """
-    start, const = seeded
-    constants = _hash_constants(const, _MULT_A)
-    pool = np.array(start, dtype=np.uint32)[:, None]
-    for word in own + tail:
-        pool = _mix(pool, _hashmix(word, *_take(constants, _POOL_SIZE)))
-    halves = _hashmix(np.tile(pool, (2, 1)), *_take(_hash_constants(_INIT_B, _MULT_B), 8))
-    halves = halves.astype(np.uint64)
-    return (halves[0::2] | (halves[1::2] << np.uint64(32))).T
 
 
 def _stream_states(seed, path_indices, component):
     """PCG64 seed words of ``path_rng(seed, p, component)``, one row per p.
 
-    Path indices must lie below 2**64; numpy codes those of 2**32 and above
-    in two words, so the rows are hashed in two groups.
+    A path's entropy is the seed's words, zero-padded to the pool size,
+    then the path's and the component's.  numpy hashes 0 past the end of a
+    bare seed too, so every path starts from ``SeedSequence(seed).pool``;
+    the seed took hash constants 0 to 15 and four more per word past the
+    fourth.  The path's words and then the component's are mixed into the
+    four pool words of every path at once, a (4, paths) array.  Path
+    indices must lie below 2**64; numpy codes those of 2**32 and above in
+    two words, so the rows are hashed in two groups.
     """
-    seeded = _seed_pool(int(seed))
+    first = 4 * (_POOL_SIZE + max(0, len(_uint32_words(seed, "seed")) - _POOL_SIZE))
     tail = _uint32_words(component, "component")
+    start = np.random.SeedSequence(int(seed)).pool[:, None]
     try:
         paths = np.asarray(path_indices, dtype=np.uint64)
     except OverflowError:
@@ -333,8 +296,15 @@ def _stream_states(seed, path_indices, component):
         rows = np.flatnonzero((high != 0) == wide)
         if len(rows) == 0:
             continue
-        own = [low[rows], high[rows]] if wide else [low[rows]]
-        states[rows] = _pool_states(seeded, own, tail)
+        words = ([low[rows], high[rows]] if wide else [low[rows]]) + tail
+        pool = start
+        for i, word in enumerate(words):
+            mixed = _hashmix(word, *_hash_constants(_INIT_A, _MULT_A, first + 4 * i, 4))
+            pool = _MIX_L * pool - _MIX_R * mixed
+            pool ^= pool >> 16
+        halves = _hashmix(np.tile(pool, (2, 1)), *_hash_constants(_INIT_B, _MULT_B, 0, 8))
+        halves = halves.astype(np.uint64)
+        states[rows] = (halves[0::2] | (halves[1::2] << np.uint64(32))).T
     return states
 
 
@@ -504,6 +474,7 @@ def _partial_sum_scale(spec, n_inner):
 
 def _check_grid(horizon, steps, paths):
     _require(horizon > 0, f"horizon must be positive, got {horizon}")
+    _require(math.isfinite(horizon), f"horizon must be finite, got {horizon}")
     _require(isinstance(steps, int) and steps >= 1, f"steps must be an integer >= 1, got {steps}")
     _require(isinstance(paths, int) and paths >= 1, f"paths must be an integer >= 1, got {paths}")
 

@@ -233,7 +233,11 @@ def test_csv_malformed_field_is_located(tmp_path):
              "line 3: could not convert string to float: 'not-a-number'"),
             # Blank lines are skipped but still counted.
             ("t,p0\n0.0,0.0\n\n0.5,0.1,0.2\n", "line 4: expected 2 columns, found 3"),
-            ("", "line 1: empty file")]:
+            ("", "line 1: empty file"),
+            # Non-finite cells are refused as they are parsed, before the grid check.
+            ("t,p0\n0.0,0.0\n0.5,nan\n1.0,0.2\n", "line 3: p0 is not finite: 'nan'"),
+            ("t,p0\n0.0,0.0\n0.5,1e400\n1.0,0.2\n", "line 3: p0 is not finite: '1e400'"),
+            ("t,p0\n0,0.0\ninf,0.1\n", "line 3: t is not finite: 'inf'")]:
         bad.write_text(text)
         with pytest.raises(PathFormatError, match=re.escape(message)):
             read_path_csv(str(bad))
@@ -329,6 +333,18 @@ def test_stats_needs_hurst_metadata(tmp_path):
     path = gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=1)
     write_path_csv(path, str(bare))  # no sidecar written
     assert main(["stats", "--in", str(bare), "--check", "lrd"]) == 2
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("[1]", "must hold a JSON object, got list"),
+    ('{"hurst": 0.7,', "not valid JSON"),
+])
+def test_stats_malformed_sidecar_exits_two(tmp_path, capsys, sidecar, message):
+    target = tmp_path / "p.csv"
+    write_path_csv(gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=1), str(target))
+    (tmp_path / "p.csv.json").write_text(sidecar)
+    assert main(["stats", "--in", str(target), "--check", "lrd"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {target}.json: {message}")
 
 
 def test_stats_missing_file(tmp_path):

@@ -125,8 +125,11 @@ def _seed_sequence_state(seed, path, component):
     return ss.generate_state(4, np.uint64)
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
-@pytest.mark.parametrize("component", [0, 1, 2**32 - 1])
+# Seeds of 4 and 5 words straddle the first seed word mixed in after the
+# pool is full, and so the hash constant every path starts from.
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128,
+                                  2**130 + 7])
+@pytest.mark.parametrize("component", [0, 1, 2**32 - 1, 2**32, 2**64 + 1])
 def test_stream_states_match_seed_sequence(seed, component):
     states = _stream_states(seed, _EDGE_INDICES, component)
     expected = [_seed_sequence_state(seed, p, component) for p in _EDGE_INDICES]
@@ -484,6 +487,16 @@ def test_analytic_close_to_empirical_rank2():
 
 # ---------------------------------------------------------------------------
 # fractional Ornstein-Uhlenbeck
+
+@pytest.mark.parametrize("lam, sigma, message", [
+    (math.inf, 1.0, "lam must be finite, got inf"),
+    (1.0, math.inf, "sigma must be finite, got inf"),
+])
+def test_hou_spec_names_a_non_finite_parameter(lam, sigma, message):
+    with pytest.raises(ValueError) as err:
+        HouSpec(lam, sigma)
+    assert str(err.value) == message
+
 
 def test_hou_zero_sigma_is_flat():
     path = gen_hou(HouSpec(1.0, 0.0), HermiteSpec(0.75), 4.0, 64, seed=2)

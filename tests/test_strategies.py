@@ -505,6 +505,7 @@ def test_demo_extremes_keep_nan_across_blocks(monkeypatch, tax):
     ({"steps": 0}, "steps must be an integer >= 1, got 0"),
     ({"steps": 8.0}, "steps must be an integer >= 1, got 8.0"),
     ({"horizon": 0.0}, "horizon must be positive, got 0.0"),
+    ({"horizon": math.inf}, "horizon must be finite, got inf"),
 ])
 def test_demos_check_the_grid_before_any_block(demo, grid, message):
     args = dict({"paths": 10, "steps": 8, "horizon": 1.0}, **grid)
