@@ -25,7 +25,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .markets import MixedMarket, TwoAssetDiffusion
-from .pathio import read_path_csv, write_path_csv, write_sidecar, write_surface_csv
+from .pathio import PathFormatError, read_path_csv, write_path_csv, write_sidecar, \
+    write_surface_csv
 from .pde import _DEFAULT_NODES, _DEFAULT_TIME_STEPS, IllPosedProblemError, TerminalClaim, \
     _effective_variance, _solve_bytes, grid_for_spot, solve_tax_bsm
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
@@ -188,11 +189,14 @@ def _cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # stats
 
-def _sidecar_hurst(path):
+def _sidecar_hurst(path, filename):
     hurst = path.meta.get("hurst")
     if hurst is None:
         raise ValueError("no hurst in the sidecar; cannot run this check")
-    return float(hurst)
+    try:
+        return float(hurst)
+    except (TypeError, ValueError):
+        raise PathFormatError(f"{filename}.json: hurst must be a number, got {hurst!r}") from None
 
 
 def _check_cov(path, hurst):
@@ -285,7 +289,7 @@ _CHECKS = {
 
 def _cmd_stats(args):
     path = read_path_csv(args.infile)
-    hurst = _sidecar_hurst(path)
+    hurst = _sidecar_hurst(path, args.infile)
     report = {"check": args.check, "file": args.infile}
     try:
         report.update(_CHECKS[args.check](path, hurst))

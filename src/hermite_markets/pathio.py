@@ -81,7 +81,8 @@ def read_path_csv(filename):
     The header must start with ``t``, every row must parse as floats of
     consistent width, every value must be finite, and the time column must
     be a uniform grid starting at zero.  Violations raise PathFormatError
-    naming the offending line.  The file is read a line at a time and each
+    naming the offending line, or the sidecar when its ``seed`` is not an
+    integer.  The file is read a line at a time and each
     row parsed into one float array, so the text is never held whole.
     """
     with open(filename) as fh:
@@ -124,8 +125,13 @@ def read_path_csv(filename):
     if bad.any():
         raise PathFormatError(f"line {int(np.argmax(bad)) + 2}: time grid not uniform")
     meta = read_sidecar(filename) or {}
+    try:
+        seed = int(meta.get("seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise PathFormatError(
+            f"{filename}.json: seed must be an integer, got {meta['seed']!r}") from None
     return SamplePath(horizon=float(times[-1]), steps=len(times) - 1,
-                      values=values, seed=int(meta.get("seed", 0)), meta=meta)
+                      values=values, seed=seed, meta=meta)
 
 
 def write_surface_csv(surface, filename):

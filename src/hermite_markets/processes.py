@@ -195,6 +195,7 @@ class SamplePath:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         _require(self.horizon > 0, f"horizon must be positive, got {self.horizon}")
+        _require(math.isfinite(self.horizon), f"horizon must be finite, got {self.horizon}")
         _require(self.steps >= 1, f"steps must be >= 1, got {self.steps}")
         _require(self.values.ndim == 2, "values must be a 2-D array (series, steps + 1)")
         _require(self.values.shape[1] == self.steps + 1,

@@ -6,7 +6,8 @@ Euler-type identity sum_j dP/dx_j x_j = P; a quadratic transaction tax with
 per-asset intensities c_j adds the curvature term
 sum_j c_j^2/2 d2P/dx_j^2 x_j^2.  The running tax charged along a price
 path is the left-point integral of those curvature terms against the
-assets, which is what the Monte Carlo demos accumulate.
+assets; the taxed Monte Carlo demos charge its terminal value from each
+field's tax density x_j d2P/dx_j^2 in closed form.
 """
 
 import math
@@ -43,8 +44,7 @@ __all__ = [
 
 _FD_SCALE = 1e-5
 # Prices per block of paths, in the demos and in running_cost: a few such
-# arrays fit in L2, and a demo's block is charged in one pass of
-# running_cost's loop.
+# arrays fit in L2.
 _BLOCK_ENTRIES = 1 << 15
 _Z95 = 1.959963984540054
 
@@ -441,9 +441,10 @@ def _path_blocks(paths, steps):
 def _demo_bytes(paths, steps):
     """Bytes a demo holds at once: 8 a path, and 20 arrays the size of one block.
 
-    The mixed demo, the largest of the four, peaks at a little over 18 such
-    arrays (tracemalloc) when a block is one path, and at about 11 blocks
-    of ``_BLOCK_ENTRIES`` prices at 512 steps; the others at 7 to 11.
+    The mixed demo, the largest of the four, peaks at a little over 19 such
+    arrays (tracemalloc) when a block is one path, and at about 14 blocks
+    of ``_BLOCK_ENTRIES`` prices at 512 steps; the others at 5 to 10.  Of
+    those, three are the taxed tally's work arrays.
     """
     return 8 * paths + 20 * 8 * max(_BLOCK_ENTRIES, steps + 1)
 
@@ -548,14 +549,15 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     intensities = _intensities(tax, 2)
     _check_grid(horizon, steps, paths)
     portfolio = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    tally = _ArbTally(portfolio, intensities)
+    tally = _ArbTally(_sqrt_spread_densities, intensities)
     terminal = []
     for start, count in _path_blocks(paths, steps):
         w = gen_bm(horizon, steps, count, seed=seed, path_offset=start)
         s_vals, v_vals = market.price_paths(w)
-        g_values = (np.sqrt(s_vals) - np.sqrt(v_vals)) ** 2
-        terminal.append(g_values[:, -1].min())
-        tally.add(g_values, (s_vals, v_vals))
+        # the tally reads the field's first and last values only
+        ends = (np.sqrt(s_vals[:, ::steps]) - np.sqrt(v_vals[:, ::steps])) ** 2
+        terminal.append(ends[:, -1].min())
+        tally.add(ends, (s_vals, v_vals))
     rng = np.random.default_rng(seed)
     spots = 0.5 + 1.5 * rng.random((20, 2))
     x, y = spots[:, 0], spots[:, 1]
@@ -586,7 +588,7 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     w_seed, h_seed = derive_seeds(seed, 2)
     _check_grid(horizon, steps, paths)
     portfolio = mixed_arbitrage_portfolio(market.r)
-    tally = _ArbTally(portfolio, intensities)
+    tally = _ArbTally(_mixed_densities(market.r), intensities)
     lowest = []
     for start, count in _path_blocks(paths, steps):
         assets = price_mixed_market(
@@ -610,32 +612,87 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
                         seed, stats, invariant)
 
 
+# The tax density D_j = x_j d2P/dx_j^2 of each taxed demo's field, in
+# closed form.  Each generator yields the assets' densities in turn at the
+# left points of a block, written into the tally's work arrays, so one
+# density is valid until the next is drawn.
+
+def _sqrt_spread_densities(left, t, work):
+    """1/2 sqrt(v/s) and 1/2 sqrt(s/v), for (sqrt(s) - sqrt(v))^2."""
+    s, v = left
+    density = work[0]
+    for num, den in ((v, s), (s, v)):
+        np.divide(num, den, out=density)
+        np.sqrt(density, out=density)
+        density *= 0.5
+        yield density
+
+
+def _mixed_densities(r):
+    """1/2 - u/(2 sqrt(x_j)), u = sqrt(x) + sqrt(y) - 2 exp(rt/2) once for both legs."""
+
+    def densities(left, t, work):
+        u, density = work
+        np.sqrt(left[0], out=u)
+        u += np.sqrt(left[1], out=density)
+        u -= 2.0 * np.exp(0.5 * r * t)
+        for x in left:
+            np.sqrt(x, out=density)
+            np.divide(u, density, out=density)
+            density *= -0.5
+            density += 0.5
+            yield density
+
+    return densities
+
+
 class _ArbTally:
     """An arbitrage field's report, gathered over blocks of paths in order.
 
     Untaxed, the Wilson interval covers the share of paths whose value
-    ends positive; under a positive tax the running cost is charged on
-    each block's assets and the interval covers the share whose net value
-    ends negative.  Passing needs the demo's invariant, a field that starts
-    at exactly zero (``initial_value_max_abs``) and, taxed, that interval
-    clear of 0.  Only counts, block maxima and terminal costs are kept from
-    a block.
+    ends positive; under a positive tax each block is charged its terminal
+    tax and the interval covers the share whose net value ends negative.
+    Passing needs the demo's invariant, a field that starts at exactly zero
+    (``initial_value_max_abs``) and, taxed, that interval clear of 0.  Only
+    counts, block maxima and terminal costs are kept from a block.
     """
 
-    def __init__(self, portfolio, intensities):
-        self.portfolio = portfolio
-        self.intensities = intensities
+    def __init__(self, densities, intensities):
+        self.densities = densities
+        self.scales = 0.5 * intensities ** 2
         self.taxed = bool(intensities.any())
         self.paths = self.hits = 0
         self.initial, self.cost_ends = [], []
+        self.work = None
+
+    def terminal_cost(self, assets, times=None):
+        """sum_j c_j^2/2 sum_k D_j(x_k) (x_{k+1} - x_k) on each path of a block.
+
+        This is running_cost's last column.  The three work arrays are
+        allocated for the first block, the longest, and refilled by every
+        later one (a shorter block uses their leading rows): arrays freed
+        after each block would go back to the kernel and be faulted in again.
+        """
+        left = [row[:, :-1] for row in assets]
+        rows = len(left[0])
+        if self.work is None:
+            self.work = np.empty((3,) + left[0].shape)
+        *scratch, increments = self.work[:, :rows]
+        t = None if times is None else times[:-1]
+        cost = np.zeros(rows)
+        for row, x, scale, density in zip(assets, left, self.scales,
+                                          self.densities(left, t, scratch)):
+            if scale:
+                np.subtract(row[:, 1:], x, out=increments)
+                increments *= density
+                cost += scale * increments.sum(axis=1)
+        return cost
 
     def add(self, values, assets, times=None):
         self.paths += values.shape[0]
         self.initial.append(np.abs(values[:, 0]).max())
         if self.taxed:
-            cost = running_cost(self.portfolio, assets, self.intensities, times=times)
-            # a copy: a view of the column would keep the whole block alive
-            cost_end = cost[:, -1].copy()
+            cost_end = self.terminal_cost(assets, times)
             self.hits += int((values[:, -1] - cost_end < 0).sum())
             self.cost_ends.append(cost_end)
         else:

@@ -101,15 +101,22 @@ def print_peak():
 """
 
 
-def subprocess_peaks_mib(script, *args):
-    """Peak resident memory, in MiB, at each ``print_peak()`` call of ``script``.
+def subprocess_numbers(script, *args):
+    """The integers ``script`` prints, run with ``args`` in a fresh interpreter.
 
-    The script runs with ``args`` in a fresh interpreter that imports this
-    package's sources; VmHWM is the peak of the whole process, so each
-    measurement needs its own process.
+    The interpreter imports this package's sources.
     """
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(hermite_markets.__file__)))
-    out = subprocess.run([sys.executable, "-c", _PEAK_PRELUDE + script, *args], env=env,
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
                          check=True, capture_output=True, text=True).stdout.split()
-    return [int(kib) / 1024 for kib in out]
+    return [int(word) for word in out]
+
+
+def subprocess_peaks_mib(script, *args):
+    """Peak resident memory, in MiB, at each ``print_peak()`` call of ``script``.
+
+    VmHWM is the peak of the whole process, so each measurement needs its
+    own process.
+    """
+    return [kib / 1024 for kib in subprocess_numbers(_PEAK_PRELUDE + script, *args)]

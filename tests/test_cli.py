@@ -338,6 +338,8 @@ def test_stats_needs_hurst_metadata(tmp_path):
 @pytest.mark.parametrize("sidecar, message", [
     ("[1]", "must hold a JSON object, got list"),
     ('{"hurst": 0.7,', "not valid JSON"),
+    ('{"hurst": 0.7, "seed": [1]}', "seed must be an integer, got [1]"),
+    ('{"hurst": "abc"}', "hurst must be a number, got 'abc'"),
 ])
 def test_stats_malformed_sidecar_exits_two(tmp_path, capsys, sidecar, message):
     target = tmp_path / "p.csv"
@@ -415,9 +417,9 @@ _GOLDEN_ARB_STDOUT = [
     ("mixed", "0", "300", 0,
      "44f2701c939644fbcdc62971fdd7a2b0d7f34956c301406a26592c72c2f0303f"),
     ("mixed", "0.3", "300", 0,
-     "1e04c11bf9220da1c940ed04afa8fb5a2df6a35f28b765d39a999a443bbfb6f0"),
+     "869f9786b6422ed10d85a10a25cc287f0b1efbd5f8e885c68d546b5d726522d9"),
     ("mixed", "0.02", "40", 1,
-     "64bf45efd153fbf5254fe5ab9344d9ee05f602845285693c416c7e30b6ea4db0"),
+     "2f9bf7918e2bfb103fc63e7aecb41a3750736df2c7eab7180f66d0e4f2a66379"),
 ]
 
 

@@ -16,6 +16,7 @@ from hermite_markets import (
     HermiteSpec,
     HouSpec,
     MixedHermiteSpec,
+    SamplePath,
     estimate_hurst,
     gen_bm,
     gen_fbm,
@@ -245,6 +246,16 @@ def test_grid_validation():
         gen_bm(0.0, 32)
     with pytest.raises(ValueError):
         gen_bm(1.0, 0)
+
+
+@pytest.mark.parametrize("horizon, message", [
+    (math.inf, "horizon must be finite, got inf"),
+    (math.nan, "horizon must be positive, got nan"),
+])
+def test_sample_path_names_a_non_finite_horizon(horizon, message):
+    with pytest.raises(ValueError) as err:
+        SamplePath(horizon, 2, [[0.0, 1.0, 2.0]])
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

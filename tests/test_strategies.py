@@ -45,7 +45,7 @@ from hermite_markets import (
 )
 from hermite_markets import strategies
 from hermite_markets.markets import _intensities
-from _oracles import subprocess_peaks_mib
+from _oracles import subprocess_numbers, subprocess_peaks_mib
 
 RNG = np.random.default_rng(515)
 
@@ -370,6 +370,75 @@ def test_running_cost_validation():
         running_cost(timed, np.ones((2, 9)), [0.2, 0.2])
 
 
+# The taxed demos charge each block's terminal tax from the field's tax
+# density D_j = x_j d2P/dx_j^2 in closed form; the generic second partials
+# and running_cost are the oracles.
+
+def _one_point(*prices):
+    return [np.array([[x]]) for x in prices]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_sqrt_spread_densities_match_second_partials(s, v):
+    left = _one_point(s, v)
+    field = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    work = [np.empty((1, 1)), np.empty((1, 1))]
+    densities = strategies._sqrt_spread_densities(left, None, work)
+    for j, density in enumerate(densities):
+        expected = (left[j] * field.second(j, j, left))[0, 0]
+        assert density[0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 5.0),
+       st.floats(-0.2, 0.2))
+def test_mixed_densities_match_second_partials(x, y, t, r):
+    # D_j = 1/2 - u/(2 sqrt(x_j)) cancels where u is near sqrt(x_j), so the
+    # error is relative to the size of its two terms.
+    left, times = _one_point(x, y), np.array([t])
+    field = mixed_arbitrage_portfolio(r)
+    u = math.sqrt(x) + math.sqrt(y) - 2.0 * math.exp(0.5 * r * t)
+    work = [np.empty((1, 1)), np.empty((1, 1))]
+    densities = strategies._mixed_densities(r)(left, times, work)
+    for j, density in enumerate(densities):
+        expected = (left[j] * field.second(j, j, left, times))[0, 0]
+        size = 0.5 + abs(u) / (2.0 * math.sqrt(left[j][0, 0]))
+        assert abs(density[0, 0] - expected) <= 1e-12 * size
+
+
+# Path blocks as the demos feed the tally: one path, a short last block,
+# and several blocks (the work arrays are sized by the first).
+@pytest.mark.parametrize("blocks", [[1], [5, 2], [3, 3, 3, 1]])
+@pytest.mark.parametrize("tax", [[0.3, 0.2], [0.0, 0.4]])
+@pytest.mark.parametrize("demo", ["diffusion", "mixed"])
+def test_tally_charges_the_running_costs_last_column(demo, tax, blocks):
+    # A path's cost can cancel towards 0, so the error is relative to the
+    # sum of its absolute tax increments.
+    steps = 64
+    rng = np.random.default_rng(len(blocks))
+    prices = np.ones((2, sum(blocks), steps + 1))
+    prices[:, :, 1:] = np.exp(np.cumsum(0.05 * rng.standard_normal((2, sum(blocks), steps)),
+                                        axis=-1))
+    times = np.linspace(0.0, 1.0, steps + 1)
+    if demo == "diffusion":
+        field = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        tally, t = strategies._ArbTally(strategies._sqrt_spread_densities, np.array(tax)), None
+    else:
+        field = mixed_arbitrage_portfolio(0.01)
+        tally, t = strategies._ArbTally(strategies._mixed_densities(0.01), np.array(tax)), times
+    charged, start = [], 0
+    for count in blocks:
+        charged.append(tally.terminal_cost([row[start:start + count] for row in prices], t))
+        start += count
+    expected = running_cost(field, prices, tax, times=t)[:, -1]
+    left, t_left = list(prices[:, :, :-1]), None if t is None else t[:-1]
+    size = sum(0.5 * c ** 2 * np.abs(left[j] * field.second(j, j, left, t_left)
+                                      * np.diff(prices[j], axis=-1)).sum(axis=-1)
+               for j, c in enumerate(tax))
+    assert np.all(np.abs(np.concatenate(charged) - expected) <= 1e-12 * size)
+
+
 # ---------------------------------------------------------------------------
 # binomial interval
 
@@ -550,6 +619,32 @@ def test_taxed_mixed_demo_memory_stays_flat_as_paths_grow():
         assert bench - imported < 8.0, (demo, imported, bench)
 
 
+_FAULTS_SCRIPT = """
+import resource, sys
+from hermite_markets import MixedMarket, TwoAssetDiffusion, diffusion_arb_demo, mixed_arb_demo
+market = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2, sigma_h=0.3, hurst=0.75)
+pair = TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2)
+demos = {"diffusion": lambda paths: diffusion_arb_demo(pair, paths, 512, 1.0, 7, 0.3),
+         "mixed": lambda paths: mixed_arb_demo(market, paths, 512, 1.0, 7, 0.3)}
+for paths in (2000, 20000):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    demos[sys.argv[1]](paths)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.parametrize("demo", ["diffusion", "mixed"])
+def test_taxed_demo_page_faults_do_not_grow_with_paths(demo):
+    # Blocks that allocate and free their arrays anew can have the
+    # allocator hand them back to the kernel and fault them in again:
+    # 18,000 more paths are 286 more blocks of 63, and one 258 KB array
+    # faulted in again a block is over 18,000 faults.  Reused work arrays
+    # fault once, in the first run.
+    pytest.importorskip("resource")
+    small, large = subprocess_numbers(_FAULTS_SCRIPT, demo)
+    assert large < small + 2000, (small, large)
+
+
 @pytest.mark.parametrize("paths, steps", [(300, 512), (3, 2**17)])
 @pytest.mark.parametrize("demo", ["diffusion", "mixed", "shiryaev", "fsquare"])
 def test_demo_bytes_bounds_the_traced_peak(demo, paths, steps):
@@ -640,17 +735,17 @@ _GOLDEN_DEMOS = [
     ("diffusion", None, 300, 9, None, True,
      "81211e402553bdae10b7e3391bb15403484ed3c084a99df4ef3d78b6c524b08e"),
     ("diffusion", 0.3, 300, 9, None, True,
-     "9937c6726db6d2c5b4225ec1469568e82164f24f60b35b68ab93903b55232e4b"),
+     "0fad43b6c2ac07a4930cb1cbbd0148e4899fff553f0c86d13784e7feb326fde3"),
     ("diffusion", 0.02, 40, 9, None, False,
-     "4af2f4a7c76470f8a8b684155aad67daad73e48877686d8a896d4a1b1def3690"),
+     "f4ad65ddfbeadaf3f95246a3ae5f009021b3229dc859866df8814b6ffbc66364"),
     ("mixed", None, 300, 12, None, True,
      "8d8e54565fac7b6b6d546d9e2df380586556031b83a7b228fdcb43ce529026e3"),
     ("mixed", 0.3, 300, 12, None, True,
-     "2c56ffa612b700f6a2569a023be3d3b20ac43d574d79104af95f18a01fc30497"),
+     "353ea3f262e941caff29ec26213a76ec1317b84668e8094f2c25a3adfda1b50e"),
     ("mixed", 0.02, 40, 12, None, False,
-     "7a2457b7d16e3933aa9a20ee15c07ecfcab095a8b4a1129f0e752b311e34fd55"),
+     "a1a8cc0ee22d5bb7669ac8ab7cdd96302bfe761daf30f4dc674fa495098a5a38"),
     ("mixed", 0.3, 100, 4, 2, True,
-     "92a7df5e784b01f0f79fce358701060db4a565f99dc676141958811078a5c726"),
+     "da8f60bf3222ce037b6156f26982c72343f432477270a7de7e43ff35861f30b8"),
     ("shiryaev", None, 300, 8, None, True,
      "76aa7272b0a1551f90544e8c4337491758dbd74a2506b8040210502c73d4b2ed"),
     ("fsquare", 0.0, 300, 5, None, True,
