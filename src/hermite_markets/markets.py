@@ -54,6 +54,14 @@ def _as_float_array(x, name):
     return arr
 
 
+def _require_finite(obj, names):
+    """ValueError naming the first of the fields ``names`` of ``obj`` that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _intensities(tax, n_assets):
     """Per-asset tax intensities c_j as a new array: the one reading of a tax.
 
@@ -90,6 +98,8 @@ class PureHermiteMarket:
         self.sigma = _as_float_array(self.sigma, "sigma")
         if len(self.mu) != len(self.sigma):
             raise ValueError("mu and sigma must have the same length")
+        if not len(self.mu):
+            raise ValueError("a market needs at least one asset")
         if self.s0 is None:
             self.s0 = np.ones_like(self.mu)
         self.s0 = _as_float_array(self.s0, "s0")
@@ -144,6 +154,7 @@ class TwoAssetDiffusion:
                 raise ValueError("shared_vol variant needs distinct drifts")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
+        _require_finite(self, ("mu1", "sigma1", "mu2", "sigma2"))
 
     @classmethod
     def ordered(cls, mu1, sigma1, mu2, sigma2):
@@ -188,6 +199,7 @@ class MixedMarket:
             raise ValueError(f"hurst must lie in (1/2, 1), got {self.hurst}")
         if self.s0 <= 0:
             raise ValueError("initial stock price must be positive")
+        _require_finite(self, ("r", "b", "rho", "mu", "sigma", "sigma_h", "s0"))
 
 
 @dataclass
@@ -360,10 +372,14 @@ def synth_riskless_taxed(sigma, mu, tax):
     Solves sum(sigma phi) = 0 together with
     sum(phi) - 1 + sum(c_j^2 phi_j (phi_j - 1))/2 = 0 in closed form as
     phi = psi d, where d is the untaxed exponents of ``synth_riskless``, so
-    permuting the assets permutes the exponents.  Equal exposures have
-    none; there d = e_0 - e_k, with k the first asset after 0 such that
-    c_0 + c_k > 0.  Either d carries no exposure, and along it the balance
-    is a quadratic in psi whose positive root ``_taxed_root`` returns.
+    permuting the assets permutes the exponents.  Equal (or collinear)
+    exposures have none; there d = +-(e_0 - e_k), with k the first asset
+    after 0 such that c_0 + c_k > 0, and the sign puts the plus on the
+    asset with the smaller intensity, or with equal intensities the smaller
+    exposure, so that swapping two assets swaps their exponents.  With
+    three or more such exposures the pair (0, k) still follows the asset
+    order.  Either d carries no exposure, and along it the balance is a
+    quadratic in psi whose positive root ``_taxed_root`` returns.
     """
     sigma = _as_float_array(sigma, "sigma")
     intensities = _intensities(tax, len(sigma))
@@ -372,9 +388,12 @@ def synth_riskless_taxed(sigma, mu, tax):
     try:
         direction = synth_riskless(sigma, mu).exponents
     except InfeasibleMarketError:
+        # Along e_0 - e_k, B = (c_k^2 - c_0^2)/2: the sign that makes B >= 0
+        # takes the smaller root, and equal intensities go by the exposures.
+        k = 1 + int(np.argmax(intensities[0] + intensities[1:] > 0))
+        sign = 1.0 if (intensities[k], sigma[k]) >= (intensities[0], sigma[0]) else -1.0
         direction = np.zeros(len(sigma))
-        direction[0] = 1.0
-        direction[1 + int(np.argmax(intensities[0] + intensities[1:] > 0))] = -1.0
+        direction[0], direction[k] = sign, -sign
     phi = _taxed_root(direction, intensities) * direction
 
     # Each equation is checked against the size of its own terms, which
@@ -416,8 +435,11 @@ def bsm_synthetic_rate(mu1, sigma1, mu2, sigma2):
 # ---------------------------------------------------------------------------
 # configuration files
 
-def _parse_floats(text):
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+def _number(path, key, text):
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}: {key} must be a number, got {text!r}") from None
 
 
 def load_market(path):
@@ -442,25 +464,26 @@ def load_market(path):
     kind = entries.pop("type", None)
     if kind is None:
         raise ValueError(f"{path}: missing required key 'type'")
+
+    def numbers(key):
+        parts = (part.strip() for part in entries[key].split(","))
+        return [_number(path, key, part) for part in parts if part]
+
     try:
         if kind == "pure_hermite":
-            s0 = _parse_floats(entries["s0"]) if "s0" in entries else None
-            return PureHermiteMarket(mu=_parse_floats(entries["mu"]),
-                                     sigma=_parse_floats(entries["sigma"]), s0=s0)
+            s0 = numbers("s0") if "s0" in entries else None
+            return PureHermiteMarket(mu=numbers("mu"), sigma=numbers("sigma"), s0=s0)
         if kind == "two_asset":
-            mu = _parse_floats(entries["mu"])
-            sigma = _parse_floats(entries["sigma"])
+            mu = numbers("mu")
+            sigma = numbers("sigma")
             if len(mu) != 2 or len(sigma) != 2:
                 raise ValueError("two_asset markets need exactly two mu and sigma entries")
             variant = entries.get("variant", "ordered")
             return TwoAssetDiffusion(mu[0], sigma[0], mu[1], sigma[1], variant)
         if kind == "mixed":
-            return MixedMarket(r=float(entries["r"]), b=float(entries["b"]),
-                               rho=float(entries["rho"]), mu=float(entries["mu"]),
-                               sigma=float(entries["sigma"]),
-                               sigma_h=float(entries["sigma_h"]),
-                               hurst=float(entries["hurst"]),
-                               s0=float(entries.get("s0", 1.0)))
+            keys = ("r", "b", "rho", "mu", "sigma", "sigma_h", "hurst")
+            return MixedMarket(**{key: _number(path, key, entries[key]) for key in keys},
+                               s0=_number(path, "s0", entries.get("s0", 1.0)))
     except KeyError as missing:
         raise ValueError(f"{path}: missing key {missing} for market type {kind!r}") from None
     raise ValueError(f"{path}: unknown market type {kind!r}")

@@ -24,15 +24,15 @@ across workers, and reassembled by index with bit-identical results.
 
 Memory
 ------
-The inner FGN lattice is drawn and transformed in batches of paths, each
-at most ``_CHUNK_ENTRIES`` = 2**18 normals (rows x 2 count), or one path
-when a single path needs more.  A generator call allocates one batch's
-work arrays once, 32 bytes per row and lattice point (the normals, which
-the inverse transform overwrites, and the complex half spectrum), and
-every batch refills them; ranks of 2 and more add the Hermite terms, 8
-to 40 bytes.  So a call holds its output plus one batch: a rank-2
-lattice of 32,768 points takes 4 rows a batch, about 5 MiB in all.  How
-the paths fall into batches changes no bit of the output.
+The inner FGN lattice is drawn and transformed in batches of paths cut
+by ``_row_blocks`` (which cuts the strategies' blocks too): each at most
+``_CHUNK_ENTRIES`` = 2**18 normals (rows x 2 count), or one path when a
+single path needs more.  A generator call allocates one batch's work
+arrays once, 32 bytes per row and lattice point (the normals, which the
+inverse transform overwrites, and the complex half spectrum), and every
+batch refills them; ranks of 2 and more add the Hermite terms, 8 to 40
+bytes.  So a call holds its output plus one batch: a rank-2 lattice of
+32,768 points takes 4 rows a batch, about 5 MiB.  Batching changes no bit.
 """
 
 import math
@@ -175,6 +175,8 @@ class HouSpec:
             object.__setattr__(self, "history_truncation", 20.0 / self.lam)
         _require(self.history_truncation > 0,
                  f"history_truncation must be positive, got {self.history_truncation}")
+        _require(math.isfinite(self.history_truncation),
+                 f"history_truncation must be finite, got {self.history_truncation}")
 
 
 @dataclass
@@ -366,15 +368,16 @@ def _half_spectrum_scale(hurst, count):
     return scale
 
 
-def _chunk_rows(count):
-    """Paths per FFT batch for a lattice of ``count`` points."""
-    return max(1, _CHUNK_ENTRIES // max(2 * count, 1))
+def _block_rows(row_entries, budget):
+    """Rows of ``row_entries`` entries that fit in ``budget`` entries; at least one."""
+    return max(1, budget // max(row_entries, 1))
 
 
-def _chunk_slices(paths, count):
-    size = _chunk_rows(count)
-    for start in range(0, paths, size):
-        yield start, min(start + size, paths)
+def _row_blocks(rows, row_entries, budget):
+    """(start, stop) of each block of rows, in order, as ``_block_rows`` sizes them."""
+    size = _block_rows(row_entries, budget)
+    for start in range(0, rows, size):
+        yield start, min(start + size, rows)
 
 
 def _fgn_draws(count, seed, path_indices, component):
@@ -538,10 +541,10 @@ def _hermite_values(spec, horizon, steps, paths, seed, component, path_offset=0)
     # over the normals.  Arrays freed after each batch would go back to the
     # kernel and be faulted in again by the next.
     _half_spectrum_scale(spec.inner_hurst, n_inner)
-    rows = min(paths, _chunk_rows(n_inner))
+    rows = min(paths, _block_rows(2 * n_inner, _CHUNK_ENTRIES))
     draws = np.empty((rows, 2 * n_inner))
     half = np.empty((rows, n_inner + 1), dtype=np.complex128)
-    for start, stop in _chunk_slices(paths, n_inner):
+    for start, stop in _row_blocks(paths, 2 * n_inner, _CHUNK_ENTRIES):
         n = stop - start
         _fill_normals(draws[:n], seed, range(path_offset + start, path_offset + stop), component)
         fgn = _fgn_transform(spec.inner_hurst, draws[:n], half[:n], out=draws[:n])
@@ -604,7 +607,7 @@ def _hou_working_bytes(hermite, total, paths):
     up to five arrays of Hermite terms from He_rank's recurrence, 40 more.
     """
     n_inner = total * _lattice_factor(hermite)
-    rows = min(paths, _chunk_rows(n_inner))
+    rows = min(paths, _block_rows(2 * n_inner, _CHUNK_ENTRIES))
     per_row = 32 if hermite.rank == 1 else 72
     return 8 * 3 * paths * (total + 1) + (56 + per_row * rows) * n_inner
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .calculus import GridFunction
 from .markets import _intensities, price_mixed_market
-from .processes import SamplePath, gen_bm, gen_fbm, gen_hermite, derive_seeds, HermiteSpec, _check_grid
+from .processes import (SamplePath, gen_bm, gen_fbm, gen_hermite, derive_seeds, HermiteSpec,
+                        _check_grid, _row_blocks)
 
 __all__ = [
     "PortfolioFunction",
@@ -43,8 +44,8 @@ __all__ = [
 ]
 
 _FD_SCALE = 1e-5
-# Prices per block of paths, in the demos and in running_cost: a few such
-# arrays fit in L2.
+# Prices per block of paths that processes._row_blocks cuts for the demos
+# and running_cost: a few such arrays fit in L2.
 _BLOCK_ENTRIES = 1 << 15
 _Z95 = 1.959963984540054
 
@@ -328,57 +329,45 @@ def power_pair_frictionless(a):
 def running_cost(P, prices, tax, times=None):
     """Cumulative tax sum_j c_j^2/2 int d2P/dx_j^2 S_j dS_j, left-point.
 
-    ``prices`` may be a SamplePath whose rows are assets, an (assets,
-    n + 1) array, or an (assets, paths, n + 1) array for ensembles; a list
-    or tuple of the per-asset rows is taken as the array it would stack
-    to, without the copy.  The first two return a GridFunction; the
-    ensemble form returns an array of cumulative costs per path.
+    ``prices`` is one path of each asset, (assets, n + 1), or an ensemble,
+    (assets, paths, n + 1): a SamplePath whose rows are assets, an array,
+    or a list or tuple of the asset rows, stacked with one copy.  One path
+    is charged as an ensemble of one and returns a GridFunction; an
+    ensemble returns the cumulative costs per path.  Paths are charged in
+    blocks that keep the temporaries in cache and change no bit.
     """
     if isinstance(prices, SamplePath):
         if times is None:
             times = prices.times
         prices = prices.values
-    if not isinstance(prices, (list, tuple)):
-        prices = np.atleast_1d(np.asarray(prices, dtype=float))
-    rows = [np.asarray(row, dtype=float) for row in prices]
-    dims = {row.ndim for row in rows}
-    if dims == {1}:
-        squeeze = True
-        rows = [row[None, :] for row in rows]
-    elif dims == {2}:
-        squeeze = False
-    else:
-        raise ValueError("prices must be (assets, n+1) or (assets, paths, n+1)")
-    if len({row.shape for row in rows}) != 1:
+    if isinstance(prices, (list, tuple)) and len({np.shape(row) for row in prices}) > 1:
         raise ValueError("every asset needs prices of one shape")
-    if len(rows) != P.arity:
-        raise ValueError(f"{len(rows)} asset rows for a field of arity {P.arity}")
+    prices = np.asarray(prices, dtype=float)
+    single = prices.ndim == 2
+    if single:
+        prices = prices[:, None]
+    if prices.ndim != 3:
+        raise ValueError("prices must be (assets, n+1) or (assets, paths, n+1)")
+    if len(prices) != P.arity:
+        raise ValueError(f"{len(prices)} asset rows for a field of arity {P.arity}")
     intensities = _intensities(tax, P.arity)
-    left = [row[:, :-1] for row in rows]
     t_left = None
     if P.time_dependent:
         if times is None:
             raise ValueError("time-dependent field needs the time grid")
         t_left = np.asarray(times, dtype=float)[:-1]
-    out = np.zeros(rows[0].shape)
-    # Blocks of paths keep the curvature's temporaries in cache; every
-    # operation is elementwise or along a path, so the bits do not change.
-    block = max(1, _BLOCK_ENTRIES // out.shape[1])
-    for start in range(0, out.shape[0], block):
-        paths = slice(start, start + block)
-        increments = out[paths, 1:]
-        left_block = [side[paths] for side in left]
+    out = np.zeros(prices.shape[1:])
+    for start, stop in _row_blocks(*out.shape, _BLOCK_ENTRIES):
+        block = prices[:, start:stop]
+        left = block[:, :, :-1]
+        increments = out[start:stop, 1:]
         for j in range(P.arity):
-            if not intensities[j]:
-                continue
-            term = (0.5 * intensities[j] ** 2 * P.second(j, j, left_block, t_left)
-                    * left_block[j])
-            term *= rows[j][paths, 1:] - left_block[j]
-            increments += term
+            if intensities[j]:
+                term = 0.5 * intensities[j] ** 2 * P.second(j, j, left, t_left) * left[j]
+                term *= block[j, :, 1:] - left[j]
+                increments += term
         np.cumsum(increments, axis=-1, out=increments)
-    if squeeze:
-        return GridFunction(out[0])
-    return out
+    return GridFunction(out[0]) if single else out
 
 
 def wilson_ci(successes, trials):
@@ -431,13 +420,6 @@ class TaxReport:
         }
 
 
-def _path_blocks(paths, steps):
-    """(first path, path count) of each block of paths a demo prices at once."""
-    size = max(1, _BLOCK_ENTRIES // (steps + 1))
-    for start in range(0, paths, size):
-        yield start, min(size, paths - start)
-
-
 def _demo_bytes(paths, steps):
     """Bytes a demo holds at once: 8 a path, and 20 arrays the size of one block.
 
@@ -463,8 +445,8 @@ def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
     _check_grid(horizon, steps, paths)
     tally = _ArbTally(None, np.zeros(1))  # untaxed: no running cost is charged
     identity_err, gap_ratios = [], []
-    for start, count in _path_blocks(paths, steps):
-        s = np.exp(gen_fbm(spec, horizon, steps, count, seed, path_offset=start).values)
+    for start, stop in _row_blocks(paths, steps + 1, _BLOCK_ENTRIES):
+        s = np.exp(gen_fbm(spec, horizon, steps, stop - start, seed, path_offset=start).values)
         value = (s - 1.0) ** 2
         increments = np.diff(s, axis=1)
         terminal = value[:, -1]
@@ -506,10 +488,14 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
     if not 0.0 < t <= horizon:
         raise ValueError(f"evaluation time {t} outside (0, {horizon}]")
     index = int(round(t / horizon * steps))
-    # copies: a view of the column would keep the whole block alive
-    s_t = np.exp(np.concatenate([
-        gen_fbm(spec, horizon, steps, count, seed, path_offset=start).values[:, index].copy()
-        for start, count in _path_blocks(paths, steps)]))
+    if index == 0:
+        raise ValueError(f"evaluation time t={t} rounds to grid index 0 of steps={steps} over "
+                         f"horizon={horizon}, where every price is still 1; raise t or steps")
+    s_t = np.empty(paths)
+    for start, stop in _row_blocks(paths, steps + 1, _BLOCK_ENTRIES):
+        path = gen_fbm(spec, horizon, steps, stop - start, seed, path_offset=start)
+        s_t[start:stop] = path.values[:, index]
+    np.exp(s_t, out=s_t)
     value_t = f(s_t)
     cost_t = 0.5 * c ** 2 * (df(s_t) * s_t - value_t - df(1.0))
     wins = int((value_t - cost_t > 0).sum())
@@ -551,11 +537,11 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     portfolio = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
     tally = _ArbTally(_sqrt_spread_densities, intensities)
     terminal = []
-    for start, count in _path_blocks(paths, steps):
-        w = gen_bm(horizon, steps, count, seed=seed, path_offset=start)
+    for start, stop in _row_blocks(paths, steps + 1, _BLOCK_ENTRIES):
+        w = gen_bm(horizon, steps, stop - start, seed=seed, path_offset=start)
         s_vals, v_vals = market.price_paths(w)
         # the tally reads the field's first and last values only
-        ends = (np.sqrt(s_vals[:, ::steps]) - np.sqrt(v_vals[:, ::steps])) ** 2
+        ends = portfolio.value((s_vals[:, ::steps], v_vals[:, ::steps]))
         terminal.append(ends[:, -1].min())
         tally.add(ends, (s_vals, v_vals))
     rng = np.random.default_rng(seed)
@@ -590,10 +576,10 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     portfolio = mixed_arbitrage_portfolio(market.r)
     tally = _ArbTally(_mixed_densities(market.r), intensities)
     lowest = []
-    for start, count in _path_blocks(paths, steps):
+    for start, stop in _row_blocks(paths, steps + 1, _BLOCK_ENTRIES):
         assets = price_mixed_market(
-            market, gen_bm(horizon, steps, count, seed=w_seed, path_offset=start),
-            gen_hermite(hermite, horizon, steps, count, seed=h_seed, path_offset=start))
+            market, gen_bm(horizon, steps, stop - start, seed=w_seed, path_offset=start),
+            gen_hermite(hermite, horizon, steps, stop - start, seed=h_seed, path_offset=start))
         legs, t = (assets.tilted.values, assets.unit_exposure.values), assets.tilted.times
         values = portfolio.value(legs, t)
         lowest.append(values.min())

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, file formats, seeding."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -645,3 +646,30 @@ def test_each_subcommand_keeps_its_own_defaults(capsys):
                  _price_argv(grid="65", **{"time-steps": "8"})):
         assert main(argv) == 0
     assert capsys.readouterr().out.rstrip().endswith("(effective vol 0.2)")
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's argv
+
+def _bench_workloads():
+    """bench/workloads.py, standard library only, loaded by path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(root, "bench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_BENCH = _bench_workloads()
+
+
+@pytest.mark.parametrize("size", ["FULL", "TINY"])
+@pytest.mark.parametrize("workload", _BENCH.WORKLOADS)
+def test_bench_argv_parses(workload, size):
+    # Only parses: a flag the benchmark passes and the CLI lost fails here.
+    argvs = _BENCH.commands(workload, 7, getattr(_BENCH, size), "/nonexistent")
+    assert argvs
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        assert args.func is not None, argv

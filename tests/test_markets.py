@@ -1,8 +1,10 @@
 """Market models, riskless synthesis, and the mixed-market dynamics."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hermite_markets import (
@@ -99,6 +101,16 @@ def test_taxed_synthesis_zero_exposure_matches_its_swap():
     swapped = synth_riskless_taxed([0.0, 0.3], [0.02, 0.05], 0.3).exponents
     assert np.abs(swapped[::-1] - phi).max() <= 1e-15
     assert _taxed_residual(np.array([0.3, 0.0]), np.full(2, 0.3), phi) < 1e-12
+
+
+def test_taxed_synthesis_equal_exposures_take_the_smaller_root():
+    # Along e_0 - e_k the balance's B is (c_k^2 - c_0^2)/2; the sign of the
+    # pair that makes B >= 0 takes the smaller of the two roots, in either
+    # asset order.
+    phi = synth_riskless_taxed([0.2, 0.2], [0.05, 0.01], [1.0, 0.0]).exponents
+    assert phi.tolist() == [-1.0, 1.0]
+    swapped = synth_riskless_taxed([0.2, 0.2], [0.01, 0.05], [0.0, 1.0]).exponents
+    assert swapped.tolist() == [1.0, -1.0]
 
 
 def test_taxed_synthesis_equal_exposures_untaxed_first_pair():
@@ -212,15 +224,21 @@ _INTENSITY = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
 @settings(max_examples=300, deadline=None)
 @given(sigma=st.tuples(_EXPOSURE, _EXPOSURE),
        c=st.tuples(_INTENSITY, _INTENSITY).filter(any))
+# Exposures 1 ulp apart are collinear to the untaxed synthesis; the pair
+# direction once followed the asset order there, phi = (1, -1) against a
+# swapped (-2, 2).  The second example ties the intensities too.
+@example(sigma=(0.1, 0.10000000000000002), c=(0.0, 1.0))
+@example(sigma=(0.1, 0.10000000000000002), c=(0.5, 0.5))
 def test_taxed_synthesis_two_assets_solves_balance(sigma, c):
     sigma, c, mu = np.array(sigma), np.array(c), np.array([0.02, 0.04])
     phi = synth_riskless_taxed(sigma, mu, c).exponents
     assert _taxed_residual(sigma, c, phi) < 1e-10
-    # Equal exposures have no untaxed exponents to continue, and their two
-    # roots are each other's swap.
-    assume(sigma[0] != sigma[1])
+    # Equal exposures and equal intensities leave two roots that are each
+    # other's swap, and no order to choose between them.
+    assume(sigma[0] != sigma[1] or c[0] != c[1])
     swapped = synth_riskless_taxed(sigma[::-1], mu[::-1], c[::-1]).exponents
     assert np.abs(swapped[::-1] - phi).max() <= 1e-10 * np.abs(phi).max()
+    assume(sigma[0] != sigma[1])
     untaxed_norm = np.hypot(*sigma) / abs(sigma[0] - sigma[1])
     # To first order a tax c moves the untaxed rate by c^2 |phi|^2 |rate| / 2
     # at most: under 1e-10 at c = 1e-6 while the untaxed exponents stay
@@ -260,6 +278,9 @@ def test_bsm_synthetic_rate_value():
 # ---------------------------------------------------------------------------
 # model containers
 
+_MIXED = dict(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2, sigma_h=0.3, hurst=0.75)
+
+
 def test_two_asset_variant_validation():
     with pytest.raises(ValueError):
         TwoAssetDiffusion.ordered(0.05, 0.1, 0.03, 0.2)  # sigma1 < sigma2
@@ -267,6 +288,41 @@ def test_two_asset_variant_validation():
         TwoAssetDiffusion.shared_vol(0.05, 0.05, 0.2)  # equal drifts
     with pytest.raises(ValueError):
         TwoAssetDiffusion(0.05, 0.2, 0.03, 0.1, "weird")
+
+
+# (market, field, constructor): each of these once built a market.
+_NON_FINITE_MARKETS = [
+    ("shared_vol", "mu1", lambda: TwoAssetDiffusion.shared_vol(math.nan, 0.02, 0.2)),
+    ("shared_vol", "mu2", lambda: TwoAssetDiffusion.shared_vol(0.05, -math.inf, 0.2)),
+    ("shared_vol", "sigma1", lambda: TwoAssetDiffusion.shared_vol(0.05, 0.02, math.inf)),
+    ("ordered", "sigma1", lambda: TwoAssetDiffusion.ordered(0.05, math.inf, 0.02, 0.1)),
+] + [(f"mixed-{value}", name,
+      lambda name=name, value=value: MixedMarket(**dict(_MIXED, **{name: value})))
+     for name in ("r", "b", "rho", "mu", "sigma", "sigma_h", "s0")
+     for value in (math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("name, build", [case[1:] for case in _NON_FINITE_MARKETS],
+                         ids=[f"{market}-{name}" for market, name, _ in _NON_FINITE_MARKETS])
+def test_market_names_a_non_finite_coefficient(name, build):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got (nan|-?inf)$"):
+        build()
+
+
+def test_market_checks_keep_their_messages_before_finiteness():
+    with pytest.raises(ValueError, match="equal positive sigmas"):
+        TwoAssetDiffusion.shared_vol(0.05, 0.02, math.nan)
+    with pytest.raises(ValueError, match="sigma1 > sigma2 > 0"):
+        TwoAssetDiffusion.ordered(0.05, 0.2, 0.02, math.inf)
+    with pytest.raises(ValueError, match="hurst must lie"):
+        MixedMarket(**dict(_MIXED, hurst=math.nan))
+    with pytest.raises(ValueError, match="initial stock price"):
+        MixedMarket(**dict(_MIXED, s0=-math.inf))
+
+
+def test_pure_hermite_market_needs_an_asset():
+    with pytest.raises(ValueError, match="at least one asset"):
+        PureHermiteMarket(mu=[], sigma=[])
 
 
 def test_two_asset_price_paths():
@@ -343,8 +399,7 @@ def test_multi_asset_pricing_needs_single_path():
 # mixed market
 
 def _mixed():
-    return MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2,
-                       sigma_h=0.3, hurst=0.75)
+    return MixedMarket(**_MIXED)
 
 
 def test_singular_square_term_zero_at_origin():
@@ -455,3 +510,24 @@ def test_load_market_unknown_type(tmp_path):
     cfg.write_text("type=quantum\n")
     with pytest.raises(ValueError, match="unknown market type"):
         load_market(cfg)
+
+
+def test_load_market_blank_assets(tmp_path):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("type=pure_hermite\nmu=\nsigma=\n")
+    with pytest.raises(ValueError, match="at least one asset"):
+        load_market(cfg)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("type=mixed\nr=abc\nb=0.2\nrho=0.2\nmu=0.05\nsigma=0.2\nsigma_h=0.3\nhurst=0.75\n",
+     "r must be a number, got 'abc'"),
+    ("type=pure_hermite\nmu=0.02,0.03\nsigma=0.3,x\n", "sigma must be a number, got 'x'"),
+    ("type=two_asset\nmu=0.05, 1e\nsigma=0.3,0.1\n", "mu must be a number, got '1e'"),
+], ids=["mixed", "pure_hermite", "two_asset"])
+def test_load_market_names_a_key_that_is_not_a_number(tmp_path, lines, message):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(lines)
+    with pytest.raises(ValueError) as err:
+        load_market(cfg)
+    assert str(err.value) == f"{cfg}: {message}"

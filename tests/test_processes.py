@@ -499,13 +499,15 @@ def test_analytic_close_to_empirical_rank2():
 # ---------------------------------------------------------------------------
 # fractional Ornstein-Uhlenbeck
 
-@pytest.mark.parametrize("lam, sigma, message", [
-    (math.inf, 1.0, "lam must be finite, got inf"),
-    (1.0, math.inf, "sigma must be finite, got inf"),
+@pytest.mark.parametrize("lam, sigma, history, message", [
+    (math.inf, 1.0, None, "lam must be finite, got inf"),
+    (1.0, math.inf, None, "sigma must be finite, got inf"),
+    # an infinite history once reached gen_hou, and an OverflowError
+    (1.0, 1.0, math.inf, "history_truncation must be finite, got inf"),
 ])
-def test_hou_spec_names_a_non_finite_parameter(lam, sigma, message):
+def test_hou_spec_names_a_non_finite_parameter(lam, sigma, history, message):
     with pytest.raises(ValueError) as err:
-        HouSpec(lam, sigma)
+        HouSpec(lam, sigma, history)
     assert str(err.value) == message
 
 

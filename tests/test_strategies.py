@@ -492,6 +492,17 @@ def test_f_strategy_rejects_nonzero_start():
         f_strategy_demo(lambda x: x, lambda x: 1.0, HermiteSpec(0.7), 0.1, 10, 64, 1.0, 1)
 
 
+@pytest.mark.parametrize("t, steps", [(0.01, 16), (0.0009, 512)])
+def test_f_strategy_rejects_a_time_on_the_first_grid_point(t, steps):
+    # At grid index 0 every S is still 1, and the demo once reported
+    # probability 0, mean value 0, mean cost 0 and a pass.
+    with pytest.raises(ValueError) as err:
+        f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
+                        HermiteSpec(0.7), 0.3, 10, steps, 1.0, 1, t=t)
+    assert f"t={t}" in str(err.value) and f"steps={steps}" in str(err.value)
+    assert "horizon=1.0" in str(err.value)
+
+
 def test_f_strategy_zero_tax_always_wins():
     report = f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
                              HermiteSpec(0.7), 0.0, 300, 512, 1.0, 5)
