@@ -8,6 +8,13 @@ so a quadratic tax only enters through the effective volatility.  The
 first two time steps are taken fully implicit to damp the payoff kink
 before switching to Crank-Nicolson, and a second solve on the half grid
 turns the price into a Richardson extrapolation.
+
+A Crank-Nicolson step (I - dtau L / 2) new = (I + dtau L / 2) known, with
+L the interior operator and its boundary terms, is solved in sum form: since
+I + dtau L / 2 = 2 I - (I - dtau L / 2), the sum w = new + known solves
+(I - dtau L / 2) w = 2 known + dtau/2 (lower (new[0] + known[0]) e_first
++ upper (new[-1] + known[-1]) e_last), and new = w - known.  No step forms
+L known, and the surfaces agree with the stencil form to roundoff.
 """
 
 import math
@@ -262,6 +269,7 @@ def _march(claim, rate, sig_eff_sq, grid):
         return factors
 
     implicit, crank_nicolson = step_factors(1.0), step_factors(0.5)
+    half_lower, half_upper = 0.5 * d_tau * lower, 0.5 * d_tau * upper
     # Rows in calendar order: step m fills row steps - m - 1, whose boundary
     # values are set here, from row steps - m.  The march starts from the
     # start row; the last row stored is the payoff itself.
@@ -269,14 +277,24 @@ def _march(claim, rate, sig_eff_sq, grid):
     surface[:-1, 0] = bound_l[:0:-1]
     surface[:-1, -1] = bound_r[:0:-1]
     surface[-1] = _start_row(claim, y, payoff_vals)
+    # A fully implicit step solves (I - dtau L) new = known plus the boundary
+    # terms.  A Crank-Nicolson step solves for w = new + known instead:
+    # (I - dtau L / 2) w = 2 known + dtau/2 (lower (new[0] + known[0]) e_first
+    # + upper (new[-1] + known[-1]) e_last), so no step forms L known.
+    rhs = np.empty(grid.nodes - 2)
     for m in range(steps):
-        theta, factors = (1.0, implicit) if m < 2 else (0.5, crank_nicolson)
         known, new = surface[steps - m], surface[steps - m - 1]
-        stencil = lower * known[:-2] + diag * known[1:-1] + upper * known[2:]
-        rhs = known[1:-1] + (1.0 - theta) * d_tau * stencil
-        rhs[0] += theta * d_tau * lower * new[0]
-        rhs[-1] += theta * d_tau * upper * new[-1]
-        new[1:-1] = dgttrs(*factors, rhs, overwrite_b=1)[0]
+        if m < 2:
+            np.copyto(rhs, known[1:-1])
+            rhs[0] += d_tau * lower * new[0]
+            rhs[-1] += d_tau * upper * new[-1]
+            new[1:-1] = dgttrs(*implicit, rhs, overwrite_b=1)[0]
+        else:
+            np.add(known[1:-1], known[1:-1], out=rhs)
+            rhs[0] += half_lower * (new[0] + known[0])
+            rhs[-1] += half_upper * (new[-1] + known[-1])
+            np.subtract(dgttrs(*crank_nicolson, rhs, overwrite_b=1)[0], known[1:-1],
+                        out=new[1:-1])
     surface[-1] = payoff_vals
     _require_finite(claim, "solution surface", surface)
     return surface

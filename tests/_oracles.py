@@ -42,13 +42,64 @@ def power_claim_value(spot, rate, sigma, power, tau):
     return spot**power * math.exp(growth * tau)
 
 
+def sqrt_spread_cost_weights(mu1, mu2, tax, times):
+    """Weights a, b with the diffusion demo's terminal tax of a path equal to a @ s + b @ v.
+
+    On the shared-volatility market v/s = e^{(mu2 - mu1) t}, so the tax
+    densities 1/2 sqrt(v/s) and 1/2 sqrt(s/v) do not depend on the path,
+    and sum_k c^2/2 D(t_k) (x_{k+1} - x_k) is linear in the prices.
+    """
+    times = np.asarray(times, dtype=float)
+    half_gap = 0.5 * (mu2 - mu1) * times[:-1]
+    weights = []
+    for c, density in zip(np.broadcast_to(tax, (2,)),
+                          (0.5 * np.exp(half_gap), 0.5 * np.exp(-half_gap))):
+        w = np.zeros(len(times))
+        w[1:] += density
+        w[:-1] -= density
+        weights.append(0.5 * c ** 2 * w)
+    return weights
+
+
+def sqrt_spread_cost_law(mu1, mu2, sigma, tax, times):
+    """Exact mean and standard deviation of that terminal tax.
+
+    s and v start at 1 on one Brownian driver, so E s_k = e^{mu1 t_k},
+    E v_k = e^{mu2 t_k} and Cov(x_i, y_j) = E x_i E y_j (e^{sigma^2 min(t_i, t_j)} - 1)
+    for x, y either asset.  With g = a E s + b E v, the mean is sum g and
+    the variance g' (e^{sigma^2 min(t_i, t_j)} - 1) g.
+    """
+    times = np.asarray(times, dtype=float)
+    a, b = sqrt_spread_cost_weights(mu1, mu2, tax, times)
+    g = a * np.exp(mu1 * times) + b * np.exp(mu2 * times)
+    cov = np.expm1(sigma ** 2 * np.minimum.outer(times, times))
+    return float(g.sum()), math.sqrt(g @ cov @ g)
+
+
+def fsquare_law(intensity, hurst, t):
+    """Exact win probability, mean cost and cost sd of the f(S) = (S - 1)^2 demo.
+
+    S = exp(B_H(t)) with B_H(t) ~ N(0, t^{2H}).  The tax is
+    c^2/2 (f'(S) S - f(S) - f'(1)) = c^2/2 (S^2 - 1), so the strategy wins
+    where S < 1 or S > theta = (1 + c^2/2) / (1 - c^2/2), with probability
+    1/2 + erfc(ln theta / (t^H sqrt 2)) / 2, and E S^2 = e^{2 t^{2H}}.
+    """
+    half_sq = 0.5 * intensity ** 2
+    theta = (1.0 + half_sq) / (1.0 - half_sq)
+    var = t ** (2.0 * hurst)
+    win = 0.5 + 0.5 * math.erfc(math.log(theta) / math.sqrt(2.0 * var))
+    cost_sd = half_sq * math.sqrt(math.exp(8.0 * var) - math.exp(4.0 * var))
+    return win, half_sq * math.expm1(2.0 * var), cost_sd
+
+
 def banded_step_surface(claim, rate, sigma, tax_hat, grid):
     """``solve_tax_bsm(...).values`` by one ``solve_banded`` call per step.
 
-    The solver's step loop as it was before the step systems were factored
-    once; its surfaces are the bit-for-bit reference for the factored loop.
-    It marches from the solver's own start row, so a surface differs only
-    if the step loop does.
+    The textbook step loop: each step forms the explicit stencil
+    L known and solves for the new row.  The solver takes its
+    Crank-Nicolson steps in sum form instead, so the two agree to
+    roundoff, not bit for bit.  It marches from the solver's own start
+    row, so a surface differs only as far as the step loop does.
     """
     sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
     y = grid.log_nodes

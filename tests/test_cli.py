@@ -673,3 +673,25 @@ def test_bench_argv_parses(workload, size):
     for argv in argvs:
         args = cli.build_parser().parse_args(argv)
         assert args.func is not None, argv
+
+
+def test_bench_prices_meet_their_references(capsys):
+    # The benchmark refuses a price only beyond 1e-3 of its reference; the
+    # default grid's worst case over these 27 claims is 3.5e-6.
+    spot, rate, sigma = _BENCH.PRICE_SPOT, _BENCH.PRICE_RATE, _BENCH.PRICE_SIGMA
+    claims = _BENCH.FULL["prices"]
+    argvs = _BENCH.commands("tax-pricing", 0, _BENCH.FULL, "/nonexistent")
+    assert len(argvs) == len(claims) == 27
+    for argv, (payoff, tax, strike) in zip(argvs, claims):
+        sig_eff = math.sqrt(sigma ** 2 + rate * tax ** 2)
+        if payoff == "power":
+            exact = power_claim_value(spot, rate, sig_eff, _BENCH.POWER_EXP,
+                                      _BENCH.PRICE_MATURITY)
+        else:
+            exact = black_scholes(spot, strike, rate, sig_eff, _BENCH.PRICE_MATURITY,
+                                  put=payoff == "put")
+        reference = _BENCH.reference_price(payoff, tax, strike)
+        assert reference == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert main(argv) == 0
+        price = float(re.search(r"value at spot \S+: (\S+)", capsys.readouterr().out).group(1))
+        assert abs(price - reference) <= 1e-5 * reference, argv

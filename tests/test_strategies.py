@@ -45,7 +45,13 @@ from hermite_markets import (
 )
 from hermite_markets import strategies
 from hermite_markets.markets import _intensities
-from _oracles import subprocess_numbers, subprocess_peaks_mib
+from _oracles import (
+    fsquare_law,
+    sqrt_spread_cost_law,
+    sqrt_spread_cost_weights,
+    subprocess_numbers,
+    subprocess_peaks_mib,
+)
 
 RNG = np.random.default_rng(515)
 
@@ -510,6 +516,20 @@ def test_f_strategy_zero_tax_always_wins():
     assert report.statistics["probability"] == 1.0
 
 
+# (c, H, paths, steps, t, seed): the win probability read z = -0.03, -1.16,
+# -1.54 and 0.47, the mean cost z = 0.50, 0.11, 2.36 and 0.43.
+@pytest.mark.parametrize("c, hurst, paths, steps, t, seed", [
+    (0.3, 0.7, 2000, 64, 1.0, 42), (0.5, 0.6, 5000, 128, 0.5, 7),
+    (1.0, 0.8, 4000, 64, 0.25, 3), (1.2, 0.9, 3000, 32, 1.0, 11)])
+def test_f_strategy_report_meets_its_exact_law(c, hurst, paths, steps, t, seed):
+    report = f_strategy_demo(lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
+                             HermiteSpec(hurst), c, paths, steps, 1.0, seed, t=t)
+    win, mean_cost, cost_sd = fsquare_law(c, hurst, round(t * steps) / steps)
+    stats = report.statistics
+    assert abs(stats["probability"] - win) < 4.0 * math.sqrt(win * (1.0 - win) / paths)
+    assert abs(stats["mean_cost"] - mean_cost) < 4.0 * cost_sd / math.sqrt(paths)
+
+
 def test_f_strategy_positive_tax_loses_sometimes():
     report = f_strategy_demo(lambda x: (x - 1) ** 2, lambda x: 2 * (x - 1),
                              HermiteSpec(0.7), 0.5, 500, 512, 1.0, 5, threshold_check=True)
@@ -702,6 +722,36 @@ def test_taxed_demo_without_losing_path_fails():
 def test_diffusion_demo_needs_shared_vol():
     with pytest.raises(ValueError):
         diffusion_arb_demo(TwoAssetDiffusion.ordered(0.05, 0.3, 0.02, 0.1), paths=10)
+
+
+@pytest.mark.parametrize("tax", [[0.3, 0.3], [0.0, 0.4]])
+def test_diffusion_demo_cost_is_linear_in_the_prices(tax):
+    # The error is relative to sum_k |a_k| s_k + |b_k| v_k, which the
+    # path's cost can cancel below.
+    market, steps = TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2), 512
+    w = gen_bm(1.0, steps, 200, seed=7)
+    s, v = market.price_paths(w)
+    tally = strategies._ArbTally(strategies._sqrt_spread_densities, np.array(tax))
+    a, b = sqrt_spread_cost_weights(market.mu1, market.mu2, tax, w.times)
+    size = np.abs(a) @ s.T + np.abs(b) @ v.T
+    assert np.all(np.abs(tally.terminal_cost((s, v)) - (a @ s.T + b @ v.T)) <= 1e-12 * size)
+
+
+def test_diffusion_demo_cost_law_at_tax_0_3():
+    mean, sd = sqrt_spread_cost_law(0.05, 0.02, 0.2, 0.3, np.linspace(0.0, 1.0, 513))
+    assert mean == pytest.approx(1.602897e-3, rel=1e-6)
+    assert sd == pytest.approx(9.4146e-3, rel=1e-4)
+
+
+# mean_cost read z = -0.53, -1.59 and 1.42.
+@pytest.mark.parametrize("tax, paths, steps, seed", [
+    (0.3, 10_000, 512, 7), (0.3, 10_000, 512, 8), ([0.0, 0.4], 5000, 128, 7)])
+def test_diffusion_demo_mean_cost_meets_its_exact_law(tax, paths, steps, seed):
+    market = TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2)
+    mean, sd = sqrt_spread_cost_law(market.mu1, market.mu2, market.sigma1, tax,
+                                    np.linspace(0.0, 1.0, steps + 1))
+    report = diffusion_arb_demo(market, paths, steps, 1.0, seed, tax)
+    assert abs(report.statistics["mean_cost"] - mean) < 4.0 * sd / math.sqrt(paths)
 
 
 def _mixed_market():
