@@ -166,13 +166,16 @@ class TwoAssetDiffusion:
 
     def price_paths(self, w):
         """Price rows for each asset along a Brownian ensemble ``w``."""
-        t = w.times
-        out = []
-        for mu, sigma in ((self.mu1, self.sigma1), (self.mu2, self.sigma2)):
-            prices = np.multiply(w.values, sigma)
+        out = np.empty((2,) + w.values.shape)
+        self._price_rows(w.values, w.times, out)
+        return list(out)
+
+    def _price_rows(self, w, t, out):
+        """Both assets' prices along Brownian rows ``w`` on times ``t``, into ``out`` (2, *w.shape)."""
+        for prices, (mu, sigma) in zip(out, ((self.mu1, self.sigma1), (self.mu2, self.sigma2))):
+            np.multiply(w, sigma, out=prices)
             prices += (mu - 0.5 * sigma ** 2) * t
-            out.append(np.exp(prices, out=prices))
-        return out
+            np.exp(prices, out=prices)
 
 
 @dataclass
@@ -258,10 +261,16 @@ def singular_square_term(t, h_values, hurst):
     the product tends to zero almost surely; its mean is exactly t.
     """
     t = np.asarray(t, dtype=float)
+    h = np.asarray(h_values, dtype=float)
+    return _singular_square(t, h, hurst, np.empty(np.broadcast_shapes(t.shape, h.shape)))
+
+
+def _singular_square(t, h, hurst, out):
+    """singular_square_term of float arrays, into ``out``."""
     positive = t > 0
     factor = np.zeros_like(t)
     factor[positive] = t[positive] ** (1.0 - 2.0 * hurst)
-    out = np.square(np.asarray(h_values, dtype=float))
+    np.square(h, out=out)
     out *= factor
     out[..., ~positive] = 0.0  # also where H^2 overflowed: inf * 0 is nan
     return out
@@ -278,22 +287,16 @@ def price_mixed_market(market, w, h):
     if w.n_paths != h.n_paths:
         raise ValueError("Brownian and Hermite ensembles must have equal path counts")
     t = w.times
-    # Each exponent is built in place with the grouping of the formulas
-    # above; IEEE + and * commute exactly, so operand order changes no bit.
+    tilted, unit, stock = np.empty((3,) + w.values.shape)
+    _mixed_legs(market, w.values, h.values, t, tilted, unit)
+    bond = np.exp(market.r * t)[None, :]
     excess = singular_square_term(t, h.values, market.hurst)
     excess -= t
-    scratch = np.empty_like(excess)
-    bond = np.exp(market.r * t)[None, :]
-    tilted = np.multiply(w.values, market.b)
-    tilted += -0.5 * market.b ** 2 * t
-    unit = np.add(w.values, excess)
-    unit += np.multiply(h.values, market.rho, out=scratch)
-    stock = np.multiply(w.values, market.sigma)
+    np.multiply(w.values, market.sigma, out=stock)
     stock += market.mu * t
-    stock += np.multiply(excess, market.sigma ** 2, out=scratch)
-    stock += np.multiply(h.values, market.sigma_h, out=scratch)
-    for exponent in (tilted, unit, stock):
-        np.exp(exponent, out=exponent)
+    stock += np.multiply(excess, market.sigma ** 2, out=excess)
+    stock += np.multiply(h.values, market.sigma_h, out=excess)
+    np.exp(stock, out=stock)
     stock *= market.s0
     common = dict(horizon=w.horizon, steps=w.steps, seed=w.seed)
     return MixedMarketPaths(
@@ -303,6 +306,23 @@ def price_mixed_market(market, w, h):
                                                     "rho": market.rho}, **common),
         stock=SamplePath(values=stock, meta={"asset": "stock"}, **common),
     )
+
+
+def _mixed_legs(market, w, h, t, tilted, unit):
+    """The tilted and unit-exposure prices of price_mixed_market, into ``tilted`` and ``unit``.
+
+    ``w`` and ``h`` are Brownian and Hermite rows on times ``t``.  Each
+    exponent is built in place with the grouping of the formulas above;
+    IEEE + and * commute exactly, so operand order changes no bit.
+    """
+    _singular_square(t, h, market.hurst, unit)
+    unit -= t
+    unit += w
+    unit += np.multiply(h, market.rho, out=tilted)
+    np.multiply(w, market.b, out=tilted)
+    tilted += -0.5 * market.b ** 2 * t
+    np.exp(tilted, out=tilted)
+    np.exp(unit, out=unit)
 
 
 def sde_residual(market, stock, w, h):

@@ -24,8 +24,8 @@ across workers, and reassembled by index with bit-identical results.
 
 Memory
 ------
-The inner FGN lattice is drawn and transformed in batches of paths cut
-by ``_row_blocks`` (which cuts the strategies' blocks too): each at most
+The inner FGN lattice is drawn and transformed in batches of paths sized
+by ``_block_rows`` (which sizes the strategies' blocks too): each at most
 ``_CHUNK_ENTRIES`` = 2**18 normals (rows x 2 count), or one path when a
 single path needs more.  A generator call allocates one batch's work
 arrays once, 32 bytes per row and lattice point (the normals, which the
@@ -33,6 +33,10 @@ inverse transform overwrites, and the complex half spectrum), and every
 batch refills them; ranks of 2 and more add the Hermite terms, 8 to 40
 bytes.  So a call holds its output plus one batch: a rank-2 lattice of
 32,768 points takes 4 rows a batch, about 5 MiB.  Batching changes no bit.
+Each driver has one kernel, which the generators and the strategies'
+demos both call: ``_bm_walk`` for Brownian motion and ``_hermite_rows``
+for every rank, writing into arrays and from seed words the caller
+passes.
 """
 
 import math
@@ -323,10 +327,29 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _fill_normals(out, seed, path_indices, component):
-    """Fill row i of ``out`` with the normals of path_rng(seed, path_indices[i], component)."""
-    for row, words in zip(out, _stream_states(seed, path_indices, component)):
-        np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(out=row)
+def _fill_normals(out, words):
+    """Fill row i of ``out`` with the normals of the stream whose seed words are ``words[i]``."""
+    for row, seed_words in zip(out, words):
+        np.random.Generator(np.random.PCG64(_SeedWords(seed_words))).standard_normal(out=row)
+
+
+def _block_words(streams, paths, block, chunk, path_offset=0):
+    """(start, stop, words) for each block of ``block`` paths of ``paths``, in order.
+
+    ``words`` holds the block's ``_stream_states`` rows for each (seed,
+    component) of ``streams``.  Paths are hashed whole blocks at a time, as
+    many as fit in ``chunk`` paths, and at least one: hashing costs about as
+    much for one path as for a few hundred, and a chunk's words take 32
+    bytes a path.
+    """
+    per_chunk = block * max(1, chunk // block)
+    for first in range(0, paths, per_chunk):
+        last = min(first + per_chunk, paths)
+        indices = range(path_offset + first, path_offset + last)
+        words = [_stream_states(seed, indices, component) for seed, component in streams]
+        for start in range(first, last, block):
+            stop = min(start + block, last)
+            yield start, stop, [rows[start - first:stop - first] for rows in words]
 
 
 def derive_seeds(seed, count):
@@ -373,17 +396,10 @@ def _block_rows(row_entries, budget):
     return max(1, budget // max(row_entries, 1))
 
 
-def _row_blocks(rows, row_entries, budget):
-    """(start, stop) of each block of rows, in order, as ``_block_rows`` sizes them."""
-    size = _block_rows(row_entries, budget)
-    for start in range(0, rows, size):
-        yield start, min(start + size, rows)
-
-
 def _fgn_draws(count, seed, path_indices, component):
     """The 2 count standard normals of each path, one row per path index."""
     draws = np.empty((len(path_indices), 2 * count))
-    _fill_normals(draws, seed, path_indices, component)
+    _fill_normals(draws, _stream_states(seed, path_indices, component))
     return draws
 
 
@@ -404,13 +420,11 @@ def _fgn_transform(hurst, draws, half=None, out=None):
     if half is None:
         half = np.empty((rows, count + 1), dtype=np.complex128)
     re, im = half.real, half.imag
-    re[:, 0] = draws[:, 0]
-    re[:, count] = draws[:, 1]
-    re[:, 1:count] = draws[:, 2:count + 1]
+    np.multiply(draws[:, 0], scale[0], out=re[:, 0])
+    np.multiply(draws[:, 1], scale[count], out=re[:, count])
+    np.multiply(draws[:, 2:count + 1], scale[1:count], out=re[:, 1:count])
     im[:, 0] = im[:, count] = 0.0
-    im[:, 1:count] = draws[:, count + 1:]
-    re *= scale
-    im *= scale
+    np.multiply(draws[:, count + 1:], scale[1:count], out=im[:, 1:count])
     return np.fft.irfft(half, n=m, axis=1, out=out)[:, :count]
 
 
@@ -483,16 +497,21 @@ def _check_grid(horizon, steps, paths):
     _require(isinstance(paths, int) and paths >= 1, f"paths must be an integer >= 1, got {paths}")
 
 
+def _bm_walk(values, words, dt_root):
+    """Brownian rows into ``values`` (rows, steps + 1), row i from the stream of ``words[i]``."""
+    values[:, 0] = 0.0
+    walk = values[:, 1:]
+    _fill_normals(walk, words)
+    np.cumsum(walk, axis=1, out=walk)
+    walk *= dt_root
+
+
 def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     """Standard Brownian motion, W(0) = 0, exact Gaussian increments."""
     _check_grid(horizon, steps, paths)
-    dt_root = math.sqrt(horizon / steps)
     values = np.empty((paths, steps + 1))
-    values[:, 0] = 0.0
-    walk = values[:, 1:]
-    _fill_normals(walk, seed, range(path_offset, path_offset + paths), component)
-    np.cumsum(walk, axis=1, out=walk)
-    walk *= dt_root
+    _bm_walk(values, _stream_states(seed, range(path_offset, path_offset + paths), component),
+             math.sqrt(horizon / steps))
     return SamplePath(horizon, steps, values, seed,
                       meta={"process": "bm", "paths": paths, "path_offset": path_offset,
                             "component": component})
@@ -526,32 +545,63 @@ def _lattice_factor(spec):
     return 1 if spec.rank == 1 else spec.approx_factor
 
 
-def _hermite_values(spec, horizon, steps, paths, seed, component, path_offset=0):
-    factor = _lattice_factor(spec)
-    n_inner = factor * steps
+def _hermite_scale(spec, horizon, steps):
+    """Factor taking the partial sums of the inner lattice to the process on [0, horizon]."""
     if spec.rank == 1:
-        scale = (horizon / steps) ** spec.hurst
-    else:
-        scale = horizon ** spec.hurst * _partial_sum_scale(spec, n_inner)
-    values = np.zeros((paths, steps + 1))
-    take = slice(factor - 1, None, factor)
-    # The eigenvalues are built, and the embedding checked, before the work
-    # arrays exist.  Those hold one batch and every batch refills them; a
-    # short last batch uses their leading rows, and the transform writes
-    # over the normals.  Arrays freed after each batch would go back to the
-    # kernel and be faulted in again by the next.
+        return (horizon / steps) ** spec.hurst
+    return horizon ** spec.hurst * _partial_sum_scale(spec, _lattice_factor(spec) * steps)
+
+
+def _fft_work(spec, steps, rows, floats=0):
+    """Work arrays to draw ``rows`` paths of ``spec`` a batch at a time: (draws, half, memory).
+
+    The batch is as many rows as ``_block_rows`` fits in ``_CHUNK_ENTRIES``.
+    ``draws`` (batch, 2 n) holds its normals and ``half`` (batch, n + 1)
+    its complex half spectrum, n inner lattice points; both are views of
+    ``memory``, a flat float array of at least ``floats`` entries that a
+    caller may use for anything once a batch is drawn.  The eigenvalues are
+    built, and the embedding checked, before the memory exists.
+    """
+    n_inner = _lattice_factor(spec) * steps
     _half_spectrum_scale(spec.inner_hurst, n_inner)
-    rows = min(paths, _block_rows(2 * n_inner, _CHUNK_ENTRIES))
-    draws = np.empty((rows, 2 * n_inner))
-    half = np.empty((rows, n_inner + 1), dtype=np.complex128)
-    for start, stop in _row_blocks(paths, 2 * n_inner, _CHUNK_ENTRIES):
-        n = stop - start
-        _fill_normals(draws[:n], seed, range(path_offset + start, path_offset + stop), component)
+    batch = min(rows, _block_rows(2 * n_inner, _CHUNK_ENTRIES))
+    spectrum = batch * (n_inner + 1)
+    memory = np.empty(max(spectrum + batch * n_inner, -(-floats // 2)), dtype=np.complex128)
+    half = memory[:spectrum].reshape(batch, n_inner + 1)
+    draws = memory[spectrum:spectrum + batch * n_inner].view(np.float64)
+    return draws.reshape(batch, 2 * n_inner), half, memory.view(np.float64)
+
+
+def _hermite_rows(spec, scale, values, words, draws, half):
+    """Rows of ``spec`` into ``values`` (rows, steps + 1), row i from the stream of ``words[i]``.
+
+    Each batch of ``len(draws)`` rows is filled with normals, transformed
+    to FGN over the normals, mapped to Hermite terms, summed, and sampled
+    on the grid times ``scale``; a short batch uses the leading rows of the
+    work arrays ``draws`` and ``half`` (see ``_fft_work``).
+    """
+    factor = _lattice_factor(spec)
+    values[:, 0] = 0.0
+    for start in range(0, len(values), len(draws)):
+        rows = values[start:start + len(draws)]
+        n = len(rows)
+        _fill_normals(draws[:n], words[start:start + n])
         fgn = _fgn_transform(spec.inner_hurst, draws[:n], half[:n], out=draws[:n])
         terms = fgn if spec.rank == 1 else hermite_poly(spec.rank, fgn)
         np.cumsum(terms, axis=1, out=terms)
-        values[start:stop, 1:] = terms[:, take]
-    values[:, 1:] *= scale
+        np.multiply(terms[:, factor - 1::factor], scale, out=rows[:, 1:])
+
+
+def _hermite_values(spec, horizon, steps, paths, seed, component, path_offset=0):
+    # The work arrays hold one batch and every batch refills them; arrays
+    # freed after each batch would go back to the kernel and be faulted in
+    # again by the next.  Each batch's seed words are hashed with it.
+    draws, half, _ = _fft_work(spec, steps, paths)
+    scale = _hermite_scale(spec, horizon, steps)
+    values = np.empty((paths, steps + 1))
+    for start, stop, (words,) in _block_words([(seed, component)], paths, len(draws),
+                                              len(draws), path_offset):
+        _hermite_rows(spec, scale, values[start:stop], words, draws, half)
     return values
 
 

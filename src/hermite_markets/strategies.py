@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import GridFunction
-from .markets import _intensities, price_mixed_market
-from .processes import (SamplePath, gen_bm, gen_fbm, gen_hermite, derive_seeds, HermiteSpec,
-                        _check_grid, _row_blocks)
+from .markets import _intensities, _mixed_legs
+from .processes import (SamplePath, derive_seeds, HermiteSpec, _block_rows, _block_words,
+                        _bm_walk, _check_grid, _fft_work, _hermite_rows, _hermite_scale,
+                        _require)
 
 __all__ = [
     "PortfolioFunction",
@@ -44,8 +45,9 @@ __all__ = [
 ]
 
 _FD_SCALE = 1e-5
-# Prices per block of paths that processes._row_blocks cuts for the demos
-# and running_cost: a few such arrays fit in L2.
+# Prices per block of paths, cut by processes._block_rows for running_cost
+# and the demos: a few such arrays fit in L2.  A demo allocates its block
+# arrays once and hashes seed words for _BLOCK_ENTRIES // 32 paths at a time.
 _BLOCK_ENTRIES = 1 << 15
 _Z95 = 1.959963984540054
 
@@ -357,10 +359,11 @@ def running_cost(P, prices, tax, times=None):
             raise ValueError("time-dependent field needs the time grid")
         t_left = np.asarray(times, dtype=float)[:-1]
     out = np.zeros(prices.shape[1:])
-    for start, stop in _row_blocks(*out.shape, _BLOCK_ENTRIES):
-        block = prices[:, start:stop]
+    size = _block_rows(out.shape[1], _BLOCK_ENTRIES)
+    for start in range(0, len(out), size):
+        block = prices[:, start:start + size]
         left = block[:, :, :-1]
-        increments = out[start:stop, 1:]
+        increments = out[start:start + size, 1:]
         for j in range(P.arity):
             if intensities[j]:
                 term = 0.5 * intensities[j] ** 2 * P.second(j, j, left, t_left) * left[j]
@@ -421,14 +424,16 @@ class TaxReport:
 
 
 def _demo_bytes(paths, steps):
-    """Bytes a demo holds at once: 8 a path, and 20 arrays the size of one block.
+    """Bytes a demo holds at once: 8 a path, and 14 arrays the size of one block.
 
-    The mixed demo, the largest of the four, peaks at a little over 19 such
-    arrays (tracemalloc) when a block is one path, and at about 14 blocks
-    of ``_BLOCK_ENTRIES`` prices at 512 steps; the others at 5 to 10.  Of
-    those, three are the taxed tally's work arrays.
+    The mixed demo, the largest of the four, peaks at a little over 12 such
+    arrays (tracemalloc) when a block is one path, where each row over the
+    time grid is as large as a block, and at about 8 blocks of
+    ``_BLOCK_ENTRIES`` prices at 512 steps; the others at 2.5 to 6.  Of
+    those, the drivers and the FFT work memory that the block's prices
+    reuse are allocated once per demo.
     """
-    return 8 * paths + 20 * 8 * max(_BLOCK_ENTRIES, steps + 1)
+    return 8 * paths + 14 * 8 * max(_BLOCK_ENTRIES, steps + 1)
 
 
 def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
@@ -443,18 +448,24 @@ def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
     a time.
     """
     _check_grid(horizon, steps, paths)
-    tally = _ArbTally(None, np.zeros(1))  # untaxed: no running cost is charged
+    tally = _ArbTally(np.zeros(1))  # untaxed: no running cost is charged
     identity_err, gap_ratios = [], []
-    for start, stop in _row_blocks(paths, steps + 1, _BLOCK_ENTRIES):
-        s = np.exp(gen_fbm(spec, horizon, steps, stop - start, seed, path_offset=start).values)
-        value = (s - 1.0) ** 2
-        increments = np.diff(s, axis=1)
+    for _, _, (s,), (value, increments, gain) in _demo_blocks(_fbm_driver(spec, seed), paths,
+                                                             steps, horizon, 3):
+        np.exp(s, out=s)
+        np.square(np.subtract(s, 1.0, out=value), out=value)
+        increments = np.subtract(s[:, 1:], s[:, :-1], out=increments[:, 1:])
         terminal = value[:, -1]
-        gap = terminal - np.cumsum((2.0 * s[:, :-1] - 2.0) * increments, axis=1)[:, -1]
-        quad_var = (increments ** 2).sum(axis=1)
+        # the cumulative gain of 2S - 2 shares, and then the squared increments
+        gain = np.multiply(s[:, :-1], 2.0, out=gain[:, 1:])
+        gain -= 2.0
+        gain *= increments
+        np.cumsum(gain, axis=1, out=gain)
+        gap = terminal - gain[:, -1]
+        quad_var = np.square(increments, out=gain).sum(axis=1)
         identity_err.append((np.abs(gap - quad_var) / np.maximum(1.0, terminal)).max())
         gap_ratios.append(gap / np.maximum(terminal, 1e-12))
-        tally.add(value, None)
+        tally.add(value)
     stats = {
         "identity_max_rel_error": float(np.max(identity_err)),
         "median_terminal_rel_gap": float(np.median(np.concatenate(gap_ratios))),
@@ -492,9 +503,8 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
         raise ValueError(f"evaluation time t={t} rounds to grid index 0 of steps={steps} over "
                          f"horizon={horizon}, where every price is still 1; raise t or steps")
     s_t = np.empty(paths)
-    for start, stop in _row_blocks(paths, steps + 1, _BLOCK_ENTRIES):
-        path = gen_fbm(spec, horizon, steps, stop - start, seed, path_offset=start)
-        s_t[start:stop] = path.values[:, index]
+    for start, stop, (path,), _ in _demo_blocks(_fbm_driver(spec, seed), paths, steps, horizon):
+        s_t[start:stop] = path[:, index]
     np.exp(s_t, out=s_t)
     value_t = f(s_t)
     cost_t = 0.5 * c ** 2 * (df(s_t) * s_t - value_t - df(1.0))
@@ -535,15 +545,17 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     intensities = _intensities(tax, 2)
     _check_grid(horizon, steps, paths)
     portfolio = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    tally = _ArbTally(_sqrt_spread_densities, intensities)
+    tally = _ArbTally(intensities)
+    t = np.linspace(0.0, horizon, steps + 1)
     terminal = []
-    for start, stop in _row_blocks(paths, steps + 1, _BLOCK_ENTRIES):
-        w = gen_bm(horizon, steps, stop - start, seed=seed, path_offset=start)
-        s_vals, v_vals = market.price_paths(w)
+    for _, _, (w,), (s, v, increments) in _demo_blocks([(None, seed)], paths, steps, horizon, 3):
+        market._price_rows(w, t, (s, v))
         # the tally reads the field's first and last values only
-        ends = portfolio.value((s_vals[:, ::steps], v_vals[:, ::steps]))
+        ends = portfolio.value((s[:, ::steps], v[:, ::steps]))
         terminal.append(ends[:, -1].min())
-        tally.add(ends, (s_vals, v_vals))
+        # the spent driver holds each tax density in turn
+        densities = _sqrt_spread_densities((s[:, :-1], v[:, :-1]), w[:, :-1])
+        tally.add(ends, (s, v), densities, increments[:, :-1])
     rng = np.random.default_rng(seed)
     spots = 0.5 + 1.5 * rng.random((20, 2))
     x, y = spots[:, 0], spots[:, 1]
@@ -574,16 +586,19 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     w_seed, h_seed = derive_seeds(seed, 2)
     _check_grid(horizon, steps, paths)
     portfolio = mixed_arbitrage_portfolio(market.r)
-    tally = _ArbTally(_mixed_densities(market.r), intensities)
+    tally = _ArbTally(intensities)
+    t = np.linspace(0.0, horizon, steps + 1)
+    growth = 2.0 * np.exp(0.5 * market.r * t)
     lowest = []
-    for start, stop in _row_blocks(paths, steps + 1, _BLOCK_ENTRIES):
-        assets = price_mixed_market(
-            market, gen_bm(horizon, steps, stop - start, seed=w_seed, path_offset=start),
-            gen_hermite(hermite, horizon, steps, stop - start, seed=h_seed, path_offset=start))
-        legs, t = (assets.tilted.values, assets.unit_exposure.values), assets.tilted.times
-        values = portfolio.value(legs, t)
+    for _, _, (w, h), (tilted, unit, u, values, increments) in _demo_blocks(
+            [(None, w_seed), (hermite, h_seed)], paths, steps, horizon, 5):
+        _mixed_legs(market, w, h, t, tilted, unit)
+        legs = tilted, unit
+        roots = w, h  # the drivers are spent
+        _mixed_field(growth, legs, roots, u, values)
         lowest.append(values.min())
-        tally.add(values, legs, t)
+        densities = _mixed_densities(u[:, :-1], [root[:, :-1] for root in roots])
+        tally.add(values, legs, densities, increments[:, :-1])
     rng = np.random.default_rng(seed)
     spots = 0.5 + 1.5 * rng.random((20, 2))
     ts = 0.1 + 0.8 * rng.random(20)
@@ -600,13 +615,12 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
 
 # The tax density D_j = x_j d2P/dx_j^2 of each taxed demo's field, in
 # closed form.  Each generator yields the assets' densities in turn at the
-# left points of a block, written into the tally's work arrays, so one
+# left points of a block, written into arrays the demo passes, so one
 # density is valid until the next is drawn.
 
-def _sqrt_spread_densities(left, t, work):
-    """1/2 sqrt(v/s) and 1/2 sqrt(s/v), for (sqrt(s) - sqrt(v))^2."""
+def _sqrt_spread_densities(left, density):
+    """1/2 sqrt(v/s) and 1/2 sqrt(s/v), for (sqrt(s) - sqrt(v))^2, into ``density``."""
     s, v = left
-    density = work[0]
     for num, den in ((v, s), (s, v)):
         np.divide(num, den, out=density)
         np.sqrt(density, out=density)
@@ -614,22 +628,73 @@ def _sqrt_spread_densities(left, t, work):
         yield density
 
 
-def _mixed_densities(r):
-    """1/2 - u/(2 sqrt(x_j)), u = sqrt(x) + sqrt(y) - 2 exp(rt/2) once for both legs."""
+def _mixed_field(growth, legs, roots, u, values):
+    """(sqrt(x) + sqrt(y) - growth)^2 into ``values``, growth = 2 exp(rt/2) on the grid.
 
-    def densities(left, t, work):
-        u, density = work
-        np.sqrt(left[0], out=u)
-        u += np.sqrt(left[1], out=density)
-        u -= 2.0 * np.exp(0.5 * r * t)
-        for x in left:
-            np.sqrt(x, out=density)
-            np.divide(u, density, out=density)
-            density *= -0.5
-            density += 0.5
-            yield density
+    The legs' square roots and u = sqrt(x) + sqrt(y) - growth stay in
+    ``roots`` and ``u`` for the tax densities.
+    """
+    for leg, root in zip(legs, roots):
+        np.sqrt(leg, out=root)
+    np.add(*roots, out=u)
+    u -= growth
+    np.square(u, out=values)
 
-    return densities
+
+def _mixed_densities(u, roots):
+    """1/2 - u/(2 sqrt(x_j)) from the mixed field's u and roots, each written over its root."""
+    for root in roots:
+        np.divide(u, root, out=root)
+        root *= -0.5
+        root += 0.5
+        yield root
+
+
+def _fbm_driver(spec, seed):
+    """The driver list of ``_demo_blocks`` for the paths gen_fbm(spec, ..., seed) draws."""
+    _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
+    _require(spec.rank == 1, f"gen_fbm requires rank 1, got rank {spec.rank}")
+    return [(spec, seed)]
+
+
+def _demo_blocks(drivers, paths, steps, horizon, spare=0):
+    """(start, stop, driver values, spare arrays) for each block of paths, in order.
+
+    ``drivers`` lists (spec, seed) pairs: spec None draws the Brownian
+    motion of gen_bm, a HermiteSpec (at most one) the process of
+    gen_hermite, each from component 0 of its seed's streams.  A block's
+    driver values are (drivers, rows, steps + 1); its ``spare`` arrays
+    (spare, rows, steps + 1) share their memory with the FFT work arrays, if
+    any, and are free once the block is drawn.  Every array is allocated for the
+    first block, the longest, and refilled by every later one (a shorter
+    block uses their leading rows): arrays freed after each block would go
+    back to the kernel and be faulted in again.  Seed words are hashed
+    ``_BLOCK_ENTRIES // 32`` paths at a time: hashing takes about 200 bytes
+    a path while it runs, so a chunk takes less than a block array, and it
+    costs about as much for one path as for a few hundred.
+    """
+    block = _block_rows(steps + 1, _BLOCK_ENTRIES)
+    rows = min(paths, block)
+    values = np.empty((len(drivers), rows, steps + 1))
+    floats = spare * rows * (steps + 1)
+    hermite = [spec for spec, _ in drivers if spec is not None]
+    if hermite:
+        _require(isinstance(hermite[0], HermiteSpec), "spec must be a HermiteSpec")
+        draws, half, memory = _fft_work(hermite[0], steps, rows, floats)
+        scale = _hermite_scale(hermite[0], horizon, steps)
+    else:
+        memory = np.empty(floats)
+    spares = memory[:floats].reshape(spare, rows, steps + 1)
+    dt_root = math.sqrt(horizon / steps)
+    streams = [(seed, 0) for _, seed in drivers]
+    for start, stop, words in _block_words(streams, paths, block, _BLOCK_ENTRIES // 32):
+        n = stop - start
+        for (spec, _), out, block_words in zip(drivers, values[:, :n], words):
+            if spec is None:
+                _bm_walk(out, block_words, dt_root)
+            else:
+                _hermite_rows(spec, scale, out, block_words, draws, half)
+        yield start, stop, values[:, :n], spares[:, :n]
 
 
 class _ArbTally:
@@ -643,42 +708,33 @@ class _ArbTally:
     counts, block maxima and terminal costs are kept from a block.
     """
 
-    def __init__(self, densities, intensities):
-        self.densities = densities
+    def __init__(self, intensities):
         self.scales = 0.5 * intensities ** 2
         self.taxed = bool(intensities.any())
         self.paths = self.hits = 0
         self.initial, self.cost_ends = [], []
-        self.work = None
 
-    def terminal_cost(self, assets, times=None):
+    def terminal_cost(self, assets, densities, increments):
         """sum_j c_j^2/2 sum_k D_j(x_k) (x_{k+1} - x_k) on each path of a block.
 
-        This is running_cost's last column.  The three work arrays are
-        allocated for the first block, the longest, and refilled by every
-        later one (a shorter block uses their leading rows): arrays freed
-        after each block would go back to the kernel and be faulted in again.
+        This is running_cost's last column.  ``densities`` yields each
+        asset's tax density D_j at the left points in turn, and
+        ``increments`` is a work array of their shape.
         """
-        left = [row[:, :-1] for row in assets]
-        rows = len(left[0])
-        if self.work is None:
-            self.work = np.empty((3,) + left[0].shape)
-        *scratch, increments = self.work[:, :rows]
-        t = None if times is None else times[:-1]
-        cost = np.zeros(rows)
-        for row, x, scale, density in zip(assets, left, self.scales,
-                                          self.densities(left, t, scratch)):
+        cost = np.zeros(len(increments))
+        for row, scale, density in zip(assets, self.scales, densities):
             if scale:
-                np.subtract(row[:, 1:], x, out=increments)
+                np.subtract(row[:, 1:], row[:, :-1], out=increments)
                 increments *= density
                 cost += scale * increments.sum(axis=1)
         return cost
 
-    def add(self, values, assets, times=None):
+    def add(self, values, assets=(), densities=(), increments=None):
+        """Count a block of field ``values``; taxed, charge it its ``terminal_cost``."""
         self.paths += values.shape[0]
         self.initial.append(np.abs(values[:, 0]).max())
         if self.taxed:
-            cost_end = self.terminal_cost(assets, times)
+            cost_end = self.terminal_cost(assets, densities, increments)
             self.hits += int((values[:, -1] - cost_end < 0).sum())
             self.cost_ends.append(cost_end)
         else:

@@ -26,8 +26,9 @@ from hermite_markets import (
     path_rng,
 )
 from hermite_markets import processes
-from hermite_markets.processes import _fgn_autocov, _fgn_draws, _fgn_transform, _raw_sum_std, \
-    _stream_states, gen_fgn, hermite_poly
+from hermite_markets.processes import _block_words, _bm_walk, _fft_work, _fgn_autocov, \
+    _fgn_draws, _fgn_transform, _hermite_rows, _hermite_scale, _raw_sum_std, _stream_states, \
+    gen_fgn, hermite_poly
 from hermite_markets.stats import autocov_slope
 from _oracles import subprocess_peaks_mib
 
@@ -144,6 +145,44 @@ def test_stream_states_match_seed_sequence_property(seed, start, count, componen
     paths = range(start, start + count)
     expected = [_seed_sequence_state(seed, p, component) for p in paths]
     assert np.array_equal(_stream_states(seed, paths, component), np.array(expected))
+
+
+# Blocks of seed words hashed a chunk at a time, from offsets on either
+# side of 2**32, where numpy codes a path index in a second word.
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64), paths=st.integers(1, 60), block=st.integers(1, 9),
+       chunk=st.integers(0, 40), offset=st.sampled_from([0, 5, 2**32 - 20, 2**40]),
+       component=st.integers(0, 3))
+def test_block_words_are_the_stream_states_of_the_whole_range(seed, paths, block, chunk,
+                                                              offset, component):
+    streams = [(seed, component), (seed + 1, component)]
+    blocks = list(_block_words(streams, paths, block, chunk, offset))
+    assert [start for start, _, _ in blocks] == list(range(0, paths, block))
+    assert [stop for _, stop, _ in blocks] == [min(start + block, paths)
+                                               for start in range(0, paths, block)]
+    for i, (stream_seed, _) in enumerate(streams):
+        whole = _stream_states(stream_seed, range(offset, offset + paths), component)
+        assert np.array_equal(np.concatenate([words[i] for _, _, words in blocks]), whole)
+
+
+# The kernels behind the generators, fed seed words hashed elsewhere and
+# work arrays of any batch size, draw the generators' rows bit for bit.
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), paths=st.integers(1, 9), steps=st.integers(1, 40),
+       offset=st.sampled_from([0, 7, 2**32 - 3]), rank=st.sampled_from([1, 2]),
+       batch=st.integers(1, 9), horizon=st.sampled_from([1.0, 2.5]))
+def test_kernels_draw_the_generators_rows(seed, paths, steps, offset, rank, batch, horizon):
+    words = _stream_states(seed, range(offset, offset + paths), 0)
+    values = np.full((paths, steps + 1), np.nan)
+    _bm_walk(values, words, math.sqrt(horizon / steps))
+    assert np.array_equal(values, gen_bm(horizon, steps, paths, seed, path_offset=offset).values)
+    spec = HermiteSpec(0.7, rank, approx_factor=3)
+    values[:] = np.nan
+    draws, half, _ = _fft_work(spec, steps, batch)
+    draws[:] = np.nan
+    _hermite_rows(spec, _hermite_scale(spec, horizon, steps), values, words, draws, half)
+    expected = gen_hermite(spec, horizon, steps, paths, seed, path_offset=offset).values
+    assert np.array_equal(values, expected)
 
 
 @pytest.mark.parametrize("offset", [0, 2**32 - 2])

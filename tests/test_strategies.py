@@ -23,6 +23,7 @@ from hermite_markets import (
     f_strategy_demo,
     gen_bm,
     gen_fbm,
+    gen_hermite,
     mixed_arb_demo,
     mixed_arbitrage_portfolio,
     mixed_market_residual,
@@ -31,10 +32,12 @@ from hermite_markets import (
     power_pair_exponents,
     power_pair_frictionless,
     power_portfolio,
+    price_mixed_market,
     reduce_to_heat,
     running_cost,
     self_financing_residual,
     shiryaev_demo,
+    singular_square_term,
     sqrt_spread_portfolio,
     sqrt_spread_portfolio_fn,
     solve_tax_bsm,
@@ -44,7 +47,7 @@ from hermite_markets import (
     wilson_ci,
 )
 from hermite_markets import strategies
-from hermite_markets.markets import _intensities
+from hermite_markets.markets import _intensities, _mixed_legs
 from _oracles import (
     fsquare_law,
     sqrt_spread_cost_law,
@@ -389,8 +392,7 @@ def _one_point(*prices):
 def test_sqrt_spread_densities_match_second_partials(s, v):
     left = _one_point(s, v)
     field = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    work = [np.empty((1, 1)), np.empty((1, 1))]
-    densities = strategies._sqrt_spread_densities(left, None, work)
+    densities = strategies._sqrt_spread_densities(left, np.empty((1, 1)))
     for j, density in enumerate(densities):
         expected = (left[j] * field.second(j, j, left))[0, 0]
         assert density[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -405,8 +407,10 @@ def test_mixed_densities_match_second_partials(x, y, t, r):
     left, times = _one_point(x, y), np.array([t])
     field = mixed_arbitrage_portfolio(r)
     u = math.sqrt(x) + math.sqrt(y) - 2.0 * math.exp(0.5 * r * t)
-    work = [np.empty((1, 1)), np.empty((1, 1))]
-    densities = strategies._mixed_densities(r)(left, times, work)
+    roots, field_u, value = np.empty((2, 1, 1)), np.empty((1, 1)), np.empty((1, 1))
+    strategies._mixed_field(2.0 * np.exp(0.5 * r * times), left, roots, field_u, value)
+    assert value[0, 0] == field.value(left, times)[0, 0]
+    densities = strategies._mixed_densities(field_u, roots)
     for j, density in enumerate(densities):
         expected = (left[j] * field.second(j, j, left, times))[0, 0]
         size = 0.5 + abs(u) / (2.0 * math.sqrt(left[j][0, 0]))
@@ -414,7 +418,7 @@ def test_mixed_densities_match_second_partials(x, y, t, r):
 
 
 # Path blocks as the demos feed the tally: one path, a short last block,
-# and several blocks (the work arrays are sized by the first).
+# and several blocks (the work array is sized by the first).
 @pytest.mark.parametrize("blocks", [[1], [5, 2], [3, 3, 3, 1]])
 @pytest.mark.parametrize("tax", [[0.3, 0.2], [0.0, 0.4]])
 @pytest.mark.parametrize("demo", ["diffusion", "mixed"])
@@ -428,14 +432,24 @@ def test_tally_charges_the_running_costs_last_column(demo, tax, blocks):
                                         axis=-1))
     times = np.linspace(0.0, 1.0, steps + 1)
     if demo == "diffusion":
-        field = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        tally, t = strategies._ArbTally(strategies._sqrt_spread_densities, np.array(tax)), None
+        field, t = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]])), None
+
+        def densities(block):
+            return strategies._sqrt_spread_densities([row[:, :-1] for row in block],
+                                                     np.empty((len(block[0]), steps)))
     else:
-        field = mixed_arbitrage_portfolio(0.01)
-        tally, t = strategies._ArbTally(strategies._mixed_densities(0.01), np.array(tax)), times
+        field, t = mixed_arbitrage_portfolio(0.01), times
+
+        def densities(block):
+            roots, u = np.empty((2,) + block[0].shape), np.empty(block[0].shape)
+            strategies._mixed_field(2.0 * np.exp(0.005 * times), block, roots, u, np.empty_like(u))
+            return strategies._mixed_densities(u[:, :-1], [root[:, :-1] for root in roots])
+    tally = strategies._ArbTally(np.array(tax))
+    increments = np.empty((blocks[0], steps))
     charged, start = [], 0
     for count in blocks:
-        charged.append(tally.terminal_cost([row[start:start + count] for row in prices], t))
+        block = [row[start:start + count] for row in prices]
+        charged.append(tally.terminal_cost(block, densities(block), increments[:count]))
         start += count
     expected = running_cost(field, prices, tax, times=t)[:, -1]
     left, t_left = list(prices[:, :, :-1]), None if t is None else t[:-1]
@@ -614,6 +628,45 @@ def test_demos_check_the_grid_before_any_block(demo, grid, message):
     assert str(err.value) == message
 
 
+# Blocks as the demos draw them, _BLOCK_ENTRIES // 32 paths of seed words
+# hashed at a time, and priced in spare arrays that still hold the last
+# block's prices: each block is the generators' rows, and its legs are the
+# price formulas in their grouping, bit for bit.
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), paths=st.integers(1, 40), steps=st.integers(1, 100),
+       rows=st.integers(1, 7), rank=st.sampled_from([1, 2]))
+def test_demo_blocks_draw_and_price_the_generators_rows(seed, paths, steps, rows, rank):
+    hermite = HermiteSpec(0.75, rank, approx_factor=2)
+    market, pair = _mixed_market(), TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2)
+    w = gen_bm(1.0, steps, paths, seed)
+    h = gen_hermite(hermite, 1.0, steps, paths, seed + 1)
+    t = w.times
+    tilted = np.exp(w.values * market.b + -0.5 * market.b ** 2 * t)
+    unit = np.exp(w.values + (singular_square_term(t, h.values, market.hurst) - t)
+                  + h.values * market.rho)
+    assets = price_mixed_market(market, w, h)
+    assert np.array_equal(assets.tilted.values, tilted)
+    assert np.array_equal(assets.unit_exposure.values, unit)
+    pair_prices = [np.exp(w.values * sigma + (mu - 0.5 * sigma ** 2) * t)
+                   for mu, sigma in ((pair.mu1, pair.sigma1), (pair.mu2, pair.sigma2))]
+    assert np.array_equal(pair.price_paths(w), pair_prices)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(strategies, "_BLOCK_ENTRIES", rows * (steps + 1))
+        blocks = strategies._demo_blocks([(None, seed), (hermite, seed + 1)], paths, steps,
+                                         1.0, 4)
+        covered = 0
+        for start, stop, (w_rows, h_rows), spare in blocks:
+            assert start == covered and 0 < stop - start == len(w_rows) <= rows
+            covered = stop
+            assert np.array_equal(w_rows, w.values[start:stop])
+            assert np.array_equal(h_rows, h.values[start:stop])
+            _mixed_legs(market, w_rows, h_rows, t, *spare[:2])
+            pair._price_rows(w_rows, t, spare[2:])
+            for got, want in zip(spare, [tilted, unit] + pair_prices):
+                assert np.array_equal(got, want[start:stop])
+        assert covered == paths
+
+
 _FLAT_MEMORY_SCRIPT = """
 import sys
 from hermite_markets import HermiteSpec, MixedMarket, TwoAssetDiffusion, \\
@@ -731,10 +784,13 @@ def test_diffusion_demo_cost_is_linear_in_the_prices(tax):
     market, steps = TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2), 512
     w = gen_bm(1.0, steps, 200, seed=7)
     s, v = market.price_paths(w)
-    tally = strategies._ArbTally(strategies._sqrt_spread_densities, np.array(tax))
+    tally = strategies._ArbTally(np.array(tax))
+    work = np.empty((2, 200, steps))
+    cost = tally.terminal_cost(
+        (s, v), strategies._sqrt_spread_densities((s[:, :-1], v[:, :-1]), work[0]), work[1])
     a, b = sqrt_spread_cost_weights(market.mu1, market.mu2, tax, w.times)
     size = np.abs(a) @ s.T + np.abs(b) @ v.T
-    assert np.all(np.abs(tally.terminal_cost((s, v)) - (a @ s.T + b @ v.T)) <= 1e-12 * size)
+    assert np.all(np.abs(cost - (a @ s.T + b @ v.T)) <= 1e-12 * size)
 
 
 def test_diffusion_demo_cost_law_at_tax_0_3():
@@ -817,6 +873,22 @@ _GOLDEN_DEMOS = [
      "866b83da1adbdc060c1be8175dd01db87c4fde83c1b7b058620358aa4b81ede8"),
     ("fsquare", 0.02, 40, 5, None, False,
      "35039f42e837e124dfc9398845e0e99e8fa4c579e7c0bed052e80a4af480360c"),
+    # 9,000 paths are 18 blocks of 504, across more than one chunk of
+    # hashed seed words; the rank-2 driver's 1,200 are three blocks.
+    ("diffusion", None, 9000, 31, None, True,
+     "c566d525d38a29d2ccbbd21e18ec208ea69e171b94bb50bfa7a431f3073ff107"),
+    ("diffusion", 0.3, 9000, 31, None, True,
+     "0c73afdd8f7e9941bb71e79fd3b9a358b1e375acbe67a3411791291f4f5dc358"),
+    ("mixed", None, 9000, 32, None, True,
+     "a017f73a8364e2956a53ef1129336436e71020647aeb043f805785edc28fdac7"),
+    ("mixed", 0.3, 9000, 32, None, True,
+     "1acac4b8e905765c20563119fbc9589cf2a0a4f6490aba40678a05b7ebdae7a0"),
+    ("shiryaev", None, 9000, 33, None, True,
+     "ac46d4ce1855838cf24f144f1b1eaecf62eb3a552a4b7a0fc760a543cea1d533"),
+    ("fsquare", 0.3, 9000, 34, None, True,
+     "4b7c4511d6f1f003112bda4e6a65807bf27a5a473c670c2ee5ecc2f1fa1c310a"),
+    ("mixed", 0.3, 1200, 35, 2, True,
+     "1c874903ccbf5580d20ee83a1a116f7d2f64e8105ada7e66af2571edf17e9629"),
 ]
 
 
