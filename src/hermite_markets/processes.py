@@ -24,19 +24,20 @@ across workers, and reassembled by index with bit-identical results.
 
 Memory
 ------
-The inner FGN lattice is drawn and transformed in batches of paths sized
-by ``_block_rows`` (which sizes the strategies' blocks too): each at most
-``_CHUNK_ENTRIES`` = 2**18 normals (rows x 2 count), or one path when a
-single path needs more.  A generator call allocates one batch's work
-arrays once, 32 bytes per row and lattice point (the normals, which the
-inverse transform overwrites, and the complex half spectrum), and every
-batch refills them; ranks of 2 and more add the Hermite terms, 8 to 40
-bytes.  So a call holds its output plus one batch: a rank-2 lattice of
-32,768 points takes 4 rows a batch, about 5 MiB.  Batching changes no bit.
-Each driver has one kernel, which the generators and the strategies'
-demos both call: ``_bm_walk`` for Brownian motion and ``_hermite_rows``
-for every rank, writing into arrays and from seed words the caller
-passes.
+Every draw goes through one iterator, ``_draw_blocks``, in blocks of
+``_BLOCK_ENTRIES`` = 2**15 prices (or one path), which the generators copy
+into their output and the strategies' demos price in place.  Seed words
+are hashed ``_HASH_PATHS`` = 1,024 paths at a time, and the inner FGN
+lattice is transformed in batches of at most ``_CHUNK_ENTRIES`` = 2**18
+normals (rows x 2 count, or one path).  The block and one batch's work
+arrays, 32 bytes per row and lattice point (the normals, which the
+inverse transform overwrites, and the complex half spectrum), are
+allocated once per call and refilled; ranks of 2 and more add one batch's
+Hermite terms, 8 to 40 bytes.  So a call holds its output plus one block
+and one batch: a rank-2 lattice of 32,768 points takes 4 rows a batch,
+about 5 MiB.  Neither changes a bit.  Each driver has one kernel, writing
+into arrays and from seed words it is passed: ``_bm_walk`` for Brownian
+motion and ``_hermite_rows`` for every rank.
 """
 
 import math
@@ -66,6 +67,10 @@ __all__ = [
 
 # Bound on the rows x 2 count entries drawn and transformed per FFT batch.
 _CHUNK_ENTRIES = 1 << 18
+# Prices per block of paths drawn or charged: a few such arrays fit in L2.
+_BLOCK_ENTRIES = 1 << 15
+# Paths hashed at once: hashing one costs about as much as a few hundred.
+_HASH_PATHS = 1 << 10
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _EIG_TOL = -1e-10
 
@@ -116,8 +121,8 @@ class HermiteSpec:
 
     def __post_init__(self):
         _require(0.5 < self.hurst < 1.0, f"hurst must lie in (1/2, 1), got {self.hurst}")
-        _require(isinstance(self.rank, int) and self.rank >= 1, f"rank must be an integer >= 1, got {self.rank}")
-        _require(isinstance(self.approx_factor, int) and self.approx_factor >= 1,
+        _require(type(self.rank) is int and self.rank >= 1, f"rank must be an integer >= 1, got {self.rank}")
+        _require(type(self.approx_factor) is int and self.approx_factor >= 1,
                  f"approx_factor must be an integer >= 1, got {self.approx_factor}")
         _require(self.normalization in ("empirical", "analytic"),
                  f"normalization must be 'empirical' or 'analytic', got {self.normalization!r}")
@@ -333,25 +338,6 @@ def _fill_normals(out, words):
         np.random.Generator(np.random.PCG64(_SeedWords(seed_words))).standard_normal(out=row)
 
 
-def _block_words(streams, paths, block, chunk, path_offset=0):
-    """(start, stop, words) for each block of ``block`` paths of ``paths``, in order.
-
-    ``words`` holds the block's ``_stream_states`` rows for each (seed,
-    component) of ``streams``.  Paths are hashed whole blocks at a time, as
-    many as fit in ``chunk`` paths, and at least one: hashing costs about as
-    much for one path as for a few hundred, and a chunk's words take 32
-    bytes a path.
-    """
-    per_chunk = block * max(1, chunk // block)
-    for first in range(0, paths, per_chunk):
-        last = min(first + per_chunk, paths)
-        indices = range(path_offset + first, path_offset + last)
-        words = [_stream_states(seed, indices, component) for seed, component in streams]
-        for start in range(first, last, block):
-            stop = min(start + block, last)
-            yield start, stop, [rows[start - first:stop - first] for rows in words]
-
-
 def derive_seeds(seed, count):
     """Split one base seed into ``count`` independent integer sub-seeds."""
     children = np.random.SeedSequence(int(seed)).spawn(count)
@@ -391,8 +377,9 @@ def _half_spectrum_scale(hurst, count):
     return scale
 
 
-def _block_rows(row_entries, budget):
-    """Rows of ``row_entries`` entries that fit in ``budget`` entries; at least one."""
+def _block_rows(row_entries, budget=None):
+    """Rows of ``row_entries`` entries that fit in ``budget`` entries, a block's by default; at least one."""
+    budget = _BLOCK_ENTRIES if budget is None else budget
     return max(1, budget // max(row_entries, 1))
 
 
@@ -445,7 +432,7 @@ def gen_fgn(inner_hurst, count, seed=0):
 
 def hermite_poly(order, x):
     """Probabilists' Hermite polynomial He_order(x), three-term recurrence."""
-    _require(isinstance(order, int) and order >= 0, f"order must be an integer >= 0, got {order}")
+    _require(type(order) is int and order >= 0, f"order must be an integer >= 0, got {order}")
     arr = np.asarray(x, dtype=float)
     if order == 0:
         return np.ones_like(arr) if arr.ndim else 1.0
@@ -493,8 +480,8 @@ def _partial_sum_scale(spec, n_inner):
 def _check_grid(horizon, steps, paths):
     _require(horizon > 0, f"horizon must be positive, got {horizon}")
     _require(math.isfinite(horizon), f"horizon must be finite, got {horizon}")
-    _require(isinstance(steps, int) and steps >= 1, f"steps must be an integer >= 1, got {steps}")
-    _require(isinstance(paths, int) and paths >= 1, f"paths must be an integer >= 1, got {paths}")
+    _require(type(steps) is int and steps >= 1, f"steps must be an integer >= 1, got {steps}")
+    _require(type(paths) is int and paths >= 1, f"paths must be an integer >= 1, got {paths}")
 
 
 def _bm_walk(values, words, dt_root):
@@ -509,9 +496,7 @@ def _bm_walk(values, words, dt_root):
 def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     """Standard Brownian motion, W(0) = 0, exact Gaussian increments."""
     _check_grid(horizon, steps, paths)
-    values = np.empty((paths, steps + 1))
-    _bm_walk(values, _stream_states(seed, range(path_offset, path_offset + paths), component),
-             math.sqrt(horizon / steps))
+    values = _drawn(None, horizon, steps, paths, seed, component, path_offset)
     return SamplePath(horizon, steps, values, seed,
                       meta={"process": "bm", "paths": paths, "path_offset": path_offset,
                             "component": component})
@@ -526,7 +511,7 @@ def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
     _require(spec.rank == 1, f"gen_fbm requires rank 1, got rank {spec.rank}")
     _check_grid(horizon, steps, paths)
-    values = _hermite_values(spec, horizon, steps, paths, seed, component, path_offset)
+    values = _drawn(spec, horizon, steps, paths, seed, component, path_offset)
     return SamplePath(horizon, steps, values, seed,
                       meta={"process": "fbm", "hurst": spec.hurst, "rank": 1,
                             "approx_factor": spec.approx_factor,
@@ -590,18 +575,59 @@ def _hermite_rows(spec, scale, values, words, draws, half):
         terms = fgn if spec.rank == 1 else hermite_poly(spec.rank, fgn)
         np.cumsum(terms, axis=1, out=terms)
         np.multiply(terms[:, factor - 1::factor], scale, out=rows[:, 1:])
+        del terms  # so the next batch's terms are not built beside these
 
 
-def _hermite_values(spec, horizon, steps, paths, seed, component, path_offset=0):
-    # The work arrays hold one batch and every batch refills them; arrays
-    # freed after each batch would go back to the kernel and be faulted in
-    # again by the next.  Each batch's seed words are hashed with it.
-    draws, half, _ = _fft_work(spec, steps, paths)
-    scale = _hermite_scale(spec, horizon, steps)
+def _draw_blocks(drivers, paths, steps, horizon, path_offset=0, spare=0):
+    """(start, stop, driver values, spare arrays) for each block of paths, in order.
+
+    ``drivers`` lists (spec, seed, component): spec None draws gen_bm's
+    Brownian motion and a HermiteSpec (at most one) gen_hermite's process,
+    path p from the stream path_rng(seed, path_offset + p, component).  A
+    block's driver values are (drivers, rows, steps + 1); its ``spare``
+    arrays, of the same shape, share memory with the FFT work arrays and
+    are free once the block is drawn.  Every array is allocated for the
+    first block and refilled by every later one (a shorter block uses their
+    leading rows), so its pages are not handed back and faulted in again.
+    Seed words are hashed in whole blocks, as many as fit in ``_HASH_PATHS``
+    paths and at least one.
+    """
+    block = _block_rows(steps + 1)
+    rows = min(paths, block)
+    values = np.empty((len(drivers), rows, steps + 1))
+    floats = spare * rows * (steps + 1)
+    hermite = [spec for spec, _, _ in drivers if spec is not None]
+    if hermite:
+        _require(isinstance(hermite[0], HermiteSpec), "spec must be a HermiteSpec")
+        draws, half, memory = _fft_work(hermite[0], steps, rows, floats)
+        scale = _hermite_scale(hermite[0], horizon, steps)
+    else:
+        memory = np.empty(floats)
+    spares = memory[:floats].reshape(spare, rows, steps + 1)
+    dt_root = math.sqrt(horizon / steps)
+    per_chunk = block * max(1, _HASH_PATHS // block)
+    for first in range(0, paths, per_chunk):
+        last = min(first + per_chunk, paths)
+        indices = range(path_offset + first, path_offset + last)
+        words = [_stream_states(seed, indices, component) for _, seed, component in drivers]
+        for start in range(first, last, block):
+            stop = min(start + block, last)
+            n = stop - start
+            for (spec, _, _), out, chunk in zip(drivers, values[:, :n], words):
+                block_words = chunk[start - first:stop - first]
+                if spec is None:
+                    _bm_walk(out, block_words, dt_root)
+                else:
+                    _hermite_rows(spec, scale, out, block_words, draws, half)
+            yield start, stop, values[:, :n], spares[:, :n]
+
+
+def _drawn(spec, horizon, steps, paths, seed, component, path_offset):
+    """One ``_draw_blocks`` driver's blocks, copied into one array."""
     values = np.empty((paths, steps + 1))
-    for start, stop, (words,) in _block_words([(seed, component)], paths, len(draws),
-                                              len(draws), path_offset):
-        _hermite_rows(spec, scale, values[start:stop], words, draws, half)
+    for start, stop, (rows,), _ in _draw_blocks([(spec, seed, component)], paths, steps,
+                                                horizon, path_offset):
+        values[start:stop] = rows
     return values
 
 
@@ -615,8 +641,7 @@ def gen_hermite(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     """
     _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
     _check_grid(horizon, steps, paths)
-    values = _hermite_values(spec, horizon, steps, paths, seed, component=0,
-                             path_offset=path_offset)
+    values = _drawn(spec, horizon, steps, paths, seed, 0, path_offset)
     return SamplePath(horizon, steps, values, seed,
                       meta={"process": "hermite", "hurst": spec.hurst, "rank": spec.rank,
                             "approx_factor": spec.approx_factor,
@@ -634,9 +659,9 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     _check_grid(horizon, steps, paths)
     values = np.zeros((paths, steps + 1))
     for i, (weight, _) in enumerate(spec.components):
-        values += weight * _hermite_values(spec.component_spec(i), horizon, steps,
-                                           paths, seed, component=i,
-                                           path_offset=path_offset)
+        for start, stop, (rows,), _ in _draw_blocks([(spec.component_spec(i), seed, i)], paths,
+                                                    steps, horizon, path_offset):
+            values[start:stop] += weight * rows
     return SamplePath(horizon, steps, values, seed,
                       meta={"process": "mixed", "hurst": spec.hurst,
                             "weights": [w for w, _ in spec.components],
@@ -650,7 +675,8 @@ def _hou_working_bytes(hermite, total, paths):
     """Bytes gen_hou holds at once over ``total`` grid steps, an over-estimate.
 
     The driver, its increments and the OU values are (paths, total + 1)
-    each.  Building the circulant's eigenvalues holds about 56 bytes per
+    each; the driver's draw block, no larger than the driver, is freed
+    with the FFT work before the increments exist.  Building the circulant's eigenvalues holds about 56 bytes per
     inner lattice point, before the work arrays of one FFT batch exist:
     per row and inner point, 16 bytes each for the normals (which the
     inverse transform overwrites) and the half spectrum, and for rank >= 2
@@ -696,8 +722,7 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
                   _hou_working_bytes(hermite, total, paths),
                   f"raise ou_lambda ({spec.lam}) or lower "
                   f"history_truncation ({spec.history_truncation})")
-    driver = _hermite_values(hermite, total * dt, total, paths, seed, component=0,
-                             path_offset=path_offset)
+    driver = _drawn(hermite, total * dt, total, paths, seed, 0, path_offset)
     deltas = np.diff(driver, axis=1)
     decay = math.exp(-spec.lam * dt)
     ou = np.zeros((paths, total + 1))

@@ -8,6 +8,10 @@ sum_j c_j^2/2 d2P/dx_j^2 x_j^2.  The running tax charged along a price
 path is the left-point integral of those curvature terms against the
 assets; the taxed Monte Carlo demos charge its terminal value from each
 field's tax density x_j d2P/dx_j^2 in closed form.
+
+The demos draw their drivers through ``processes._draw_blocks``, the
+iterator behind every generator, and price and charge each block in the
+arrays it hands out; of a block they keep counts and one number a path.
 """
 
 import math
@@ -17,9 +21,8 @@ import numpy as np
 
 from .calculus import GridFunction
 from .markets import _intensities, _mixed_legs
-from .processes import (SamplePath, derive_seeds, HermiteSpec, _block_rows, _block_words,
-                        _bm_walk, _check_grid, _fft_work, _hermite_rows, _hermite_scale,
-                        _require)
+from .processes import (SamplePath, derive_seeds, HermiteSpec, _BLOCK_ENTRIES, _block_rows,
+                        _check_grid, _draw_blocks, _require)
 
 __all__ = [
     "PortfolioFunction",
@@ -45,10 +48,6 @@ __all__ = [
 ]
 
 _FD_SCALE = 1e-5
-# Prices per block of paths, cut by processes._block_rows for running_cost
-# and the demos: a few such arrays fit in L2.  A demo allocates its block
-# arrays once and hashes seed words for _BLOCK_ENTRIES // 32 paths at a time.
-_BLOCK_ENTRIES = 1 << 15
 _Z95 = 1.959963984540054
 
 
@@ -359,7 +358,7 @@ def running_cost(P, prices, tax, times=None):
             raise ValueError("time-dependent field needs the time grid")
         t_left = np.asarray(times, dtype=float)[:-1]
     out = np.zeros(prices.shape[1:])
-    size = _block_rows(out.shape[1], _BLOCK_ENTRIES)
+    size = _block_rows(out.shape[1])
     for start in range(0, len(out), size):
         block = prices[:, start:start + size]
         left = block[:, :, :-1]
@@ -426,12 +425,13 @@ class TaxReport:
 def _demo_bytes(paths, steps):
     """Bytes a demo holds at once: 8 a path, and 14 arrays the size of one block.
 
-    The mixed demo, the largest of the four, peaks at a little over 12 such
-    arrays (tracemalloc) when a block is one path, where each row over the
-    time grid is as large as a block, and at about 8 blocks of
-    ``_BLOCK_ENTRIES`` prices at 512 steps; the others at 2.5 to 6.  Of
-    those, the drivers and the FFT work memory that the block's prices
-    reuse are allocated once per demo.
+    A block is what ``processes._draw_blocks`` hands out, ``_BLOCK_ENTRIES``
+    prices or one path.  The mixed demo, the largest of the four, peaks at
+    a little over 12 such arrays (tracemalloc) when a block is one path,
+    where each row over the time grid is as large as a block, and at about
+    8 blocks at 512 steps; the others at 2.5 to 6.  Of those, the drivers
+    and the FFT work memory that the block's prices reuse are allocated
+    once per demo, by the iterator.
     """
     return 8 * paths + 14 * 8 * max(_BLOCK_ENTRIES, steps + 1)
 
@@ -450,8 +450,8 @@ def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
     _check_grid(horizon, steps, paths)
     tally = _ArbTally(np.zeros(1))  # untaxed: no running cost is charged
     identity_err, gap_ratios = [], []
-    for _, _, (s,), (value, increments, gain) in _demo_blocks(_fbm_driver(spec, seed), paths,
-                                                             steps, horizon, 3):
+    for _, _, (s,), (value, increments, gain) in _draw_blocks(_fbm_driver(spec, seed), paths,
+                                                             steps, horizon, spare=3):
         np.exp(s, out=s)
         np.square(np.subtract(s, 1.0, out=value), out=value)
         increments = np.subtract(s[:, 1:], s[:, :-1], out=increments[:, 1:])
@@ -503,7 +503,7 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
         raise ValueError(f"evaluation time t={t} rounds to grid index 0 of steps={steps} over "
                          f"horizon={horizon}, where every price is still 1; raise t or steps")
     s_t = np.empty(paths)
-    for start, stop, (path,), _ in _demo_blocks(_fbm_driver(spec, seed), paths, steps, horizon):
+    for start, stop, (path,), _ in _draw_blocks(_fbm_driver(spec, seed), paths, steps, horizon):
         s_t[start:stop] = path[:, index]
     np.exp(s_t, out=s_t)
     value_t = f(s_t)
@@ -548,7 +548,8 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     tally = _ArbTally(intensities)
     t = np.linspace(0.0, horizon, steps + 1)
     terminal = []
-    for _, _, (w,), (s, v, increments) in _demo_blocks([(None, seed)], paths, steps, horizon, 3):
+    for _, _, (w,), (s, v, increments) in _draw_blocks([(None, seed, 0)], paths, steps, horizon,
+                                                       spare=3):
         market._price_rows(w, t, (s, v))
         # the tally reads the field's first and last values only
         ends = portfolio.value((s[:, ::steps], v[:, ::steps]))
@@ -590,8 +591,8 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     t = np.linspace(0.0, horizon, steps + 1)
     growth = 2.0 * np.exp(0.5 * market.r * t)
     lowest = []
-    for _, _, (w, h), (tilted, unit, u, values, increments) in _demo_blocks(
-            [(None, w_seed), (hermite, h_seed)], paths, steps, horizon, 5):
+    for _, _, (w, h), (tilted, unit, u, values, increments) in _draw_blocks(
+            [(None, w_seed, 0), (hermite, h_seed, 0)], paths, steps, horizon, spare=5):
         _mixed_legs(market, w, h, t, tilted, unit)
         legs = tilted, unit
         roots = w, h  # the drivers are spent
@@ -651,50 +652,10 @@ def _mixed_densities(u, roots):
 
 
 def _fbm_driver(spec, seed):
-    """The driver list of ``_demo_blocks`` for the paths gen_fbm(spec, ..., seed) draws."""
+    """The driver list of ``_draw_blocks`` for the paths gen_fbm(spec, ..., seed) draws."""
     _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
     _require(spec.rank == 1, f"gen_fbm requires rank 1, got rank {spec.rank}")
-    return [(spec, seed)]
-
-
-def _demo_blocks(drivers, paths, steps, horizon, spare=0):
-    """(start, stop, driver values, spare arrays) for each block of paths, in order.
-
-    ``drivers`` lists (spec, seed) pairs: spec None draws the Brownian
-    motion of gen_bm, a HermiteSpec (at most one) the process of
-    gen_hermite, each from component 0 of its seed's streams.  A block's
-    driver values are (drivers, rows, steps + 1); its ``spare`` arrays
-    (spare, rows, steps + 1) share their memory with the FFT work arrays, if
-    any, and are free once the block is drawn.  Every array is allocated for the
-    first block, the longest, and refilled by every later one (a shorter
-    block uses their leading rows): arrays freed after each block would go
-    back to the kernel and be faulted in again.  Seed words are hashed
-    ``_BLOCK_ENTRIES // 32`` paths at a time: hashing takes about 200 bytes
-    a path while it runs, so a chunk takes less than a block array, and it
-    costs about as much for one path as for a few hundred.
-    """
-    block = _block_rows(steps + 1, _BLOCK_ENTRIES)
-    rows = min(paths, block)
-    values = np.empty((len(drivers), rows, steps + 1))
-    floats = spare * rows * (steps + 1)
-    hermite = [spec for spec, _ in drivers if spec is not None]
-    if hermite:
-        _require(isinstance(hermite[0], HermiteSpec), "spec must be a HermiteSpec")
-        draws, half, memory = _fft_work(hermite[0], steps, rows, floats)
-        scale = _hermite_scale(hermite[0], horizon, steps)
-    else:
-        memory = np.empty(floats)
-    spares = memory[:floats].reshape(spare, rows, steps + 1)
-    dt_root = math.sqrt(horizon / steps)
-    streams = [(seed, 0) for _, seed in drivers]
-    for start, stop, words in _block_words(streams, paths, block, _BLOCK_ENTRIES // 32):
-        n = stop - start
-        for (spec, _), out, block_words in zip(drivers, values[:, :n], words):
-            if spec is None:
-                _bm_walk(out, block_words, dt_root)
-            else:
-                _hermite_rows(spec, scale, out, block_words, draws, half)
-        yield start, stop, values[:, :n], spares[:, :n]
+    return [(spec, seed, 0)]
 
 
 class _ArbTally:

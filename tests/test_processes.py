@@ -26,7 +26,7 @@ from hermite_markets import (
     path_rng,
 )
 from hermite_markets import processes
-from hermite_markets.processes import _block_words, _bm_walk, _fft_work, _fgn_autocov, \
+from hermite_markets.processes import _bm_walk, _draw_blocks, _fft_work, _fgn_autocov, \
     _fgn_draws, _fgn_transform, _hermite_rows, _hermite_scale, _raw_sum_std, _stream_states, \
     gen_fgn, hermite_poly
 from hermite_markets.stats import autocov_slope
@@ -101,6 +101,33 @@ def test_mixture_batches_keep_the_peak_small():
     assert large - small < 25.0, (small, large)
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_hermite_rows_hold_one_batch_of_terms(rank):
+    # A block of the mixed demo's rank-2 driver at 512 steps is 63 paths,
+    # 8 batches of 8 rows on a 16,384-point lattice.  Over several batches
+    # the kernel holds no more than over one: a batch's Hermite terms are
+    # dropped before the next batch's are built, where keeping them held
+    # one more 1 MiB array of terms.
+    spec, steps = HermiteSpec(0.75, rank), 512
+    words = _stream_states(1, range(64), 0)
+    values = np.empty((64, steps + 1))
+    draws, half, _ = _fft_work(spec, steps, 64)
+    scale = _hermite_scale(spec, 1.0, steps)
+    assert len(draws) == 8
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            _hermite_rows(spec, scale, values[:rows], words[:rows], draws, half)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(len(draws))
+    terms = draws.nbytes // 2
+    assert peak(len(values)) < one + terms // 2, (one, terms)
+
+
 def test_components_are_independent_streams():
     a = gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=5, component=0)
     b = gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=5, component=1)
@@ -147,41 +174,71 @@ def test_stream_states_match_seed_sequence_property(seed, start, count, componen
     assert np.array_equal(_stream_states(seed, paths, component), np.array(expected))
 
 
-# Blocks of seed words hashed a chunk at a time, from offsets on either
-# side of 2**32, where numpy codes a path index in a second word.
+# Seed words hashed whole blocks at a time, as many as fit in a chunk and
+# at least one, from offsets on either side of 2**32, where numpy codes a
+# path index in a second word.
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**64), paths=st.integers(1, 60), block=st.integers(1, 9),
+@given(seed=st.integers(0, 2**64), paths=st.integers(1, 60), rows=st.integers(1, 9),
        chunk=st.integers(0, 40), offset=st.sampled_from([0, 5, 2**32 - 20, 2**40]),
        component=st.integers(0, 3))
-def test_block_words_are_the_stream_states_of_the_whole_range(seed, paths, block, chunk,
-                                                              offset, component):
-    streams = [(seed, component), (seed + 1, component)]
-    blocks = list(_block_words(streams, paths, block, chunk, offset))
-    assert [start for start, _, _ in blocks] == list(range(0, paths, block))
-    assert [stop for _, stop, _ in blocks] == [min(start + block, paths)
-                                               for start in range(0, paths, block)]
-    for i, (stream_seed, _) in enumerate(streams):
-        whole = _stream_states(stream_seed, range(offset, offset + paths), component)
-        assert np.array_equal(np.concatenate([words[i] for _, _, words in blocks]), whole)
+def test_draw_blocks_hash_whole_blocks_a_chunk_at_a_time(seed, paths, rows, chunk, offset,
+                                                         component):
+    steps = 3
+    drivers = [(None, seed, component), (None, seed + 1, component)]
+    hashed = []
+
+    def recording(stream_seed, indices, stream_component):
+        hashed.append((stream_seed, indices, stream_component))
+        return _stream_states(stream_seed, indices, stream_component)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(processes, "_BLOCK_ENTRIES", rows * (steps + 1))
+        patch.setattr(processes, "_HASH_PATHS", chunk)
+        patch.setattr(processes, "_stream_states", recording)
+        blocks = [(start, stop, values.copy())
+                  for start, stop, values, _ in _draw_blocks(drivers, paths, steps, 1.0, offset)]
+    assert [start for start, _, _ in blocks] == list(range(0, paths, rows))
+    assert [stop for _, stop, _ in blocks] == [min(start + rows, paths)
+                                               for start in range(0, paths, rows)]
+    per_chunk = rows * max(1, chunk // rows)
+    assert hashed == [(stream_seed, range(offset + first, offset + min(first + per_chunk, paths)),
+                       component)
+                      for first in range(0, paths, per_chunk) for _, stream_seed, _ in drivers]
+    for i, (_, stream_seed, _) in enumerate(drivers):
+        whole = np.empty((paths, steps + 1))
+        _bm_walk(whole, _stream_states(stream_seed, range(offset, offset + paths), component),
+                 math.sqrt(1.0 / steps))
+        assert np.array_equal(np.concatenate([values[i] for _, _, values in blocks]), whole)
 
 
 # The kernels behind the generators, fed seed words hashed elsewhere and
-# work arrays of any batch size, draw the generators' rows bit for bit.
+# work arrays of any batch size, draw the generators' rows bit for bit;
+# over a thousand paths cross a hash chunk of 1,024 paths, and at 300
+# steps or more several blocks of 2**15 prices (102 to 108 paths) too.
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32), paths=st.integers(1, 9), steps=st.integers(1, 40),
-       offset=st.sampled_from([0, 7, 2**32 - 3]), rank=st.sampled_from([1, 2]),
-       batch=st.integers(1, 9), horizon=st.sampled_from([1.0, 2.5]))
-def test_kernels_draw_the_generators_rows(seed, paths, steps, offset, rank, batch, horizon):
-    words = _stream_states(seed, range(offset, offset + paths), 0)
+@given(seed=st.integers(0, 2**32), paths=st.one_of(st.integers(1, 9), st.integers(1000, 1100)),
+       steps=st.one_of(st.integers(1, 40), st.integers(300, 320)),
+       offset=st.sampled_from([0, 7, 2**32 - 3]), component=st.integers(0, 3),
+       rank=st.sampled_from([1, 2]), batch=st.integers(1, 9),
+       horizon=st.sampled_from([1.0, 2.5]))
+def test_kernels_draw_the_generators_rows(seed, paths, steps, offset, component, rank, batch,
+                                          horizon):
+    words = _stream_states(seed, range(offset, offset + paths), component)
     values = np.full((paths, steps + 1), np.nan)
     _bm_walk(values, words, math.sqrt(horizon / steps))
-    assert np.array_equal(values, gen_bm(horizon, steps, paths, seed, path_offset=offset).values)
+    expected = gen_bm(horizon, steps, paths, seed, component, path_offset=offset).values
+    assert np.array_equal(values, expected)
+    # gen_hermite draws component 0; gen_fbm, its rank-1 case, any
     spec = HermiteSpec(0.7, rank, approx_factor=3)
+    if rank == 1:
+        expected = gen_fbm(spec, horizon, steps, paths, seed, component, offset).values
+    else:
+        words = _stream_states(seed, range(offset, offset + paths), 0)
+        expected = gen_hermite(spec, horizon, steps, paths, seed, path_offset=offset).values
     values[:] = np.nan
     draws, half, _ = _fft_work(spec, steps, batch)
     draws[:] = np.nan
     _hermite_rows(spec, _hermite_scale(spec, horizon, steps), values, words, draws, half)
-    expected = gen_hermite(spec, horizon, steps, paths, seed, path_offset=offset).values
     assert np.array_equal(values, expected)
 
 
@@ -285,6 +342,24 @@ def test_grid_validation():
         gen_bm(0.0, 32)
     with pytest.raises(ValueError):
         gen_bm(1.0, 0)
+
+
+# Python counts a bool as an int, but True is no count of steps or paths
+# and no rank: each integer parameter refuses one with its own message.
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_bm(1.0, 8, paths=True), "paths must be an integer >= 1, got True"),
+    (lambda: gen_hermite(HermiteSpec(0.7), 1.0, 8, paths=True),
+     "paths must be an integer >= 1, got True"),
+    (lambda: gen_fbm(HermiteSpec(0.7), 1.0, True), "steps must be an integer >= 1, got True"),
+    (lambda: HermiteSpec(0.7, rank=True), "rank must be an integer >= 1, got True"),
+    (lambda: HermiteSpec(0.7, approx_factor=True), "approx_factor must be an integer >= 1, got True"),
+    (lambda: MixedHermiteSpec(0.75, ((1.0, True),)), "rank must be an integer >= 1, got True"),
+    (lambda: hermite_poly(True, 0.5), "order must be an integer >= 0, got True"),
+])
+def test_integer_parameters_refuse_bool(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("horizon, message", [
@@ -624,7 +699,7 @@ def test_hou_working_bytes_bounds_the_measured_peak(rank):
     processes._half_spectrum_scale.cache_clear()
     tracemalloc.start()
     try:
-        processes._hermite_values(hermite, 1.0, 4096, 5, seed=2, component=0)
+        processes._drawn(hermite, 1.0, 4096, 5, seed=2, component=0, path_offset=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -638,7 +713,7 @@ def test_hou_preflight_raises_before_allocating(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the driver was allocated")
 
-    monkeypatch.setattr(processes, "_hermite_values", never)
+    monkeypatch.setattr(processes, "_draw_blocks", never)
     monkeypatch.setattr(processes, "_physical_memory", lambda: 2**30)
     with pytest.raises(ValueError, match=r"ou_lambda \(0\.01\).*history_truncation") as err:
         gen_hou(HouSpec(0.01, 1.0), HermiteSpec(0.75, 2), 1.0, 1024, paths=10)

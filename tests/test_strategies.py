@@ -46,7 +46,7 @@ from hermite_markets import (
     taxed_self_financing_residual,
     wilson_ci,
 )
-from hermite_markets import strategies
+from hermite_markets import processes, strategies
 from hermite_markets.markets import _intensities, _mixed_legs
 from _oracles import (
     fsquare_law,
@@ -587,10 +587,10 @@ _BLOCK_CASES += [("untaxed", None, "shiryaev", None), ("untaxed", 0.0, "fsquare"
 @pytest.mark.parametrize("tax, demo, option", [case[1:] for case in _BLOCK_CASES],
                          ids=[f"{name}-{demo}-{option}" for name, _, demo, option in _BLOCK_CASES])
 def test_demo_reports_do_not_depend_on_path_blocks(monkeypatch, tax, demo, option):
-    monkeypatch.setattr(strategies, "_BLOCK_ENTRIES", 2**40)
+    monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 2**40)
     whole = _demo_bytes(_demo_run(demo, tax, option))
     for entries in _TRIAL_BLOCK_ENTRIES:
-        monkeypatch.setattr(strategies, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(processes, "_BLOCK_ENTRIES", entries)
         assert _demo_bytes(_demo_run(demo, tax, option)) == whole, entries
 
 
@@ -606,7 +606,7 @@ def test_demo_extremes_keep_nan_across_blocks(monkeypatch, tax):
     reports = []
     with np.errstate(all="ignore"):
         for entries in (17, 2**40):
-            monkeypatch.setattr(strategies, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(processes, "_BLOCK_ENTRIES", entries)
             reports.append(diffusion_arb_demo(market, 12, 16, 1.0, 2, tax))
     assert math.isnan(reports[0].statistics["min_terminal_value"])
     assert _demo_bytes(reports[0]) == _demo_bytes(reports[1])
@@ -618,6 +618,8 @@ def test_demo_extremes_keep_nan_across_blocks(monkeypatch, tax):
     ({"paths": 2.5}, "paths must be an integer >= 1, got 2.5"),
     ({"steps": 0}, "steps must be an integer >= 1, got 0"),
     ({"steps": 8.0}, "steps must be an integer >= 1, got 8.0"),
+    ({"paths": True}, "paths must be an integer >= 1, got True"),
+    ({"steps": True}, "steps must be an integer >= 1, got True"),
     ({"horizon": 0.0}, "horizon must be positive, got 0.0"),
     ({"horizon": math.inf}, "horizon must be finite, got inf"),
 ])
@@ -628,18 +630,23 @@ def test_demos_check_the_grid_before_any_block(demo, grid, message):
     assert str(err.value) == message
 
 
-# Blocks as the demos draw them, _BLOCK_ENTRIES // 32 paths of seed words
-# hashed at a time, and priced in spare arrays that still hold the last
-# block's prices: each block is the generators' rows, and its legs are the
-# price formulas in their grouping, bit for bit.
+# Blocks as the demos draw them, seed words hashed 1,024 paths at a time,
+# and priced in spare arrays that still hold the last block's prices: each
+# block is the generators' rows, and its legs are the price formulas in
+# their grouping, bit for bit.  Over a thousand paths cross a hash chunk.
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32), paths=st.integers(1, 40), steps=st.integers(1, 100),
-       rows=st.integers(1, 7), rank=st.sampled_from([1, 2]))
-def test_demo_blocks_draw_and_price_the_generators_rows(seed, paths, steps, rows, rank):
+@given(seed=st.integers(0, 2**32), paths=st.one_of(st.integers(1, 40), st.integers(1000, 1100)),
+       steps=st.integers(1, 100), rows=st.integers(1, 7), rank=st.sampled_from([1, 2]),
+       offset=st.sampled_from([0, 5, 2**32 - 3]), component=st.integers(0, 3))
+def test_draw_blocks_draw_and_price_the_generators_rows(seed, paths, steps, rows, rank, offset,
+                                                        component):
     hermite = HermiteSpec(0.75, rank, approx_factor=2)
     market, pair = _mixed_market(), TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2)
-    w = gen_bm(1.0, steps, paths, seed)
-    h = gen_hermite(hermite, 1.0, steps, paths, seed + 1)
+    w = gen_bm(1.0, steps, paths, seed, component, offset)
+    # gen_hermite draws component 0; gen_fbm, its rank-1 case, any
+    h_component = component if rank == 1 else 0
+    h = (gen_fbm(hermite, 1.0, steps, paths, seed + 1, component, offset) if rank == 1
+         else gen_hermite(hermite, 1.0, steps, paths, seed + 1, offset))
     t = w.times
     tilted = np.exp(w.values * market.b + -0.5 * market.b ** 2 * t)
     unit = np.exp(w.values + (singular_square_term(t, h.values, market.hurst) - t)
@@ -651,9 +658,9 @@ def test_demo_blocks_draw_and_price_the_generators_rows(seed, paths, steps, rows
                    for mu, sigma in ((pair.mu1, pair.sigma1), (pair.mu2, pair.sigma2))]
     assert np.array_equal(pair.price_paths(w), pair_prices)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(strategies, "_BLOCK_ENTRIES", rows * (steps + 1))
-        blocks = strategies._demo_blocks([(None, seed), (hermite, seed + 1)], paths, steps,
-                                         1.0, 4)
+        patch.setattr(processes, "_BLOCK_ENTRIES", rows * (steps + 1))
+        blocks = processes._draw_blocks([(None, seed, component), (hermite, seed + 1, h_component)],
+                                        paths, steps, 1.0, offset, spare=4)
         covered = 0
         for start, stop, (w_rows, h_rows), spare in blocks:
             assert start == covered and 0 < stop - start == len(w_rows) <= rows
