@@ -81,13 +81,14 @@ def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
     The middle node equals ln(spot) up to the rounding of exp, log and
     linspace: at spot 37.5 with a half-width of one log unit it is one ulp
     (4.4e-16) off.  The half-width covers 8 standard deviations plus the
-    drift over the horizon, with a floor of one log unit.
+    drift over the horizon, with a floor of 1e-4 log units, so that a
+    short-dated or low-volatility claim's kink still spans many nodes.
     """
     if not 0 < spot < math.inf:
         raise ValueError(f"spot must be positive and finite, got {spot}")
     if nodes % 2 == 0:
         nodes += 1
-    half = max(1.0, 8.0 * abs(sigma) * math.sqrt(maturity)
+    half = max(1e-4, 8.0 * abs(sigma) * math.sqrt(maturity)
                + abs(rate - 0.5 * sigma ** 2) * maturity)
     center = math.log(spot)
     return PdeGrid(math.exp(center - half), math.exp(center + half),

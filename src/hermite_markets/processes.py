@@ -27,17 +27,17 @@ Memory
 Every draw goes through one iterator, ``_draw_blocks``, in blocks of
 ``_BLOCK_ENTRIES`` = 2**15 prices (or one path), which the generators copy
 into their output and the strategies' demos price in place.  Seed words
-are hashed ``_HASH_PATHS`` = 1,024 paths at a time, and the inner FGN
-lattice is transformed in batches of at most ``_CHUNK_ENTRIES`` = 2**18
-normals (rows x 2 count, or one path).  The block and one batch's work
-arrays, 32 bytes per row and lattice point (the normals, which the
-inverse transform overwrites, and the complex half spectrum), are
-allocated once per call and refilled; ranks of 2 and more add one batch's
-Hermite terms, 8 to 40 bytes.  So a call holds its output plus one block
-and one batch: a rank-2 lattice of 32,768 points takes 4 rows a batch,
-about 5 MiB.  Neither changes a bit.  Each driver has one kernel, writing
-into arrays and from seed words it is passed: ``_bm_walk`` for Brownian
-motion and ``_hermite_rows`` for every rank.
+are hashed ``_HASH_PATHS`` = 1,024 paths at a time.  A block that holds a
+Hermite driver is also one FFT batch of its inner FGN lattice, at most
+``_CHUNK_ENTRIES`` = 2**18 normals (rows x 2 count, or one path).  The
+block and its work arrays, 32 bytes per row and lattice point (the
+normals, which the inverse transform overwrites, and the complex half
+spectrum), are allocated once per call and refilled; ranks of 2 and more
+add one block's Hermite terms, 8 to 40 bytes.  So a call holds its output
+plus one block: a rank-2 lattice of 32,768 points takes 4 rows a block,
+about 5 MiB.  The block size changes no bit.  Each driver has one kernel,
+writing into arrays and from seed words it is passed: ``_bm_walk`` for
+Brownian motion and ``_hermite_rows`` for every rank.
 """
 
 import math
@@ -383,29 +383,20 @@ def _block_rows(row_entries, budget=None):
     return max(1, budget // max(row_entries, 1))
 
 
-def _fgn_draws(count, seed, path_indices, component):
-    """The 2 count standard normals of each path, one row per path index."""
-    draws = np.empty((len(path_indices), 2 * count))
-    _fill_normals(draws, _stream_states(seed, path_indices, component))
-    return draws
-
-
-def _fgn_transform(hurst, draws, half=None, out=None):
+def _fgn_transform(hurst, draws, half, out):
     """Exact FGN rows from rows of 2 count unit normals; linear in ``draws``.
 
     Normal 0 and normal 1 are the real zero and Nyquist frequencies,
     normals 2..count the real parts and count+1..2 count-1 the imaginary
     parts of frequencies 1..count-1 (Davies-Harte, in real-FFT form).
     ``half``, complex of shape (rows, count + 1), and ``out``, of shape
-    (rows, 2 count), are work arrays to fill in place of fresh ones; the
-    result is then a view of ``out``.  ``out`` may be ``draws`` itself:
-    the half spectrum is filled before the transform writes.
+    (rows, 2 count), are the work arrays it fills, and the result is a view
+    of ``out``.  ``out`` may be ``draws`` itself: the half spectrum is
+    filled before the transform writes.
     """
     rows, m = draws.shape
     count = m // 2
     scale = _half_spectrum_scale(hurst, count)
-    if half is None:
-        half = np.empty((rows, count + 1), dtype=np.complex128)
     re, im = half.real, half.imag
     np.multiply(draws[:, 0], scale[0], out=re[:, 0])
     np.multiply(draws[:, 1], scale[count], out=re[:, count])
@@ -424,7 +415,10 @@ def gen_fgn(inner_hurst, count, seed=0):
     """
     _require(0.5 < inner_hurst < 1.0, f"inner_hurst must lie in (1/2, 1), got {inner_hurst}")
     _require(count >= 1, f"count must be >= 1, got {count}")
-    return _fgn_transform(inner_hurst, _fgn_draws(int(count), seed, [0], 0))[0]
+    count = int(count)
+    draws = np.empty((1, 2 * count))
+    _fill_normals(draws, _stream_states(seed, [0], 0))
+    return _fgn_transform(inner_hurst, draws, np.empty((1, count + 1), complex), draws)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,45 +531,47 @@ def _hermite_scale(spec, horizon, steps):
     return horizon ** spec.hurst * _partial_sum_scale(spec, _lattice_factor(spec) * steps)
 
 
-def _fft_work(spec, steps, rows, floats=0):
-    """Work arrays to draw ``rows`` paths of ``spec`` a batch at a time: (draws, half, memory).
+def _driver_rows(spec, steps):
+    """Paths in a block of driver ``spec``: ``_BLOCK_ENTRIES`` prices, and one FFT batch at most."""
+    rows = _block_rows(steps + 1)
+    if spec is not None:
+        rows = min(rows, _block_rows(2 * _lattice_factor(spec) * steps, _CHUNK_ENTRIES))
+    return rows
 
-    The batch is as many rows as ``_block_rows`` fits in ``_CHUNK_ENTRIES``.
-    ``draws`` (batch, 2 n) holds its normals and ``half`` (batch, n + 1)
-    its complex half spectrum, n inner lattice points; both are views of
+
+def _fft_work(spec, steps, rows, floats=0):
+    """Work arrays to draw ``rows`` paths of ``spec`` in one FFT batch: (draws, half, memory).
+
+    ``draws`` (rows, 2 n) holds the normals and ``half`` (rows, n + 1) the
+    complex half spectrum, n inner lattice points; both are views of
     ``memory``, a flat float array of at least ``floats`` entries that a
-    caller may use for anything once a batch is drawn.  The eigenvalues are
-    built, and the embedding checked, before the memory exists.
+    caller may use for anything once the rows are drawn.  The eigenvalues
+    are built, and the embedding checked, before the memory exists.
     """
     n_inner = _lattice_factor(spec) * steps
     _half_spectrum_scale(spec.inner_hurst, n_inner)
-    batch = min(rows, _block_rows(2 * n_inner, _CHUNK_ENTRIES))
-    spectrum = batch * (n_inner + 1)
-    memory = np.empty(max(spectrum + batch * n_inner, -(-floats // 2)), dtype=np.complex128)
-    half = memory[:spectrum].reshape(batch, n_inner + 1)
-    draws = memory[spectrum:spectrum + batch * n_inner].view(np.float64)
-    return draws.reshape(batch, 2 * n_inner), half, memory.view(np.float64)
+    spectrum = rows * (n_inner + 1)
+    memory = np.empty(max(spectrum + rows * n_inner, -(-floats // 2)), dtype=np.complex128)
+    half = memory[:spectrum].reshape(rows, n_inner + 1)
+    draws = memory[spectrum:spectrum + rows * n_inner].view(np.float64)
+    return draws.reshape(rows, 2 * n_inner), half, memory.view(np.float64)
 
 
 def _hermite_rows(spec, scale, values, words, draws, half):
     """Rows of ``spec`` into ``values`` (rows, steps + 1), row i from the stream of ``words[i]``.
 
-    Each batch of ``len(draws)`` rows is filled with normals, transformed
-    to FGN over the normals, mapped to Hermite terms, summed, and sampled
-    on the grid times ``scale``; a short batch uses the leading rows of the
-    work arrays ``draws`` and ``half`` (see ``_fft_work``).
+    The rows are one FFT batch in the work arrays ``draws`` and ``half`` of
+    as many rows (see ``_fft_work``): filled with normals, transformed to
+    FGN over the normals, mapped to Hermite terms, summed, and sampled on
+    the grid times ``scale``.
     """
     factor = _lattice_factor(spec)
+    _fill_normals(draws, words)
+    fgn = _fgn_transform(spec.inner_hurst, draws, half, draws)
+    terms = fgn if spec.rank == 1 else hermite_poly(spec.rank, fgn)
+    np.cumsum(terms, axis=1, out=terms)
     values[:, 0] = 0.0
-    for start in range(0, len(values), len(draws)):
-        rows = values[start:start + len(draws)]
-        n = len(rows)
-        _fill_normals(draws[:n], words[start:start + n])
-        fgn = _fgn_transform(spec.inner_hurst, draws[:n], half[:n], out=draws[:n])
-        terms = fgn if spec.rank == 1 else hermite_poly(spec.rank, fgn)
-        np.cumsum(terms, axis=1, out=terms)
-        np.multiply(terms[:, factor - 1::factor], scale, out=rows[:, 1:])
-        del terms  # so the next batch's terms are not built beside these
+    np.multiply(terms[:, factor - 1::factor], scale, out=values[:, 1:])
 
 
 def _draw_blocks(drivers, paths, steps, horizon, path_offset=0, spare=0):
@@ -584,25 +580,25 @@ def _draw_blocks(drivers, paths, steps, horizon, path_offset=0, spare=0):
     ``drivers`` lists (spec, seed, component): spec None draws gen_bm's
     Brownian motion and a HermiteSpec (at most one) gen_hermite's process,
     path p from the stream path_rng(seed, path_offset + p, component).  A
-    block's driver values are (drivers, rows, steps + 1); its ``spare``
-    arrays, of the same shape, share memory with the FFT work arrays and
-    are free once the block is drawn.  Every array is allocated for the
-    first block and refilled by every later one (a shorter block uses their
-    leading rows), so its pages are not handed back and faulted in again.
-    Seed words are hashed in whole blocks, as many as fit in ``_HASH_PATHS``
-    paths and at least one.
+    block's driver values are (drivers, rows, steps + 1), one FFT batch of
+    a Hermite driver (``_driver_rows``); its ``spare`` arrays, of the same
+    shape, share memory with the FFT work arrays and are free once the
+    block is drawn.  Every array is allocated for the first block and
+    refilled by every later one (a shorter block uses their leading rows),
+    so its pages are not handed back and faulted in again.  Seed words are
+    hashed in whole blocks, as many as fit in ``_HASH_PATHS`` paths.
     """
-    block = _block_rows(steps + 1)
+    hermite = next((spec for spec, _, _ in drivers if spec is not None), None)
+    _require(hermite is None or isinstance(hermite, HermiteSpec), "spec must be a HermiteSpec")
+    block = _driver_rows(hermite, steps)
     rows = min(paths, block)
     values = np.empty((len(drivers), rows, steps + 1))
     floats = spare * rows * (steps + 1)
-    hermite = [spec for spec, _, _ in drivers if spec is not None]
-    if hermite:
-        _require(isinstance(hermite[0], HermiteSpec), "spec must be a HermiteSpec")
-        draws, half, memory = _fft_work(hermite[0], steps, rows, floats)
-        scale = _hermite_scale(hermite[0], horizon, steps)
-    else:
+    if hermite is None:
         memory = np.empty(floats)
+    else:
+        draws, half, memory = _fft_work(hermite, steps, rows, floats)
+        scale = _hermite_scale(hermite, horizon, steps)
     spares = memory[:floats].reshape(spare, rows, steps + 1)
     dt_root = math.sqrt(horizon / steps)
     per_chunk = block * max(1, _HASH_PATHS // block)
@@ -618,7 +614,7 @@ def _draw_blocks(drivers, paths, steps, horizon, path_offset=0, spare=0):
                 if spec is None:
                     _bm_walk(out, block_words, dt_root)
                 else:
-                    _hermite_rows(spec, scale, out, block_words, draws, half)
+                    _hermite_rows(spec, scale, out, block_words, draws[:n], half[:n])
             yield start, stop, values[:, :n], spares[:, :n]
 
 
@@ -661,7 +657,8 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     for i, (weight, _) in enumerate(spec.components):
         for start, stop, (rows,), _ in _draw_blocks([(spec.component_spec(i), seed, i)], paths,
                                                     steps, horizon, path_offset):
-            values[start:stop] += weight * rows
+            rows *= weight
+            values[start:stop] += rows
     return SamplePath(horizon, steps, values, seed,
                       meta={"process": "mixed", "hurst": spec.hurst,
                             "weights": [w for w, _ in spec.components],
@@ -674,18 +671,18 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
 def _hou_working_bytes(hermite, total, paths):
     """Bytes gen_hou holds at once over ``total`` grid steps, an over-estimate.
 
-    The driver, its increments and the OU values are (paths, total + 1)
-    each; the driver's draw block, no larger than the driver, is freed
-    with the FFT work before the increments exist.  Building the circulant's eigenvalues holds about 56 bytes per
-    inner lattice point, before the work arrays of one FFT batch exist:
+    Two (paths, total + 1) arrays: the driver, which the OU values are
+    written over, and its draw block or numpy's copy of it while its
+    increments are written over it.  The circulant's eigenvalues take about
+    56 bytes per inner lattice point, before one block's work arrays exist:
     per row and inner point, 16 bytes each for the normals (which the
     inverse transform overwrites) and the half spectrum, and for rank >= 2
     up to five arrays of Hermite terms from He_rank's recurrence, 40 more.
     """
     n_inner = total * _lattice_factor(hermite)
-    rows = min(paths, _block_rows(2 * n_inner, _CHUNK_ENTRIES))
+    rows = min(paths, _driver_rows(hermite, total))
     per_row = 32 if hermite.rank == 1 else 72
-    return 8 * 3 * paths * (total + 1) + (56 + per_row * rows) * n_inner
+    return 8 * 2 * paths * (total + 1) + (56 + per_row * rows) * n_inner
 
 
 def _physical_memory():
@@ -722,12 +719,12 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
                   _hou_working_bytes(hermite, total, paths),
                   f"raise ou_lambda ({spec.lam}) or lower "
                   f"history_truncation ({spec.history_truncation})")
-    driver = _drawn(hermite, total * dt, total, paths, seed, 0, path_offset)
-    deltas = np.diff(driver, axis=1)
+    ou = _drawn(hermite, total * dt, total, paths, seed, 0, path_offset)
+    # the driver's increments over the driver, whose 0 at -T0 is the OU's start
+    np.subtract(ou[:, 1:], ou[:, :-1], out=ou[:, 1:])
     decay = math.exp(-spec.lam * dt)
-    ou = np.zeros((paths, total + 1))
     for k in range(total):
-        ou[:, k + 1] = decay * (ou[:, k] + spec.sigma * deltas[:, k])
+        ou[:, k + 1] = decay * (ou[:, k] + spec.sigma * ou[:, k + 1])
     return SamplePath(horizon, steps, ou[:, burn:].copy(), seed,
                       meta={"process": "hou", "hurst": hermite.hurst, "rank": hermite.rank,
                             "ou_lambda": spec.lam, "ou_sigma": spec.sigma,

@@ -695,3 +695,39 @@ def test_bench_prices_meet_their_references(capsys):
         assert main(argv) == 0
         price = float(re.search(r"value at spot \S+: (\S+)", capsys.readouterr().out).group(1))
         assert abs(price - reference) <= 1e-5 * reference, argv
+
+
+# Claims whose spread over the horizon is far below one log unit: a grid
+# one log unit wide printed 0.0326 +/- 0.016, -0.0133 +/- 0.0072 and
+# 0.119 +/- 0.0059 for these.
+@pytest.mark.parametrize("payoff, sigma, rate, maturity", [
+    ("call", 0.2, 0.0, 1e-9),
+    ("put", 0.01, 0.05, 0.1),
+    ("call", 0.1, 0.0, 0.001),
+])
+def test_narrow_claims_print_the_closed_form_within_their_estimate(capsys, payoff, sigma, rate,
+                                                                   maturity):
+    argv = ["price", "--payoff", payoff, "--spot", "100", "--sigma", str(sigma), "--rate",
+            str(rate), "--maturity", str(maturity)]
+    assert main(argv) == 0
+    found = re.search(r"value at spot \S+: (\S+) \+/- (\S+)", capsys.readouterr().out)
+    price, estimate = float(found.group(1)), float(found.group(2))
+    want = black_scholes(100.0, 100.0, rate, sigma, maturity, put=payoff == "put")
+    assert abs(price - want) <= max(estimate, 2e-5), (price, estimate, want)
+    assert price >= -estimate
+
+
+# sha256 of the 27 benchmark price lines, joined as the CLI prints them.  A
+# change that moves a benchmark price (or its printed estimate) moves this
+# digest; re-record it only with the change that does so, and say so.
+_BENCH_PRICES_SHA256 = "dd2abf322d7f7f57327a2bcd6b2665712bf62d8df4f5721e418a4f7d3312ba3e"
+
+
+def test_bench_price_lines_are_pinned(capsys):
+    argvs = _BENCH.commands("tax-pricing", 0, _BENCH.FULL, "/nonexistent")
+    assert len(argvs) == 27
+    out = []
+    for argv in argvs:
+        assert main(argv) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == _BENCH_PRICES_SHA256

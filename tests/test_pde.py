@@ -427,6 +427,26 @@ def test_extrapolated_value_meets_the_closed_form_on_default_grid(kind, tax_hat,
     assert surface.meta["error_estimate"] >= 0.8 * abs(surface.value_at(SPOT) - want)
 
 
+# Short-dated and low-volatility claims, where 8 sigma sqrt(T) plus the
+# drift spans far less than one log unit: 288 calls and puts at spot 100 on
+# the default grid.  A grid wider than the claim's spread puts a handful of
+# nodes across the kink, and the price missed the closed form by many times
+# its estimate, some below minus the estimate (a negative price).
+@pytest.mark.parametrize("rate", [0.0, 0.05])
+@pytest.mark.parametrize("maturity", [1.0, 0.1, 1e-3, 1e-9])
+@pytest.mark.parametrize("sigma", [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2])
+def test_narrow_claims_meet_the_closed_form_within_their_estimate(sigma, maturity, rate):
+    grid = grid_for_spot(SPOT, sigma, maturity, rate)
+    for kind in ("call", "put"):
+        for strike in (90.0, 100.0, 110.0):
+            claim = getattr(TerminalClaim, kind)(strike, maturity)
+            meta = solve_tax_bsm(claim, rate, sigma, 0.0, grid).meta
+            price, estimate = meta["extrapolated_value"], meta["error_estimate"]
+            want = black_scholes(SPOT, strike, rate, sigma, maturity, put=kind == "put")
+            assert abs(price - want) <= max(estimate, 2e-5), (kind, strike, price, want)
+            assert price >= -estimate, (kind, strike, price, estimate)
+
+
 # The half grid needs 16 nodes and one step: 31 nodes and 2 steps are the least.
 @pytest.mark.parametrize("nodes, steps, estimated",
                          [(30, 64, False), (31, 64, True), (65, 1, False), (65, 2, True)])

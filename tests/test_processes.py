@@ -27,8 +27,8 @@ from hermite_markets import (
 )
 from hermite_markets import processes
 from hermite_markets.processes import _bm_walk, _draw_blocks, _fft_work, _fgn_autocov, \
-    _fgn_draws, _fgn_transform, _hermite_rows, _hermite_scale, _raw_sum_std, _stream_states, \
-    gen_fgn, hermite_poly
+    _fgn_transform, _fill_normals, _half_spectrum_scale, _hermite_rows, _hermite_scale, \
+    _raw_sum_std, _stream_states, gen_fgn, hermite_poly
 from hermite_markets.stats import autocov_slope
 from _oracles import subprocess_peaks_mib
 
@@ -102,30 +102,28 @@ def test_mixture_batches_keep_the_peak_small():
 
 
 @pytest.mark.parametrize("rank", [2, 3])
-def test_hermite_rows_hold_one_batch_of_terms(rank):
-    # A block of the mixed demo's rank-2 driver at 512 steps is 63 paths,
-    # 8 batches of 8 rows on a 16,384-point lattice.  Over several batches
-    # the kernel holds no more than over one: a batch's Hermite terms are
-    # dropped before the next batch's are built, where keeping them held
-    # one more 1 MiB array of terms.
+def test_hermite_blocks_hold_one_batch_of_terms(rank):
+    # A rank-2 driver at 512 steps has a 16,384-point lattice, so its blocks
+    # are FFT batches of 8 rows: 64 paths are 8 blocks.  Over several blocks
+    # the draw holds no more than over one: a block's Hermite terms are
+    # dropped before the next block's are built, where keeping them held one
+    # more 1 MiB array of terms.
     spec, steps = HermiteSpec(0.75, rank), 512
-    words = _stream_states(1, range(64), 0)
-    values = np.empty((64, steps + 1))
-    draws, half, _ = _fft_work(spec, steps, 64)
-    scale = _hermite_scale(spec, 1.0, steps)
-    assert len(draws) == 8
+    _half_spectrum_scale(spec.inner_hurst, 32 * steps)
+    assert processes._driver_rows(spec, steps) == 8
 
-    def peak(rows):
+    def peak(paths):
         tracemalloc.start()
         try:
-            _hermite_rows(spec, scale, values[:rows], words[:rows], draws, half)
+            for _ in _draw_blocks([(spec, 1, 0)], paths, steps, 1.0):
+                pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    one = peak(len(draws))
-    terms = draws.nbytes // 2
-    assert peak(len(values)) < one + terms // 2, (one, terms)
+    one = peak(8)
+    terms = 8 * 32 * steps * 8
+    assert peak(64) < one + terms // 2, (one, terms)
 
 
 def test_components_are_independent_streams():
@@ -212,7 +210,7 @@ def test_draw_blocks_hash_whole_blocks_a_chunk_at_a_time(seed, paths, rows, chun
 
 
 # The kernels behind the generators, fed seed words hashed elsewhere and
-# work arrays of any batch size, draw the generators' rows bit for bit;
+# blocks of any batch size, draw the generators' rows bit for bit;
 # over a thousand paths cross a hash chunk of 1,024 paths, and at 300
 # steps or more several blocks of 2**15 prices (102 to 108 paths) too.
 @settings(max_examples=60, deadline=None)
@@ -238,7 +236,11 @@ def test_kernels_draw_the_generators_rows(seed, paths, steps, offset, component,
     values[:] = np.nan
     draws, half, _ = _fft_work(spec, steps, batch)
     draws[:] = np.nan
-    _hermite_rows(spec, _hermite_scale(spec, horizon, steps), values, words, draws, half)
+    scale = _hermite_scale(spec, horizon, steps)
+    for start in range(0, paths, batch):
+        n = len(values[start:start + batch])
+        _hermite_rows(spec, scale, values[start:start + n], words[start:start + n], draws[:n],
+                      half[:n])
     assert np.array_equal(values, expected)
 
 
@@ -250,7 +252,8 @@ def test_generator_rows_equal_path_rng_draws(offset):
         draws = path_rng(seed, offset + i, component).standard_normal(steps)
         assert row[0] == 0.0
         assert np.array_equal(row[1:], np.cumsum(draws) * math.sqrt(2.0 / steps))
-    fgn = _fgn_draws(steps, seed, range(offset, offset + 4), component)
+    fgn = np.empty((4, 2 * steps))
+    _fill_normals(fgn, _stream_states(seed, range(offset, offset + 4), component))
     for i, row in enumerate(fgn):
         assert np.array_equal(row, path_rng(seed, offset + i, component).standard_normal(2 * steps))
 
@@ -290,6 +293,38 @@ _GOLDEN_MIXED = [
     [-0.03641434865213, 0.016905080142977, -0.065842553148729, 0.05449104267345,
      0.32567555624268, 0.4389669615444, 0.26343888558025, 0.26476632428094],
 ]
+# HOU at 37 paths from path 5, 64 steps and 1,280 steps of history: rows 0,
+# 23, 24 and 36 at every 16th grid time (t = 0 included, since it carries
+# the history).  Both drivers draw 24-row blocks, so rows 23 and 24 sit on
+# either side of a block boundary.
+_GOLDEN_HOU = [
+    [-0.18104943001897, -0.25016668212901, -0.34097997543082, -0.48264657815392,
+     -0.32670853371486],
+    [0.40825955428585, 0.53209477460141, 0.54723466935862, 0.48764825658435,
+     0.53716020711313],
+    [0.74731696203052, 0.79422039125163, 0.6102942169117, 0.3856638212086, 0.23244206616612],
+    [-0.02927523227351, 0.059051057093379, 0.27106384760748, 0.15953860966453,
+     0.046134578611794],
+]
+_GOLDEN_HOU_ROSENBLATT = [
+    [-0.35471190513713, -0.42449616657972, -0.32866693127223, -0.23970373711686,
+     -0.25388143735629],
+    [-0.21387382647755, -0.1320149313439, -0.19292634715344, -0.24258824823072,
+     -0.32500774691977],
+    [-0.1148600625331, -0.10093697770099, -0.061074524753403, 0.10418859340883,
+     0.22539615681904],
+    [-0.12574263316315, -0.15886228621606, -0.14867097353534, -0.16393005332279,
+     -0.33161994019597],
+]
+# gen_fgn(0.8, count, seed=3): all of counts 1 and 7, entries 0, 1, 499,
+# 998 and 999 of count 1,000.
+_GOLDEN_FGN = {
+    1: [-0.10847857229849],
+    7: [-0.65984638816326, 0.26045717276976, 0.78092858774354, 1.5631496931238,
+        1.3188550395466, 1.0339753944964, -0.8109059162763],
+    1000: [-0.34417257102324, -0.96491044839935, -0.47227898734924, -0.012552586678163,
+           0.2403491162168],
+}
 
 
 def test_golden_realizations():
@@ -302,6 +337,15 @@ def test_golden_realizations():
     ]
     for path, golden in cases:
         np.testing.assert_allclose(path.values[:, 1:], golden, rtol=0, atol=1e-12)
+    for hermite, golden in ((HermiteSpec(0.75), _GOLDEN_HOU),
+                            (HermiteSpec(0.75, 2, approx_factor=4), _GOLDEN_HOU_ROSENBLATT)):
+        path = gen_hou(HouSpec(1.0, 0.5), hermite, 1.0, 64, paths=37, seed=9, path_offset=5)
+        np.testing.assert_allclose(path.values[[0, 23, 24, 36], ::16], golden, rtol=0,
+                                   atol=1e-12)
+    for count, golden in _GOLDEN_FGN.items():
+        fgn = gen_fgn(0.8, count, seed=3)
+        picked = fgn if count < 10 else fgn[[0, 1, 499, 998, 999]]
+        np.testing.assert_allclose(picked, golden, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +467,8 @@ def test_fgn_transform_covariance_is_exact(count, hurst):
     # The transform is linear in the unit normals, so pushing the identity
     # through it gives the matrix A with x = d @ A, whose covariance A'A
     # must be the FGN Toeplitz matrix.  No sampling is involved.
-    a = _fgn_transform(hurst, np.eye(2 * count))
+    eye = np.eye(2 * count)
+    a = _fgn_transform(hurst, eye, np.empty((2 * count, count + 1), complex), np.empty_like(eye))
     want = toeplitz(_fgn_autocov(hurst, np.arange(count)))
     assert np.max(np.abs(a.T @ a - want)) < 1e-12
 
@@ -433,7 +478,8 @@ def test_fgn_transform_may_write_over_its_normals(count):
     # The generators pass the normals as the transform's output: the half
     # spectrum is filled before the inverse FFT writes, so the result is
     # bit for bit the one a fresh output array gives.
-    draws = _fgn_draws(count, 11, range(5), 0)
+    draws = np.empty((5, 2 * count))
+    _fill_normals(draws, _stream_states(11, range(5), 0))
     fresh = _fgn_transform(0.8, draws, np.empty((5, count + 1), complex), np.empty_like(draws))
     fresh = fresh.copy()
     same = _fgn_transform(0.8, draws, np.empty((5, count + 1), complex), out=draws)
@@ -676,19 +722,19 @@ def test_hou_value_autocov_decay():
 
 
 def test_hou_working_bytes_counts_driver_and_chunk():
-    # Rank 2, approx_factor 32, 100 steps, 3 paths: three (3, 101) arrays
+    # Rank 2, approx_factor 32, 100 steps, 3 paths: two (3, 101) arrays
     # of 8 bytes, 56 bytes per inner point for the eigenvalues, and 32 for
     # the work arrays plus 40 for the Hermite terms in each of the 3 rows
     # of one batch (3200 inner points).
     estimate = processes._hou_working_bytes(HermiteSpec(0.75, 2), 100, 3)
-    assert estimate == 8 * 3 * 3 * 101 + (56 + 72 * 3) * 3200
+    assert estimate == 8 * 2 * 3 * 101 + (56 + 72 * 3) * 3200
     # Rank 1 runs on the output grid with no Hermite terms, and a lattice
     # longer than one batch is transformed a row at a time.
     assert processes._hou_working_bytes(HermiteSpec(0.75), 100, 3) == \
-        8 * 3 * 3 * 101 + (56 + 32 * 3) * 100
+        8 * 2 * 3 * 101 + (56 + 32 * 3) * 100
     big = 2**23
     assert processes._hou_working_bytes(HermiteSpec(0.75), big, 5) == \
-        8 * 3 * 5 * (big + 1) + (56 + 32) * big
+        8 * 2 * 5 * (big + 1) + (56 + 32) * big
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 5])
@@ -717,4 +763,4 @@ def test_hou_preflight_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(processes, "_physical_memory", lambda: 2**30)
     with pytest.raises(ValueError, match=r"ou_lambda \(0\.01\).*history_truncation") as err:
         gen_hou(HouSpec(0.01, 1.0), HermiteSpec(0.75, 2), 1.0, 1024, paths=10)
-    assert "8.3 GiB" in str(err.value)
+    assert "8.1 GiB" in str(err.value)
