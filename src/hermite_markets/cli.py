@@ -163,10 +163,9 @@ def _cmd_simulate(args):
         raise ValueError("--paths must be >= 1")
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
-    if args.process != "hou":  # gen_hou checks its own, longer, history grid
-        # 16 bytes a path and grid point: the parts and their np.vstack copy
-        _check_memory(f"simulate --process {args.process}", 16 * args.paths * (args.steps + 1),
-                      "lower --paths or --steps")
+    # 16 bytes a path and grid point: the parts and their np.vstack copy
+    _check_memory(f"simulate --process {args.process}", 16 * args.paths * (args.steps + 1),
+                  "lower --paths or --steps")
     generate = _make_generator(args, seed)
     workers = min(args.workers, args.paths)
     chunks = np.array_split(np.arange(args.paths), workers)
@@ -349,13 +348,19 @@ def _cmd_price(args):
         print(f"pricing failed: {exc}", file=sys.stderr)
         return 1
     estimate = surface.meta["error_estimate"]
+    value = (surface.value_at(args.spot) if estimate is None
+             else surface.meta["extrapolated_value"])
+    # x**p is positive, so a value at or below zero, or within its estimate of it, is the
+    # scheme failing on a payoff it cannot resolve; a deep call or put may be that small.
+    if args.payoff == "power" and not (value > 0 and (estimate is None or estimate < value)):
+        raise ValueError(f"the grid cannot resolve the power claim: it priced x**{args.power_exp:g} "
+                         f"at {value:.4g}{'' if estimate is None else f' +/- {estimate:.2g}'}; "
+                         "lower the size of --power-exp or raise --grid")
     if (estimate is not None
             and (grid.nodes, grid.time_steps) != (_DEFAULT_NODES, _DEFAULT_TIME_STEPS)):
         print(f"note: the error estimate is unvalidated on {grid.nodes} x {grid.time_steps}; "
               f"it was validated on the default {_DEFAULT_NODES} x {_DEFAULT_TIME_STEPS} only "
               "(at 385 x 48 it read 0.12x the true error)", file=sys.stderr)
-    value = (surface.value_at(args.spot) if estimate is None
-             else surface.meta["extrapolated_value"])
     spread = "" if estimate is None else f" +/- {estimate:.2g}"
     print(f"{args.payoff} value at spot {args.spot:g}: {value:.10g}{spread} "
           f"(effective vol {math.sqrt(sig_eff_sq):.6g})")

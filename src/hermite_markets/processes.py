@@ -35,9 +35,11 @@ normals, which the inverse transform overwrites, and the complex half
 spectrum), are allocated once per call and refilled; ranks of 2 and more
 add one block's Hermite terms, 8 to 40 bytes.  So a call holds its output
 plus one block: a rank-2 lattice of 32,768 points takes 4 rows a block,
-about 5 MiB.  The block size changes no bit.  Each driver has one kernel,
-writing into arrays and from seed words it is passed: ``_bm_walk`` for
-Brownian motion and ``_hermite_rows`` for every rank.
+about 5 MiB.  That holds for ``gen_hou`` with no exception: it runs the OU
+recursion over each block's driver, history included, and keeps only the
+output's columns.  The block size changes no bit.  Each driver has one
+kernel, writing into arrays and from seed words it is passed: ``_bm_walk``
+for Brownian motion and ``_hermite_rows`` for every rank.
 """
 
 import math
@@ -668,21 +670,21 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
                             "paths": paths, "path_offset": path_offset})
 
 
-def _hou_working_bytes(hermite, total, paths):
+def _hou_working_bytes(hermite, total, steps, paths):
     """Bytes gen_hou holds at once over ``total`` grid steps, an over-estimate.
 
-    Two (paths, total + 1) arrays: the driver, which the OU values are
-    written over, and its draw block or numpy's copy of it while its
-    increments are written over it.  The circulant's eigenvalues take about
-    56 bytes per inner lattice point, before one block's work arrays exist:
-    per row and inner point, 16 bytes each for the normals (which the
-    inverse transform overwrites) and the half spectrum, and for rank >= 2
-    up to five arrays of Hermite terms from He_rank's recurrence, 40 more.
+    The (paths, steps + 1) output, 9 bytes a point with SamplePath's finiteness
+    mask, and one block: the driver's (rows, total + 1) values, which the OU
+    values are written over, and its work arrays, which hold the increments.
+    The circulant's eigenvalues take about 56 bytes per inner lattice point,
+    before the work arrays exist: per row and inner point, 16 bytes each for
+    the normals and the half spectrum, and for rank >= 2 up to five arrays of
+    Hermite terms from He_rank's recurrence, 40 more.
     """
     n_inner = total * _lattice_factor(hermite)
     rows = min(paths, _driver_rows(hermite, total))
     per_row = 32 if hermite.rank == 1 else 72
-    return 8 * 2 * paths * (total + 1) + (56 + per_row * rows) * n_inner
+    return 9 * paths * (steps + 1) + 8 * rows * (total + 1) + (56 + per_row * rows) * n_inner
 
 
 def _physical_memory():
@@ -716,16 +718,27 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     burn = int(math.ceil(spec.history_truncation / dt))
     total = burn + steps
     _check_memory(f"gen_hou for {paths} paths of {total} steps ({burn} of them history)",
-                  _hou_working_bytes(hermite, total, paths),
+                  _hou_working_bytes(hermite, total, steps, paths),
                   f"raise ou_lambda ({spec.lam}) or lower "
                   f"history_truncation ({spec.history_truncation})")
-    ou = _drawn(hermite, total * dt, total, paths, seed, 0, path_offset)
-    # the driver's increments over the driver, whose 0 at -T0 is the OU's start
-    np.subtract(ou[:, 1:], ou[:, :-1], out=ou[:, 1:])
-    decay = math.exp(-spec.lam * dt)
-    for k in range(total):
-        ou[:, k + 1] = decay * (ou[:, k] + spec.sigma * ou[:, k + 1])
-    return SamplePath(horizon, steps, ou[:, burn:].copy(), seed,
+    lam_dt = spec.lam * dt  # d = e**-lam_dt, the decay over one step
+    span = total if lam_dt * total <= 512 else max(1, int(512 / lam_dt))  # d**-span <= e**512
+    grow, shrink = np.exp(lam_dt * np.arange(span)), np.exp(-lam_dt * np.arange(1, span + 1))
+    values = np.empty((paths, steps + 1))
+    for start, stop, (ou,), (inc,) in _draw_blocks([(hermite, seed, 0)], paths, total,
+                                                   total * dt, path_offset, spare=1):
+        # ou[s+j] = d**j (ou[s] + sigma sum_{i<=j} d**(1-i) inc[s+i]), d**j before sigma and ou[s]
+        np.subtract(ou[:, 1:], ou[:, :-1], out=inc[:, 1:])
+        for s in range(0, total, span):
+            terms, block = inc[:, s + 1:s + span + 1], ou[:, s + 1:s + span + 1]
+            terms *= grow[:terms.shape[1]]
+            np.cumsum(terms, axis=1, out=terms)
+            terms *= shrink[:terms.shape[1]]
+            terms *= spec.sigma
+            np.multiply(ou[:, s:s + 1], shrink[:terms.shape[1]], out=block)
+            block += terms
+        values[start:stop] = ou[:, burn:]
+    return SamplePath(horizon, steps, values, seed,
                       meta={"process": "hou", "hurst": hermite.hurst, "rank": hermite.rank,
                             "ou_lambda": spec.lam, "ou_sigma": spec.sigma,
                             "history_truncation": spec.history_truncation,

@@ -1,5 +1,5 @@
-"""Closed-form reference values, a reference solver and a peak-memory probe
-used by several test modules."""
+"""Closed-form reference values, reference solvers and recursions, and a
+peak-memory probe used by several test modules."""
 
 import math
 import os
@@ -7,10 +7,11 @@ import subprocess
 import sys
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh, solve_banded, toeplitz
 
 import hermite_markets
 from hermite_markets.pde import _boundary_values, _effective_variance, _start_row
+from hermite_markets.processes import _fgn_autocov
 
 
 def _norm_cdf(x):
@@ -90,6 +91,42 @@ def fsquare_law(intensity, hurst, t):
     win = 0.5 + 0.5 * math.erfc(math.log(theta) / math.sqrt(2.0 * var))
     cost_sd = half_sq * math.sqrt(math.exp(8.0 * var) - math.exp(4.0 * var))
     return win, half_sq * math.expm1(2.0 * var), cost_sd
+
+
+def hou_step_loop(driver, decay, sigma):
+    """OU values over ``driver`` rows (paths, total + 1), one time step at a time.
+
+    The left-point recursion ou[k + 1] = decay (ou[k] + sigma (driver[k + 1]
+    - driver[k])) from ou[0] = 0, over the whole history.  gen_hou runs it
+    in time blocks, one ``cumsum`` each, so the two agree to roundoff.
+    """
+    ou = np.zeros_like(driver)
+    increments = np.diff(driver, axis=1)
+    for k in range(driver.shape[1] - 1):
+        ou[:, k + 1] = decay * (ou[:, k] + sigma * increments[:, k])
+    return ou
+
+
+def fgn_qv_eigenvalues(hurst, steps, horizon=1.0):
+    """Eigenvalues of the covariance of ``steps`` FBM increments on [0, horizon].
+
+    The increments over spacing g are N(0, g^{2H} Gamma), Gamma the
+    Toeplitz FGN autocovariance, so ``centered_qv``'s statistic of an exact
+    FBM path is sum_k lambda_k (Z_k^2 - 1) with these lambda_k.
+    """
+    spacing = horizon / steps
+    return spacing ** (2.0 * hurst) * eigvalsh(toeplitz(_fgn_autocov(hurst, np.arange(steps))))
+
+
+def quadratic_form_cumulants(eigs, orders):
+    """Cumulants of sum_k lambda_k (Z_k^2 - 1), Z_k independent standard normals.
+
+    Order 1 is 0 (the form is centered); order m >= 2 is
+    2^{m-1} (m-1)! sum_k lambda_k^m, the chi-square cumulants weighted.
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    return [0.0 if m == 1 else 2.0 ** (m - 1) * math.factorial(m - 1) * float(np.sum(eigs ** m))
+            for m in orders]
 
 
 def banded_step_surface(claim, rate, sigma, tax_hat, grid):

@@ -148,19 +148,20 @@ def test_simulate_mixed_needs_weights(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("process", ["fbm", "hermite", "mixed"])
+@pytest.mark.parametrize("process", ["fbm", "hermite", "mixed", "hou"])
 def test_simulate_exits_two_when_ensemble_exceeds_memory(monkeypatch, capsys, tmp_path,
                                                          process):
     # One byte short of 100 paths of 65 points, the parts and their stacked
-    # copy: nothing is generated or written.
+    # copy: nothing is generated or written.  hou takes the same check;
+    # gen_hou checks its history's block and eigenvalues itself.
     monkeypatch.setattr(processes, "_physical_memory", lambda: 16 * 100 * 65 - 1)
-    for gen in ("gen_fbm", "gen_hermite", "gen_mixed"):
+    for gen in ("gen_fbm", "gen_hermite", "gen_mixed", "gen_hou"):
         monkeypatch.setattr(cli, gen, pytest.fail)
     out = tmp_path / "x.csv"
     assert main(["simulate", "--process", process, "--hurst", "0.7", "--weights", "0.8,0.6",
                  "--ranks", "1,2", "--paths", "100", "--steps", "64", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "--paths" in err and "--steps" in err
+    assert "lower --paths or --steps" in err
     assert not out.exists()
 
 
@@ -536,6 +537,42 @@ def test_price_overflowing_payoff_exits_two(capsys):
                  "--spot", "100", "--sigma", "0.2"])
     assert code == 2
     assert capsys.readouterr().err == "error: power claim: non-finite payoff values\n"
+
+
+def test_price_refuses_a_power_claim_the_grid_cannot_resolve(capsys):
+    # x**50 grows 1.37-fold from one default-grid node to the next; the
+    # scheme printed -1.247e+124 +/- 1.3e+124 for a value of 100**50 e**49.
+    code = main(["price", "--payoff", "power", "--power-exp", "50",
+                 "--spot", "100", "--sigma", "0.2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--power-exp" in captured.err and "--grid" in captured.err
+
+
+def test_power_sweep_prints_within_the_estimate_or_refuses(capsys):
+    # Exponents -40 to 60 on the default grid: every printed price is
+    # positive beyond its estimate and holds the exact value within it, and
+    # every other claim exits 2.  Without the refusal, 382 of these 1,206
+    # claims at steps of 0.5 printed a negative price with exit 0.
+    printed = refused = 0
+    for sigma in ("0.1", "0.2", "0.5"):
+        for rate in ("0", "0.05"):
+            for power in np.arange(-40.0, 60.0 + 1e-9, 2.5):
+                code = main(["price", "--payoff", "power", "--power-exp", repr(float(power)),
+                             "--spot", "100", "--sigma", sigma, "--rate", rate])
+                captured = capsys.readouterr()
+                if code == 2:
+                    refused += "--power-exp" in captured.err and "--grid" in captured.err
+                    continue
+                assert code == 0, captured.err
+                found = re.search(r"value at spot \S+: (\S+) \+/- (\S+)", captured.out)
+                price, estimate = float(found.group(1)), float(found.group(2))
+                want = power_claim_value(100.0, float(rate), float(sigma), float(power), 1.0)
+                assert estimate < price and abs(price - want) <= estimate, \
+                    (sigma, rate, power, price, estimate, want)
+                printed += 1
+    assert printed > 100 and refused > 50, (printed, refused)
 
 
 def test_price_rejects_negative_tax(capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
@@ -30,7 +30,7 @@ from hermite_markets.processes import _bm_walk, _draw_blocks, _fft_work, _fgn_au
     _fgn_transform, _fill_normals, _half_spectrum_scale, _hermite_rows, _hermite_scale, \
     _raw_sum_std, _stream_states, gen_fgn, hermite_poly
 from hermite_markets.stats import autocov_slope
-from _oracles import subprocess_peaks_mib
+from _oracles import hou_step_loop, subprocess_peaks_mib
 
 
 # ---------------------------------------------------------------------------
@@ -721,35 +721,75 @@ def test_hou_value_autocov_decay():
     assert abs(slope - (2 * h - 2.0)) < 0.3
 
 
+# Of the examples, lam dt = 300 makes time blocks of one step, 5 makes
+# blocks of 102 steps over 230, the last of them 26, and 0.01 takes the
+# whole history in one block; at sigma = 1e200 the step loop is still finite.
+@settings(max_examples=40, deadline=None)
+@given(lam_dt=st.floats(1e-3, 600.0), steps=st.integers(1, 40), history=st.integers(1, 300),
+       sigma=st.sampled_from([0.5, 1.0, 3.0]), rank=st.sampled_from([1, 2]))
+@example(lam_dt=300.0, steps=5, history=3, sigma=1.0, rank=1)
+@example(lam_dt=5.0, steps=30, history=200, sigma=1.0, rank=1)
+@example(lam_dt=5.0, steps=30, history=200, sigma=1e200, rank=2)
+@example(lam_dt=0.01, steps=30, history=200, sigma=1.0, rank=2)
+def test_hou_time_blocks_match_the_step_loop(lam_dt, steps, history, sigma, rank):
+    hermite = HermiteSpec(0.75, rank, approx_factor=2)
+    horizon = 1.0
+    dt = horizon / steps
+    spec = HouSpec(lam_dt / dt, sigma, history_truncation=history * dt)
+    total = int(math.ceil(spec.history_truncation / dt)) + steps
+    driver = gen_hermite(hermite, total * dt, total, paths=3, seed=6, path_offset=2).values
+    want = hou_step_loop(driver, math.exp(-spec.lam * dt), sigma)[:, total - steps:]
+    got = gen_hou(spec, hermite, horizon, steps, paths=3, seed=6, path_offset=2).values
+    assert np.isfinite(want).all()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_hou_working_bytes_counts_driver_and_chunk():
-    # Rank 2, approx_factor 32, 100 steps, 3 paths: two (3, 101) arrays
-    # of 8 bytes, 56 bytes per inner point for the eigenvalues, and 32 for
-    # the work arrays plus 40 for the Hermite terms in each of the 3 rows
-    # of one batch (3200 inner points).
-    estimate = processes._hou_working_bytes(HermiteSpec(0.75, 2), 100, 3)
-    assert estimate == 8 * 2 * 3 * 101 + (56 + 72 * 3) * 3200
+    # Rank 2, approx_factor 32, 100 steps of which 40 are output, 3 paths:
+    # the (3, 41) output at 9 bytes a point, the (3, 101) driver block, 56
+    # bytes per inner point for the eigenvalues, and 32 for the work arrays
+    # plus 40 for the Hermite terms in each of the 3 rows of one batch
+    # (3200 inner points).
+    estimate = processes._hou_working_bytes(HermiteSpec(0.75, 2), 100, 40, 3)
+    assert estimate == 9 * 3 * 41 + 8 * 3 * 101 + (56 + 72 * 3) * 3200
     # Rank 1 runs on the output grid with no Hermite terms, and a lattice
-    # longer than one batch is transformed a row at a time.
-    assert processes._hou_working_bytes(HermiteSpec(0.75), 100, 3) == \
-        8 * 2 * 3 * 101 + (56 + 32 * 3) * 100
+    # longer than one block is drawn a row at a time.
+    assert processes._hou_working_bytes(HermiteSpec(0.75), 100, 40, 3) == \
+        9 * 3 * 41 + 8 * 3 * 101 + (56 + 32 * 3) * 100
     big = 2**23
-    assert processes._hou_working_bytes(HermiteSpec(0.75), big, 5) == \
-        8 * 2 * 5 * (big + 1) + (56 + 32) * big
+    assert processes._hou_working_bytes(HermiteSpec(0.75), big, 1024, 5) == \
+        9 * 5 * 1025 + 8 * (big + 1) + (56 + 32) * big
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 5])
 def test_hou_working_bytes_bounds_the_measured_peak(rank):
-    # The estimate covers what numpy allocates while the driver is drawn,
-    # eigenvalues included (their cache is cleared first).
+    # The estimate covers what numpy allocates in gen_hou over a 4,096-step
+    # lattice, half of it history, eigenvalues included (their cache is
+    # cleared first).
     hermite = HermiteSpec(0.75, rank, approx_factor=4)
     processes._half_spectrum_scale.cache_clear()
     tracemalloc.start()
     try:
-        processes._drawn(hermite, 1.0, 4096, 5, seed=2, component=0, path_offset=0)
+        gen_hou(HouSpec(1.0, 1.0, history_truncation=1.0), hermite, 1.0, 2048, paths=5, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < processes._hou_working_bytes(hermite, 4096, 5)
+    assert peak < processes._hou_working_bytes(hermite, 4096, 2048, 5)
+
+
+def test_hou_holds_its_output_and_one_block():
+    # 200 paths of 1,024 steps after 20,480 steps of history: the output is
+    # 1.6 MiB and a block one 21,505-point row.  Holding the (200, 21,505)
+    # history, as the driver and as numpy's copy of it while its increments
+    # were written over it, took 65.6 MiB.
+    processes._half_spectrum_scale.cache_clear()
+    tracemalloc.start()
+    try:
+        gen_hou(HouSpec(1.0, 1.0), HermiteSpec(0.75), 1.0, 1024, paths=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_hou_preflight_raises_before_allocating(monkeypatch):
@@ -763,4 +803,4 @@ def test_hou_preflight_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(processes, "_physical_memory", lambda: 2**30)
     with pytest.raises(ValueError, match=r"ou_lambda \(0\.01\).*history_truncation") as err:
         gen_hou(HouSpec(0.01, 1.0), HermiteSpec(0.75, 2), 1.0, 1024, paths=10)
-    assert "8.1 GiB" in str(err.value)
+    assert "7.8 GiB" in str(err.value)

@@ -23,6 +23,7 @@ from hermite_markets import (
     theoretical_cov,
 )
 from hermite_markets.stats import autocov_slope, increment_autocov
+from _oracles import fgn_qv_eigenvalues, quadratic_form_cumulants
 
 
 def test_cov_at_unit_time_is_one():
@@ -145,6 +146,26 @@ def test_centered_qv_nonstandard_regimes():
     rank2 = gen_hermite(HermiteSpec(0.7, 2), 1.0, 256, paths=500, seed=11)
     stats2, delta2 = centered_qv(rank2)
     assert sps.normaltest(stats2 / delta2).pvalue < 0.01
+
+
+# The acceptance test's rank-1 cases: 2,000 exact FBM paths of 1,024 steps.
+@pytest.mark.parametrize("hurst, seed, exact_sd, exact_skew",
+                         [(0.6, 11, 0.01148, 0.104), (0.85, 12, 0.001542, 2.11)])
+def test_centered_qv_matches_its_exact_finite_n_law(hurst, seed, exact_sd, exact_skew):
+    # The statistic is sum_k lambda_k (Z_k^2 - 1) over the eigenvalues of
+    # the increments' covariance: mean 0, and cumulants from sums of
+    # lambda^m.  The sample sd is judged by the delta method, whose variance
+    # (kappa_4 + 2 kappa_2^2) / (4 kappa_2 n) carries the exact fourth
+    # cumulant, so the heavy tail at H = 0.85 widens its band.
+    _, k2, k3, k4 = quadratic_form_cumulants(fgn_qv_eigenvalues(hurst, 1024), (1, 2, 3, 4))
+    sd = math.sqrt(k2)
+    assert sd == pytest.approx(exact_sd, rel=1e-3)
+    assert k3 / k2 ** 1.5 == pytest.approx(exact_skew, rel=1e-2)
+    stats, _ = centered_qv(gen_fbm(HermiteSpec(hurst), 1.0, 1024, paths=2000, seed=seed))
+    n = len(stats)
+    z_mean = stats.mean() / (sd / math.sqrt(n))
+    z_sd = (stats.std(ddof=1) - sd) / math.sqrt((k4 + 2.0 * k2 ** 2) / (4.0 * k2 * n))
+    assert abs(z_mean) < 4.0 and abs(z_sd) < 4.0, (z_mean, z_sd)
 
 
 # ---------------------------------------------------------------------------
