@@ -366,13 +366,9 @@ def _cmd_price(args):
           f"(effective vol {math.sqrt(sig_eff_sq):.6g})")
     if args.out:
         write_surface_csv(surface, args.out)
-        payload = dict(surface.meta)
-        payload["prices"] = [float(p) for p in surface.prices]
-        payload["payoff"] = args.payoff
-        payload["strike"] = args.strike
-        payload["power_exp"] = args.power_exp
-        payload["spot"] = args.spot
-        write_sidecar(args.out, payload)
+        write_sidecar(args.out, dict(surface.meta, prices=surface.prices.tolist(),
+                                     payoff=args.payoff, strike=args.strike,
+                                     power_exp=args.power_exp, spot=args.spot))
         print(f"wrote surface to {args.out}")
     return 0
 

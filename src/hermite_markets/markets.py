@@ -265,14 +265,16 @@ def singular_square_term(t, h_values, hurst):
     return _singular_square(t, h, hurst, np.empty(np.broadcast_shapes(t.shape, h.shape)))
 
 
+def _time_power(t, p):
+    """t**p on the times ``t``, 0 at t = 0, where the mixed market's singular powers vanish."""
+    return np.power(t, p, out=np.zeros_like(t), where=t > 0)
+
+
 def _singular_square(t, h, hurst, out):
     """singular_square_term of float arrays, into ``out``."""
-    positive = t > 0
-    factor = np.zeros_like(t)
-    factor[positive] = t[positive] ** (1.0 - 2.0 * hurst)
     np.square(h, out=out)
-    out *= factor
-    out[..., ~positive] = 0.0  # also where H^2 overflowed: inf * 0 is nan
+    out *= _time_power(t, 1.0 - 2.0 * hurst)
+    out[..., t <= 0] = 0.0  # where H^2 overflowed: inf * 0 is nan
     return out
 
 
@@ -339,12 +341,9 @@ def sde_residual(market, stock, w, h):
     dt = w.horizon / w.steps
     hv, wv, sv = h.values, w.values, stock.values
     tl, hl = t[:-1], hv[:, :-1]
-    drift_sing = np.zeros_like(hl)
-    exposure_sing = np.zeros_like(hl)
-    positive = tl > 0
     hurst = market.hurst
-    drift_sing[:, positive] = tl[positive] ** (-2.0 * hurst) * hl[:, positive] ** 2
-    exposure_sing[:, positive] = tl[positive] ** (1.0 - 2.0 * hurst) * hl[:, positive]
+    drift_sing = _time_power(tl, -2.0 * hurst) * hl ** 2
+    exposure_sing = _time_power(tl, 1.0 - 2.0 * hurst) * hl
     drift = (market.mu - 0.5 * market.sigma ** 2
              + market.sigma ** 2 * (1.0 - 2.0 * hurst) * drift_sing) * dt
     model = (drift + market.sigma * np.diff(wv, axis=1)

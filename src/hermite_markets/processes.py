@@ -24,7 +24,8 @@ across workers, and reassembled by index with bit-identical results.
 
 Memory
 ------
-Every draw goes through one iterator, ``_draw_blocks``, in blocks of
+Every draw but ``gen_fgn``'s, which calls ``_fgn_transform`` directly,
+goes through one iterator, ``_draw_blocks``, in blocks of
 ``_BLOCK_ENTRIES`` = 2**15 prices (or one path), which the generators copy
 into their output and the strategies' demos price in place.  Seed words
 are hashed ``_HASH_PATHS`` = 1,024 paths at a time.  A block that holds a
@@ -37,7 +38,9 @@ add one block's Hermite terms, 8 to 40 bytes.  So a call holds its output
 plus one block: a rank-2 lattice of 32,768 points takes 4 rows a block,
 about 5 MiB.  That holds for ``gen_hou`` with no exception: it runs the OU
 recursion over each block's driver, history included, and keeps only the
-output's columns.  The block size changes no bit.  Each driver has one
+output's columns.  Before a Hermite generator allocates, ``_lattice_bytes``
+estimates what it will hold, and it refuses a draw larger than physical
+memory.  The block size changes no bit.  Each driver has one
 kernel, writing into arrays and from seed words it is passed: ``_bm_walk``
 for Brownian motion and ``_hermite_rows`` for every rank.
 """
@@ -489,13 +492,25 @@ def _bm_walk(values, words, dt_root):
     walk *= dt_root
 
 
+def _meta(process, spec, paths, path_offset, **fields):
+    """A draw's ``meta``: its process, ``spec``'s parameters, its paths and the caller's ``fields``."""
+    params = {} if spec is None else {"hurst": spec.hurst, "approx_factor": spec.approx_factor,
+                                      "normalization": spec.normalization}
+    return dict(process=process, **params, paths=paths, path_offset=path_offset, **fields)
+
+
 def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     """Standard Brownian motion, W(0) = 0, exact Gaussian increments."""
     _check_grid(horizon, steps, paths)
     values = _drawn(None, horizon, steps, paths, seed, component, path_offset)
     return SamplePath(horizon, steps, values, seed,
-                      meta={"process": "bm", "paths": paths, "path_offset": path_offset,
-                            "component": component})
+                      meta=_meta("bm", None, paths, path_offset, component=component))
+
+
+def _require_fbm(spec):
+    """Refuse anything but the rank-1 HermiteSpec that gen_fbm draws."""
+    _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
+    _require(spec.rank == 1, f"gen_fbm requires rank 1, got rank {spec.rank}")
 
 
 def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
@@ -504,15 +519,11 @@ def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     This is the rank-1 case of gen_hermite: ``spec.approx_factor`` has no
     effect, and the paths equal gen_hermite's for the same seed.
     """
-    _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
-    _require(spec.rank == 1, f"gen_fbm requires rank 1, got rank {spec.rank}")
+    _require_fbm(spec)
     _check_grid(horizon, steps, paths)
     values = _drawn(spec, horizon, steps, paths, seed, component, path_offset)
     return SamplePath(horizon, steps, values, seed,
-                      meta={"process": "fbm", "hurst": spec.hurst, "rank": 1,
-                            "approx_factor": spec.approx_factor,
-                            "normalization": spec.normalization,
-                            "paths": paths, "path_offset": path_offset, "component": component})
+                      meta=_meta("fbm", spec, paths, path_offset, rank=1, component=component))
 
 
 def _lattice_factor(spec):
@@ -622,6 +633,8 @@ def _draw_blocks(drivers, paths, steps, horizon, path_offset=0, spare=0):
 
 def _drawn(spec, horizon, steps, paths, seed, component, path_offset):
     """One ``_draw_blocks`` driver's blocks, copied into one array."""
+    if spec is not None:
+        _check_lattice([spec], steps, paths)
     values = np.empty((paths, steps + 1))
     for start, stop, (rows,), _ in _draw_blocks([(spec, seed, component)], paths, steps,
                                                 horizon, path_offset):
@@ -641,10 +654,7 @@ def gen_hermite(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     _check_grid(horizon, steps, paths)
     values = _drawn(spec, horizon, steps, paths, seed, 0, path_offset)
     return SamplePath(horizon, steps, values, seed,
-                      meta={"process": "hermite", "hurst": spec.hurst, "rank": spec.rank,
-                            "approx_factor": spec.approx_factor,
-                            "normalization": spec.normalization,
-                            "paths": paths, "path_offset": path_offset})
+                      meta=_meta("hermite", spec, paths, path_offset, rank=spec.rank))
 
 
 def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
@@ -655,36 +665,39 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     """
     _require(isinstance(spec, MixedHermiteSpec), "spec must be a MixedHermiteSpec")
     _check_grid(horizon, steps, paths)
+    components = [spec.component_spec(i) for i in range(len(spec.components))]
+    _check_lattice(components, steps, paths)
     values = np.zeros((paths, steps + 1))
     for i, (weight, _) in enumerate(spec.components):
-        for start, stop, (rows,), _ in _draw_blocks([(spec.component_spec(i), seed, i)], paths,
+        for start, stop, (rows,), _ in _draw_blocks([(components[i], seed, i)], paths,
                                                     steps, horizon, path_offset):
             rows *= weight
             values[start:stop] += rows
     return SamplePath(horizon, steps, values, seed,
-                      meta={"process": "mixed", "hurst": spec.hurst,
-                            "weights": [w for w, _ in spec.components],
-                            "ranks": [r for _, r in spec.components],
-                            "approx_factor": spec.approx_factor,
-                            "normalization": spec.normalization,
-                            "paths": paths, "path_offset": path_offset})
+                      meta=_meta("mixed", spec, paths, path_offset,
+                                 weights=[w for w, _ in spec.components],
+                                 ranks=[r for _, r in spec.components]))
 
 
-def _hou_working_bytes(hermite, total, steps, paths):
-    """Bytes gen_hou holds at once over ``total`` grid steps, an over-estimate.
+def _lattice_bytes(hermite, total, steps, paths):
+    """Bytes a draw of ``hermite`` over ``total`` grid steps holds at once, an over-estimate.
 
-    The (paths, steps + 1) output, 9 bytes a point with SamplePath's finiteness
-    mask, and one block: the driver's (rows, total + 1) values, which the OU
-    values are written over, and its work arrays, which hold the increments.
-    The circulant's eigenvalues take about 56 bytes per inner lattice point,
+    The (paths, steps + 1) output, the last steps + 1 points of each path,
+    9 bytes a point with SamplePath's finiteness mask, and one block: the
+    driver's (rows, total + 1) values and its work arrays (gen_hou writes
+    its OU values over the first and its increments into the second).  The
+    circulant's eigenvalues take about 56 bytes per inner lattice point,
     before the work arrays exist: per row and inner point, 16 bytes each for
     the normals and the half spectrum, and for rank >= 2 up to five arrays of
-    Hermite terms from He_rank's recurrence, 40 more.
+    Hermite terms from He_rank's recurrence, 40 more.  A ufunc over rows
+    that are not contiguous buffers 8,192 elements of each of its three
+    operands, up to 16 bytes each, whatever the block's size.
     """
     n_inner = total * _lattice_factor(hermite)
     rows = min(paths, _driver_rows(hermite, total))
     per_row = 32 if hermite.rank == 1 else 72
-    return 9 * paths * (steps + 1) + 8 * rows * (total + 1) + (56 + per_row * rows) * n_inner
+    return (9 * paths * (steps + 1) + 8 * rows * (total + 1) + (56 + per_row * rows) * n_inner
+            + 3 * 8192 * 16)
 
 
 def _physical_memory():
@@ -703,6 +716,17 @@ def _check_memory(what, need, remedy):
                          f"{have / 2**30:.1f} GiB of physical memory; {remedy}")
 
 
+def _check_lattice(specs, steps, paths):
+    """Refuse a draw whose largest driver in ``specs`` would overflow physical memory.
+
+    The draw holds its (paths, steps + 1) output once and one driver's
+    block at a time.
+    """
+    _check_memory(f"drawing {paths} paths of {steps} steps",
+                  max(_lattice_bytes(spec, steps, steps, paths) for spec in specs),
+                  "lower steps or paths")
+
+
 def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     """Hermite-driven Ornstein-Uhlenbeck process on [0, horizon].
 
@@ -718,7 +742,7 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     burn = int(math.ceil(spec.history_truncation / dt))
     total = burn + steps
     _check_memory(f"gen_hou for {paths} paths of {total} steps ({burn} of them history)",
-                  _hou_working_bytes(hermite, total, steps, paths),
+                  _lattice_bytes(hermite, total, steps, paths),
                   f"raise ou_lambda ({spec.lam}) or lower "
                   f"history_truncation ({spec.history_truncation})")
     lam_dt = spec.lam * dt  # d = e**-lam_dt, the decay over one step
@@ -739,9 +763,6 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
             block += terms
         values[start:stop] = ou[:, burn:]
     return SamplePath(horizon, steps, values, seed,
-                      meta={"process": "hou", "hurst": hermite.hurst, "rank": hermite.rank,
-                            "ou_lambda": spec.lam, "ou_sigma": spec.sigma,
-                            "history_truncation": spec.history_truncation,
-                            "approx_factor": hermite.approx_factor,
-                            "normalization": hermite.normalization,
-                            "paths": paths, "path_offset": path_offset})
+                      meta=_meta("hou", hermite, paths, path_offset, rank=hermite.rank,
+                                 ou_lambda=spec.lam, ou_sigma=spec.sigma,
+                                 history_truncation=spec.history_truncation))

@@ -109,19 +109,8 @@ def estimate_hurst(path):
         log_span.append(math.log(width * dt))
         log_var.append(math.log(variance))
         level += 1
-    x = np.asarray(log_span)
-    y = np.asarray(log_var)
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, residuals, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    slope = coef[0]
-    dof = len(x) - 2
-    if dof > 0 and residuals.size:
-        s2 = residuals[0] / dof
-        xx = np.sum((x - x.mean()) ** 2)
-        stderr = math.sqrt(s2 / xx) / 2.0
-    else:
-        stderr = float("nan")
-    return HurstEstimate(value=float(slope / 2.0), stderr=float(stderr))
+    (slope, _), cov = np.polyfit(log_span, log_var, 1, cov=True)
+    return HurstEstimate(value=float(slope / 2.0), stderr=math.sqrt(cov[0, 0]) / 2.0)
 
 
 def increment_autocov(values, max_lag):

@@ -22,7 +22,7 @@ import numpy as np
 from .calculus import GridFunction
 from .markets import _intensities, _mixed_legs
 from .processes import (SamplePath, derive_seeds, HermiteSpec, _BLOCK_ENTRIES, _block_rows,
-                        _check_grid, _draw_blocks, _require)
+                        _check_grid, _draw_blocks, _require_fbm)
 
 __all__ = [
     "PortfolioFunction",
@@ -448,10 +448,11 @@ def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
     a time.
     """
     _check_grid(horizon, steps, paths)
+    _require_fbm(spec)
     tally = _ArbTally(np.zeros(1))  # untaxed: no running cost is charged
     identity_err, gap_ratios = [], []
-    for _, _, (s,), (value, increments, gain) in _draw_blocks(_fbm_driver(spec, seed), paths,
-                                                             steps, horizon, spare=3):
+    for _, _, (s,), (value, increments, gain) in _draw_blocks([(spec, seed, 0)], paths, steps,
+                                                             horizon, spare=3):
         np.exp(s, out=s)
         np.square(np.subtract(s, 1.0, out=value), out=value)
         increments = np.subtract(s[:, 1:], s[:, :-1], out=increments[:, 1:])
@@ -502,8 +503,9 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
     if index == 0:
         raise ValueError(f"evaluation time t={t} rounds to grid index 0 of steps={steps} over "
                          f"horizon={horizon}, where every price is still 1; raise t or steps")
+    _require_fbm(spec)
     s_t = np.empty(paths)
-    for start, stop, (path,), _ in _draw_blocks(_fbm_driver(spec, seed), paths, steps, horizon):
+    for start, stop, (path,), _ in _draw_blocks([(spec, seed, 0)], paths, steps, horizon):
         s_t[start:stop] = path[:, index]
     np.exp(s_t, out=s_t)
     value_t = f(s_t)
@@ -649,13 +651,6 @@ def _mixed_densities(u, roots):
         root *= -0.5
         root += 0.5
         yield root
-
-
-def _fbm_driver(spec, seed):
-    """The driver list of ``_draw_blocks`` for the paths gen_fbm(spec, ..., seed) draws."""
-    _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
-    _require(spec.rank == 1, f"gen_fbm requires rank 1, got rank {spec.rank}")
-    return [(spec, seed, 0)]
 
 
 class _ArbTally:

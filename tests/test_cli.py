@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, file formats, seeding."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -65,8 +66,9 @@ def test_simulate_worker_count_irrelevant(tmp_path):
 
 
 # One small simulate call per process, several flags off their defaults,
-# and the fields its sidecar must hold.  The sidecar may add provenance
-# (path_offset, component, history_truncation) and nothing else.
+# and the fields its sidecar must hold, each a simulate flag's value.  The
+# sidecar adds its process's provenance (path_offset, component,
+# history_truncation) and nothing else.
 _PROCESS_ARGV = {
     "fbm": ["--process", "fbm", "--hurst", "0.7", "--steps", "32", "--paths", "5",
             "--seed", "5"],
@@ -94,6 +96,8 @@ _PROCESS_SIDECAR = {
             "paths": 5, "process": "hou", "rank": 1, "seed": 5, "steps": 32},
 }
 _PROVENANCE = {"path_offset", "component", "history_truncation"}
+_PROCESS_PROVENANCE = {"fbm": {"path_offset", "component"}, "hermite": {"path_offset"},
+                       "mixed": {"path_offset"}, "hou": {"path_offset", "history_truncation"}}
 
 
 def _simulate_process(tmp_path, process, name, *extra):
@@ -107,7 +111,10 @@ def test_simulate_sidecar_fields(tmp_path, process):
     meta = read_sidecar(str(_simulate_process(tmp_path, process, "s.csv")))
     want = _PROCESS_SIDECAR[process]
     assert {key: meta.get(key) for key in want} == want
-    assert set(meta) - set(want) <= _PROVENANCE
+    assert set(meta) == set(want) | _PROCESS_PROVENANCE[process]
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert set(want) <= {action.dest for action in sub.choices["simulate"]._actions}
 
 
 @pytest.mark.parametrize("process", sorted(_PROCESS_ARGV))
@@ -162,6 +169,22 @@ def test_simulate_exits_two_when_ensemble_exceeds_memory(monkeypatch, capsys, tm
                  "--ranks", "1,2", "--paths", "100", "--steps", "64", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "lower --paths or --steps" in err
+    assert not out.exists()
+
+
+def test_simulate_exits_two_when_the_lattice_exceeds_memory(monkeypatch, capsys, tmp_path):
+    # The ensemble, 16 bytes a path and grid point, is 64 KiB, but a
+    # rank-2 draw over 4,096 steps runs a 131,072-point lattice: gen_hermite
+    # refuses it before the driver is allocated, and nothing is written.
+    def never(*args, **kwargs):
+        raise AssertionError("the driver was allocated")
+
+    monkeypatch.setattr(processes, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(processes, "_draw_blocks", never)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--process", "hermite", "--rank", "2", "--hurst", "0.75",
+                 "--steps", "4096", "--paths", "1", "--out", str(out)]) == 2
+    assert "lower steps or paths" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -591,6 +614,11 @@ def test_price_surface_output(tmp_path, capsys):
     assert out.exists()
     meta = read_sidecar(str(out))
     assert meta["kind"] == "call"
+    # surface.meta's eleven fields, the claim flags and the price nodes
+    assert set(meta) == {
+        "error_estimate", "extrapolated_value", "kind", "maturity", "nodes", "payoff",
+        "power_exp", "prices", "rate", "sigma", "sigma_eff_sq", "spot", "strike", "tax_hat",
+        "theta", "time_steps"}
 
 
 _PRICE_LINE = re.compile(r"call value at spot 100: (\S+) \+/- (\S+) \(effective vol 0\.2\)\n")

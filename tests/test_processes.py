@@ -9,7 +9,8 @@ import pytest
 import scipy.stats as sps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import eigvalsh, toeplitz
+from scipy.optimize import brentq
 
 from hermite_markets import (
     CirculantEmbeddingError,
@@ -30,7 +31,7 @@ from hermite_markets.processes import _bm_walk, _draw_blocks, _fft_work, _fgn_au
     _fgn_transform, _fill_normals, _half_spectrum_scale, _hermite_rows, _hermite_scale, \
     _raw_sum_std, _stream_states, gen_fgn, hermite_poly
 from hermite_markets.stats import autocov_slope
-from _oracles import hou_step_loop, subprocess_peaks_mib
+from _oracles import hou_step_loop, quadratic_form_cdf, subprocess_peaks_mib
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +557,33 @@ def test_rosenblatt_terminal_moments():
     assert sps.normaltest(x).pvalue < 0.01
 
 
+@pytest.mark.parametrize("terms", [8, 16, 40])
+@pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+def test_quadratic_form_cdf_matches_chi2_for_equal_eigenvalues(terms, scale):
+    for q in (0.001, 0.1, 0.5, 0.9, 0.999):
+        x = scale * sps.chi2.ppf(q, terms)
+        assert abs(quadratic_form_cdf(np.full(terms, scale), x) - q) < 1e-8
+
+
+@pytest.mark.parametrize("hurst, factor", [(0.7, 4), (0.85, 8)])
+def test_rosenblatt_terminal_law_is_its_exact_quadratic_form(hurst, factor):
+    # The terminal value is scale (xi' xi - n), xi the n = 64 a inner FGN
+    # points at the inner Hurst index, so its law is sum_k lambda_k (Z_k^2
+    # - 1) with lambda the eigenvalues of their Toeplitz covariance times
+    # scale.  The share of paths above each exact quantile of Imhof's CDF
+    # lies within 4 binomial sd.
+    spec = HermiteSpec(hurst, 2, approx_factor=factor)
+    paths = 20_000
+    gamma = toeplitz(_fgn_autocov(spec.inner_hurst, np.arange(64 * factor)))
+    eigs = _hermite_scale(spec, 1.0, 64) * eigvalsh(gamma)
+    terminal = gen_hermite(spec, 1.0, 64, paths=paths, seed=101).values[:, -1]
+    for q in (0.1, 0.5, 0.9):
+        quantile = brentq(lambda x: quadratic_form_cdf(eigs, x + eigs.sum()) - q,
+                          -eigs.sum(), 20.0, xtol=1e-10)
+        z = (np.mean(terminal > quantile) - (1.0 - q)) / math.sqrt(q * (1.0 - q) / paths)
+        assert abs(z) < 4.0
+
+
 def test_gaussian_boundary_between_ranks():
     g = gen_hermite(HermiteSpec(0.65, 1), 1.0, 64, paths=1500, seed=29)
     ng = gen_hermite(HermiteSpec(0.65, 2), 1.0, 64, paths=1500, seed=29)
@@ -744,25 +772,26 @@ def test_hou_time_blocks_match_the_step_loop(lam_dt, steps, history, sigma, rank
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_hou_working_bytes_counts_driver_and_chunk():
+def test_lattice_bytes_counts_driver_and_chunk():
     # Rank 2, approx_factor 32, 100 steps of which 40 are output, 3 paths:
     # the (3, 41) output at 9 bytes a point, the (3, 101) driver block, 56
     # bytes per inner point for the eigenvalues, and 32 for the work arrays
     # plus 40 for the Hermite terms in each of the 3 rows of one batch
-    # (3200 inner points).
-    estimate = processes._hou_working_bytes(HermiteSpec(0.75, 2), 100, 40, 3)
-    assert estimate == 9 * 3 * 41 + 8 * 3 * 101 + (56 + 72 * 3) * 3200
+    # (3200 inner points), and numpy's buffers for one ufunc.
+    buffers = 3 * 8192 * 16
+    estimate = processes._lattice_bytes(HermiteSpec(0.75, 2), 100, 40, 3)
+    assert estimate == 9 * 3 * 41 + 8 * 3 * 101 + (56 + 72 * 3) * 3200 + buffers
     # Rank 1 runs on the output grid with no Hermite terms, and a lattice
     # longer than one block is drawn a row at a time.
-    assert processes._hou_working_bytes(HermiteSpec(0.75), 100, 40, 3) == \
-        9 * 3 * 41 + 8 * 3 * 101 + (56 + 32 * 3) * 100
+    assert processes._lattice_bytes(HermiteSpec(0.75), 100, 40, 3) == \
+        9 * 3 * 41 + 8 * 3 * 101 + (56 + 32 * 3) * 100 + buffers
     big = 2**23
-    assert processes._hou_working_bytes(HermiteSpec(0.75), big, 1024, 5) == \
-        9 * 5 * 1025 + 8 * (big + 1) + (56 + 32) * big
+    assert processes._lattice_bytes(HermiteSpec(0.75), big, 1024, 5) == \
+        9 * 5 * 1025 + 8 * (big + 1) + (56 + 32) * big + buffers
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 5])
-def test_hou_working_bytes_bounds_the_measured_peak(rank):
+def test_lattice_bytes_bounds_the_measured_hou_peak(rank):
     # The estimate covers what numpy allocates in gen_hou over a 4,096-step
     # lattice, half of it history, eigenvalues included (their cache is
     # cleared first).
@@ -774,7 +803,47 @@ def test_hou_working_bytes_bounds_the_measured_peak(rank):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < processes._hou_working_bytes(hermite, 4096, 2048, 5)
+    assert peak < processes._lattice_bytes(hermite, 4096, 2048, 5)
+
+
+_PREFLIGHT_CASES = [
+    (gen_fbm, HermiteSpec(0.7), HermiteSpec(0.7)),
+    (gen_hermite, HermiteSpec(0.75, 2, approx_factor=4), HermiteSpec(0.75, 2, approx_factor=4)),
+    (gen_mixed, MixedHermiteSpec(0.75, ((0.8, 1), (0.6, 2)), approx_factor=4),
+     HermiteSpec(0.75, 2, approx_factor=4)),
+]
+
+
+@pytest.mark.parametrize("gen, spec, largest", _PREFLIGHT_CASES)
+def test_lattice_bytes_bounds_the_measured_generator_peak(gen, spec, largest):
+    # gen_fbm, gen_hermite and gen_mixed hold their output once and one
+    # driver's block at a time, so the estimate for the largest driver, on
+    # the output grid, covers what numpy allocates, eigenvalues included.
+    processes._half_spectrum_scale.cache_clear()
+    tracemalloc.start()
+    try:
+        gen(spec, 1.0, 2048, paths=5, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < processes._lattice_bytes(largest, 2048, 2048, 5)
+
+
+@pytest.mark.parametrize("gen, spec, largest", _PREFLIGHT_CASES)
+def test_generator_preflight_raises_before_allocating(monkeypatch, gen, spec, largest):
+    # Memory that holds the largest driver's estimate draws; one byte less
+    # is refused before _draw_blocks allocates anything.
+    need = processes._lattice_bytes(largest, 1024, 1024, 3)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: need)
+    assert gen(spec, 1.0, 1024, paths=3).values.shape == (3, 1025)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the driver was allocated")
+
+    monkeypatch.setattr(processes, "_draw_blocks", never)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"3 paths of 1024 steps.*lower steps or paths"):
+        gen(spec, 1.0, 1024, paths=3)
 
 
 def test_hou_holds_its_output_and_one_block():

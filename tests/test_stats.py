@@ -196,6 +196,27 @@ def test_hurst_reports_uncertainty():
     assert est.stderr > 0
 
 
+@pytest.mark.parametrize("steps", [64, 100, 1024])
+@pytest.mark.parametrize("hurst", [0.6, 0.9])
+def test_hurst_is_linregress_over_its_levels(hurst, steps):
+    # Block sums of 2^j increments, trimmed to whole blocks, for every j
+    # with 8 or more blocks; half the fitted log-log slope and its stderr.
+    path = gen_fbm(HermiteSpec(hurst), 2.0, steps, paths=7, seed=steps)
+    increments = np.diff(path.values, axis=1)
+    spans, variances = [], []
+    width = 1
+    while steps // width >= 8:
+        usable = steps // width * width
+        blocks = increments[:, :usable].reshape(7, -1, width).sum(axis=2)
+        spans.append(width * 2.0 / steps)
+        variances.append(np.mean(blocks ** 2))
+        width *= 2
+    fit = sps.linregress(np.log(spans), np.log(variances))
+    estimate = estimate_hurst(path)
+    assert estimate.value == pytest.approx(fit.slope / 2.0, rel=1e-12)
+    assert estimate.stderr == pytest.approx(fit.stderr / 2.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # autocovariance helpers
 
