@@ -206,16 +206,12 @@ def _check_cov(path, hurst):
     picks = np.unique(np.linspace(path.steps // 4, path.steps, 4, dtype=int))
     times = path.times[picks]
     sample = path.values[:, picks]
-    sample = sample - sample.mean(axis=0)
-    worst = 0.0
-    for i in range(len(picks)):
-        for j in range(i, len(picks)):
-            emp = float((sample[:, i] * sample[:, j]).mean())
-            theo = theoretical_cov(hurst, times[i], times[j])
-            var_i = theoretical_cov(hurst, times[i], times[i])
-            var_j = theoretical_cov(hurst, times[j], times[j])
-            stderr = math.sqrt((var_i * var_j + theo ** 2) / path.n_paths)
-            worst = max(worst, abs(emp - theo) / stderr)
+    sample = (sample - sample.mean(axis=0)).T
+    emp = (sample[:, None] * sample[None, :]).mean(axis=2)
+    theo = theoretical_cov(hurst, times[:, None], times[None, :])
+    var = np.diag(theo)
+    stderr = np.sqrt((var[:, None] * var[None, :] + theo ** 2) / path.n_paths)
+    worst = float(np.max(np.abs(emp - theo) / stderr))
     return {"statistic": worst, "target": 0.0, "tolerance": 4.0,
             "pass": worst < 4.0,
             "detail": "worst z-score of sample covariance against the "

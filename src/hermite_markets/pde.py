@@ -83,9 +83,15 @@ def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
     (4.4e-16) off.  The half-width covers 8 standard deviations plus the
     drift over the horizon, with a floor of 1e-4 log units, so that a
     short-dated or low-volatility claim's kink still spans many nodes.
+    A non-finite spot, sigma, maturity or rate, or a maturity that is not
+    positive, raises ValueError naming it.
     """
-    if not 0 < spot < math.inf:
-        raise ValueError(f"spot must be positive and finite, got {spot}")
+    for name, value in (("spot", spot), ("maturity", maturity)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    for name, value in (("sigma", sigma), ("rate", rate)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if nodes % 2 == 0:
         nodes += 1
     half = max(1e-4, 8.0 * abs(sigma) * math.sqrt(maturity)

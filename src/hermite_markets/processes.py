@@ -26,23 +26,25 @@ Memory
 ------
 Every draw but ``gen_fgn``'s, which calls ``_fgn_transform`` directly,
 goes through one iterator, ``_draw_blocks``, in blocks of
-``_BLOCK_ENTRIES`` = 2**15 prices (or one path), which the generators copy
-into their output and the strategies' demos price in place.  Seed words
-are hashed ``_HASH_PATHS`` = 1,024 paths at a time.  A block that holds a
-Hermite driver is also one FFT batch of its inner FGN lattice, at most
-``_CHUNK_ENTRIES`` = 2**18 normals (rows x 2 count, or one path).  The
-block and its work arrays, 32 bytes per row and lattice point (the
+``_BLOCK_ENTRIES`` = 2**15 prices (or one path), which ``_drawn``, the one
+body of ``gen_bm``, ``gen_fbm``, ``gen_hermite`` and ``gen_mixed``, adds
+into their output, each component times its weight, and the strategies'
+demos price in place.  Seed words are hashed ``_HASH_PATHS`` = 1,024
+paths at a time.  A block that holds a Hermite driver is also one FFT
+batch of its inner FGN lattice, at most ``_CHUNK_ENTRIES`` = 2**18
+normals (rows x 2 count, or one path).  The block and its work arrays, 32 bytes per row and lattice point (the
 normals, which the inverse transform overwrites, and the complex half
 spectrum), are allocated once per call and refilled; ranks of 2 and more
 add one block's Hermite terms, 8 to 40 bytes.  So a call holds its output
 plus one block: a rank-2 lattice of 32,768 points takes 4 rows a block,
 about 5 MiB.  That holds for ``gen_hou`` with no exception: it runs the OU
 recursion over each block's driver, history included, and keeps only the
-output's columns.  Before a Hermite generator allocates, ``_lattice_bytes``
-estimates what it will hold, and it refuses a draw larger than physical
-memory.  The block size changes no bit.  Each driver has one
-kernel, writing into arrays and from seed words it is passed: ``_bm_walk``
-for Brownian motion and ``_hermite_rows`` for every rank.
+output's columns.  Before a Hermite generator or ``gen_fgn`` allocates,
+``_lattice_bytes`` estimates what it will hold, and it refuses a draw
+larger than physical memory.  The block size changes no bit.  Each
+driver has one kernel, writing into arrays and from seed words it is
+passed: ``_bm_walk`` for Brownian motion and ``_hermite_rows`` for every
+rank.
 """
 
 import math
@@ -416,11 +418,13 @@ def gen_fgn(inner_hurst, count, seed=0):
 
     The autocovariance at lag k is (|k+1|^2H' + |k-1|^2H' - 2|k|^2H')/2 for
     Hurst index H' = ``inner_hurst``.  Fails loudly if the circulant
-    embedding has an eigenvalue below -1e-10.
+    embedding has an eigenvalue below -1e-10, and refuses a ``count`` whose
+    lattice would not fit in physical memory before it allocates.
     """
     _require(0.5 < inner_hurst < 1.0, f"inner_hurst must lie in (1/2, 1), got {inner_hurst}")
-    _require(count >= 1, f"count must be >= 1, got {count}")
-    count = int(count)
+    _require(type(count) is int and count >= 1, f"count must be an integer >= 1, got {count}")
+    _check_memory(f"gen_fgn of {count} points",
+                  _lattice_bytes(HermiteSpec(inner_hurst), count, count, 1), "lower count")
     draws = np.empty((1, 2 * count))
     _fill_normals(draws, _stream_states(seed, [0], 0))
     return _fgn_transform(inner_hurst, draws, np.empty((1, count + 1), complex), draws)[0]
@@ -466,13 +470,6 @@ def _limit_std(hurst, rank):
     return math.sqrt(top / (hurst * (2.0 * hurst - 1.0)))
 
 
-def _partial_sum_scale(spec, n_inner):
-    """Factor applied to raw partial sums so Var at t = 1 is one."""
-    if spec.normalization == "empirical":
-        return 1.0 / _raw_sum_std(spec.inner_hurst, spec.rank, n_inner)
-    return 1.0 / (n_inner ** spec.hurst * _limit_std(spec.hurst, spec.rank))
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -502,7 +499,7 @@ def _meta(process, spec, paths, path_offset, **fields):
 def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     """Standard Brownian motion, W(0) = 0, exact Gaussian increments."""
     _check_grid(horizon, steps, paths)
-    values = _drawn(None, horizon, steps, paths, seed, component, path_offset)
+    values = _drawn([(None, component, 1)], horizon, steps, paths, seed, path_offset)
     return SamplePath(horizon, steps, values, seed,
                       meta=_meta("bm", None, paths, path_offset, component=component))
 
@@ -521,7 +518,7 @@ def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     """
     _require_fbm(spec)
     _check_grid(horizon, steps, paths)
-    values = _drawn(spec, horizon, steps, paths, seed, component, path_offset)
+    values = _drawn([(spec, component, 1)], horizon, steps, paths, seed, path_offset)
     return SamplePath(horizon, steps, values, seed,
                       meta=_meta("fbm", spec, paths, path_offset, rank=1, component=component))
 
@@ -541,7 +538,12 @@ def _hermite_scale(spec, horizon, steps):
     """Factor taking the partial sums of the inner lattice to the process on [0, horizon]."""
     if spec.rank == 1:
         return (horizon / steps) ** spec.hurst
-    return horizon ** spec.hurst * _partial_sum_scale(spec, _lattice_factor(spec) * steps)
+    n_inner = spec.approx_factor * steps
+    if spec.normalization == "empirical":
+        std = _raw_sum_std(spec.inner_hurst, spec.rank, n_inner)
+    else:
+        std = n_inner ** spec.hurst * _limit_std(spec.hurst, spec.rank)
+    return horizon ** spec.hurst * (1.0 / std)
 
 
 def _driver_rows(spec, steps):
@@ -631,14 +633,18 @@ def _draw_blocks(drivers, paths, steps, horizon, path_offset=0, spare=0):
             yield start, stop, values[:, :n], spares[:, :n]
 
 
-def _drawn(spec, horizon, steps, paths, seed, component, path_offset):
-    """One ``_draw_blocks`` driver's blocks, copied into one array."""
-    if spec is not None:
-        _check_lattice([spec], steps, paths)
-    values = np.empty((paths, steps + 1))
-    for start, stop, (rows,), _ in _draw_blocks([(spec, seed, component)], paths, steps,
-                                                horizon, path_offset):
-        values[start:stop] = rows
+def _drawn(drivers, horizon, steps, paths, seed, path_offset):
+    """Sum of the ``_draw_blocks`` drivers (spec, component, weight), Hermite specs preflighted."""
+    hermite = [spec for spec, _, _ in drivers if spec is not None]
+    if hermite:
+        _check_lattice(hermite, steps, paths)
+    values = np.zeros((paths, steps + 1))
+    for spec, component, weight in drivers:
+        for start, stop, (rows,), _ in _draw_blocks([(spec, seed, component)], paths, steps,
+                                                    horizon, path_offset):
+            if weight != 1:
+                rows *= weight
+            values[start:stop] += rows
     return values
 
 
@@ -652,7 +658,7 @@ def gen_hermite(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     """
     _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
     _check_grid(horizon, steps, paths)
-    values = _drawn(spec, horizon, steps, paths, seed, 0, path_offset)
+    values = _drawn([(spec, 0, 1)], horizon, steps, paths, seed, path_offset)
     return SamplePath(horizon, steps, values, seed,
                       meta=_meta("hermite", spec, paths, path_offset, rank=spec.rank))
 
@@ -665,14 +671,8 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     """
     _require(isinstance(spec, MixedHermiteSpec), "spec must be a MixedHermiteSpec")
     _check_grid(horizon, steps, paths)
-    components = [spec.component_spec(i) for i in range(len(spec.components))]
-    _check_lattice(components, steps, paths)
-    values = np.zeros((paths, steps + 1))
-    for i, (weight, _) in enumerate(spec.components):
-        for start, stop, (rows,), _ in _draw_blocks([(components[i], seed, i)], paths,
-                                                    steps, horizon, path_offset):
-            rows *= weight
-            values[start:stop] += rows
+    drivers = [(spec.component_spec(i), i, weight) for i, (weight, _) in enumerate(spec.components)]
+    values = _drawn(drivers, horizon, steps, paths, seed, path_offset)
     return SamplePath(horizon, steps, values, seed,
                       meta=_meta("mixed", spec, paths, path_offset,
                                  weights=[w for w, _ in spec.components],

@@ -88,20 +88,18 @@ class HurstEstimate:
 def estimate_hurst(path):
     """Hurst index from variance scaling across dyadic aggregation levels.
 
-    Block-sums of increments over windows of 2^j steps have variance
-    proportional to (window length)^2H; the log-log regression slope over
-    the available dyadic levels estimates 2H.  Requires at least 64 steps.
+    Increments over whole windows of 2^j steps, as in ``centered_qv``, have
+    variance proportional to (window length)^2H; the log-log regression
+    slope over the available dyadic levels estimates 2H.  Requires at least 64 steps.
     """
     if path.steps < 64:
         raise ValueError(f"need at least 64 steps to estimate, got {path.steps}")
-    increments = np.diff(path.values, axis=1)
     dt = path.horizon / path.steps
     log_span, log_var = [], []
     level = 0
     while path.steps >> level >= 8:
         width = 1 << level
-        usable = (path.steps // width) * width
-        blocks = increments[:, :usable].reshape(path.n_paths, -1, width).sum(axis=2)
+        blocks = np.diff(path.values[:, ::width], axis=1)
         variance = float(np.mean(blocks ** 2))
         if variance <= 0:
             raise ValueError("degenerate path: zero variance at aggregation level "

@@ -15,7 +15,7 @@ arrays it hands out; of a block they keep counts and one number a path.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -409,17 +409,9 @@ class TaxReport:
     passed: bool
 
     def to_json_dict(self):
-        return {
-            "demo": self.demo,
-            "parameters": self.parameters,
-            "paths": self.paths,
-            "seed": self.seed,
-            "statistics": {k: (float(v) if np.isscalar(v) or isinstance(v, np.generic) else v)
-                           for k, v in self.statistics.items()},
-            "ci_low": float(self.ci_low),
-            "ci_high": float(self.ci_high),
-            "pass": bool(self.passed),
-        }
+        report = asdict(self)
+        report["pass"] = report.pop("passed")
+        return report
 
 
 def _demo_bytes(paths, steps):

@@ -25,7 +25,7 @@ from hermite_markets.pathio import (
     write_path_csv,
 )
 from hermite_markets import (HermiteSpec, SamplePath, TerminalClaim, gen_fbm, grid_for_spot,
-                             solve_tax_bsm)
+                             solve_tax_bsm, theoretical_cov)
 from _oracles import black_scholes, power_claim_value
 
 
@@ -317,6 +317,32 @@ def test_stats_checks_pass_on_fbm(tmp_path, capsys, check):
     assert report["check"] == check
     for key in ("statistic", "target", "tolerance", "detail"):
         assert key in report
+
+
+def _cov_worst_by_pairs(path, hurst):
+    """The cov check's statistic pair by pair: the largest z-score over times i <= j."""
+    picks = np.unique(np.linspace(path.steps // 4, path.steps, 4, dtype=int))
+    times = path.times[picks]
+    sample = path.values[:, picks]
+    sample = sample - sample.mean(axis=0)
+    worst = 0.0
+    for i in range(len(picks)):
+        for j in range(i, len(picks)):
+            emp = float((sample[:, i] * sample[:, j]).mean())
+            theo = theoretical_cov(hurst, times[i], times[j])
+            var_i = theoretical_cov(hurst, times[i], times[i])
+            var_j = theoretical_cov(hurst, times[j], times[j])
+            stderr = math.sqrt((var_i * var_j + theo ** 2) / path.n_paths)
+            worst = max(worst, abs(emp - theo) / stderr)
+    return worst
+
+
+@pytest.mark.parametrize("paths", [50, 200])
+@pytest.mark.parametrize("hurst", [0.6, 0.85])
+def test_cov_check_is_the_per_pair_z_score(hurst, paths):
+    path = gen_fbm(HermiteSpec(hurst), 1.0, 256, paths=paths, seed=paths)
+    statistic = cli._check_cov(path, hurst)["statistic"]
+    assert statistic == pytest.approx(_cov_worst_by_pairs(path, hurst), rel=1e-12)
 
 
 def test_stats_qv_detects_nongaussian_regime(tmp_path, capsys):

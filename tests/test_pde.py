@@ -147,6 +147,16 @@ def test_non_finite_pricing_input_names_parameter(name, build, bad):
     assert not isinstance(caught.value, IllPosedProblemError)
 
 
+@pytest.mark.parametrize("name, bad", [(name, bad) for name in ("sigma", "maturity", "rate")
+                                       for bad in (math.nan, math.inf, -math.inf)]
+                         + [("maturity", 0.0), ("maturity", -1.0)])
+def test_grid_for_spot_names_a_bad_input(name, bad):
+    inputs = dict(spot=SPOT, sigma=SIGMA, maturity=MATURITY, rate=RATE)
+    inputs[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        grid_for_spot(**inputs)
+
+
 def test_ill_posed_effective_variance():
     with pytest.raises(IllPosedProblemError):
         solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), -0.1, 0.1, 0.4, _grid())
@@ -596,6 +606,22 @@ def test_reduction_pull_back_inverts_push_forward(c, rate, maturity, frac, x):
     t = frac * maturity
     recovered = red.pull_back(red.push_forward(price))
     assert recovered(t, np.array(x)) == pytest.approx(price(t, np.array(x)), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+       rate=st.floats(-0.05, 0.2), maturity=st.floats(0.1, 5.0),
+       x=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)))
+def test_reduction_terminal_data_pulls_back_to_the_payoff(c, rate, maturity, x):
+    red = reduce_to_heat(c, rate, maturity)
+
+    def payoff(x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] ** 2 + np.maximum(x[..., 1] - 1.0, 0.0) + 1.0
+
+    x = np.array(x)
+    at_maturity = red.pull_back(red.terminal_data(payoff))(maturity, x)
+    assert at_maturity == pytest.approx(payoff(x), rel=1e-12)
 
 
 def test_pulled_back_kernel_solves_taxed_equation():

@@ -400,6 +400,7 @@ def test_grid_validation():
     (lambda: HermiteSpec(0.7, approx_factor=True), "approx_factor must be an integer >= 1, got True"),
     (lambda: MixedHermiteSpec(0.75, ((1.0, True),)), "rank must be an integer >= 1, got True"),
     (lambda: hermite_poly(True, 0.5), "order must be an integer >= 0, got True"),
+    (lambda: gen_fgn(0.8, True), "count must be an integer >= 1, got True"),
 ])
 def test_integer_parameters_refuse_bool(make, message):
     with pytest.raises(ValueError) as err:
@@ -435,6 +436,28 @@ def test_hermite_poly_low_orders():
 def test_fgn_unit_variance():
     x = gen_fgn(0.85, 2**13, seed=2)
     assert abs(float(np.mean(x**2)) - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("count", [7.5, 7.0, 0])
+def test_fgn_count_must_be_a_positive_int(count):
+    with pytest.raises(ValueError, match="count must be an integer >= 1"):
+        gen_fgn(0.8, count)
+
+
+def test_fgn_preflight_raises_before_drawing(monkeypatch):
+    # Memory that holds the estimate draws; one byte less is refused before
+    # any normal is drawn.
+    need = processes._lattice_bytes(HermiteSpec(0.8), 512, 512, 1)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: need)
+    assert gen_fgn(0.8, 512, seed=4).shape == (512,)
+
+    def never(*args, **kwargs):
+        raise AssertionError("normals were drawn")
+
+    monkeypatch.setattr(processes, "_fill_normals", never)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"gen_fgn of 512 points.*lower count"):
+        gen_fgn(0.8, 512, seed=4)
 
 
 def test_fgn_deterministic():

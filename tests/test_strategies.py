@@ -843,6 +843,41 @@ def test_mixed_demo_rosenblatt_driver():
     assert report.statistics["min_value"] >= 0.0
 
 
+def _coerced_report(report):
+    """A report's dict with every statistic, the interval and the verdict coerced by hand."""
+    return {
+        "demo": report.demo,
+        "parameters": report.parameters,
+        "paths": report.paths,
+        "seed": report.seed,
+        "statistics": {k: (float(v) if np.isscalar(v) or isinstance(v, np.generic) else v)
+                       for k, v in report.statistics.items()},
+        "ci_low": float(report.ci_low),
+        "ci_high": float(report.ci_high),
+        "pass": bool(report.passed),
+    }
+
+
+def _leaves(value):
+    """(key or type, value) of every leaf of a JSON-like value, in order, types included."""
+    if isinstance(value, dict):
+        return [(key, leaf) for key, item in value.items() for leaf in _leaves(item)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [(type(value), value)]
+
+
+@pytest.mark.parametrize("demo, tax", [("shiryaev", None), ("fsquare", 0.0), ("fsquare", 0.3),
+                                       ("diffusion", 0.3), ("mixed", 0.3)])
+def test_report_dict_needs_no_coercion(demo, tax):
+    # Every demo stores Python floats and bools, so the plain dataclass
+    # dict equals the hand-coerced one, leaf types included.
+    report = _demo_run(demo, tax, paths=100, steps=64, seed=7)
+    data = report.to_json_dict()
+    assert _leaves(data) == _leaves(_coerced_report(report))
+    assert json.loads(json.dumps(data)) == data
+
+
 def test_report_serialization():
     data = shiryaev_demo(HermiteSpec(0.7), 50, 128, 1.0, 2).to_json_dict()
     for key in ("demo", "parameters", "paths", "seed", "statistics",
