@@ -28,7 +28,7 @@ from .markets import MixedMarket, TwoAssetDiffusion
 from .pathio import PathFormatError, read_path_csv, write_path_csv, write_sidecar, \
     write_surface_csv
 from .pde import _DEFAULT_NODES, _DEFAULT_TIME_STEPS, IllPosedProblemError, TerminalClaim, \
-    _effective_variance, _solve_bytes, grid_for_spot, solve_tax_bsm
+    _effective_variance, _require_half_grid, _solve_bytes, grid_for_spot, solve_tax_bsm
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
     _check_memory, gen_fbm, gen_hermite, gen_hou, gen_mixed
 from .stats import autocov_slope, centered_qv, estimate_hurst, theoretical_cov
@@ -297,6 +297,9 @@ def _cmd_stats(args):
 # ---------------------------------------------------------------------------
 # arbitrage demos
 
+# Prices that overflow, or underflow to zero, reach the demos' finite checks,
+# which name the demo's parameters; numpy's warnings would only repeat it.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _cmd_arb_demo(args):
     seed = _resolve_seed(args.seed)
     if not 0 <= args.tax < math.inf:
@@ -328,6 +331,8 @@ def _cmd_arb_demo(args):
 # which name it; numpy's warnings would only repeat it, with source lines.
 @np.errstate(over="ignore", invalid="ignore")
 def _cmd_price(args):
+    # grid_for_spot rounds an even --grid up: --grid 30 prices on 31 nodes
+    _require_half_grid(args.grid | 1, args.time_steps, ("--grid's odd node count", "--time-steps"))
     if args.payoff == "call":
         claim = TerminalClaim.call(args.strike, args.maturity)
     elif args.payoff == "put":
@@ -343,22 +348,18 @@ def _cmd_price(args):
     except IllPosedProblemError as exc:
         print(f"pricing failed: {exc}", file=sys.stderr)
         return 1
-    estimate = surface.meta["error_estimate"]
-    value = (surface.value_at(args.spot) if estimate is None
-             else surface.meta["extrapolated_value"])
+    value, estimate = surface.meta["extrapolated_value"], surface.meta["error_estimate"]
     # x**p is positive, so a value at or below zero, or within its estimate of it, is the
     # scheme failing on a payoff it cannot resolve; a deep call or put may be that small.
-    if args.payoff == "power" and not (value > 0 and (estimate is None or estimate < value)):
+    if args.payoff == "power" and not estimate < value:
         raise ValueError(f"the grid cannot resolve the power claim: it priced x**{args.power_exp:g} "
-                         f"at {value:.4g}{'' if estimate is None else f' +/- {estimate:.2g}'}; "
+                         f"at {value:.4g} +/- {estimate:.2g}; "
                          "lower the size of --power-exp or raise --grid")
-    if (estimate is not None
-            and (grid.nodes, grid.time_steps) != (_DEFAULT_NODES, _DEFAULT_TIME_STEPS)):
+    if (grid.nodes, grid.time_steps) != (_DEFAULT_NODES, _DEFAULT_TIME_STEPS):
         print(f"note: the error estimate is unvalidated on {grid.nodes} x {grid.time_steps}; "
               f"it was validated on the default {_DEFAULT_NODES} x {_DEFAULT_TIME_STEPS} only "
               "(at 385 x 48 it read 0.12x the true error)", file=sys.stderr)
-    spread = "" if estimate is None else f" +/- {estimate:.2g}"
-    print(f"{args.payoff} value at spot {args.spot:g}: {value:.10g}{spread} "
+    print(f"{args.payoff} value at spot {args.spot:g}: {value:.10g} +/- {estimate:.2g} "
           f"(effective vol {math.sqrt(sig_eff_sq):.6g})")
     if args.out:
         write_surface_csv(surface, args.out)

@@ -17,6 +17,7 @@ I + dtau L / 2 = 2 I - (I - dtau L / 2), the sum w = new + known solves
 L known, and the surfaces agree with the stencil form to roundoff.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +51,7 @@ class IllPosedProblemError(ValueError):
 # and 0.12 on 385 x 48, 0.26 on 769 x 96, 0.53 on 257 x 32 and 0.66 on
 # 513 x 48: the step count, not the node count, decides where it fails.
 _DEFAULT_NODES, _DEFAULT_TIME_STEPS = 513, 64
+_MIN_NODES, _MIN_TIME_STEPS = 16, 1  # the least grid PdeGrid accepts
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,17 @@ class PdeGrid:
     def __post_init__(self):
         if not 0 < self.x_min < self.x_max:
             raise ValueError("need 0 < x_min < x_max")
-        if self.nodes < 16:
-            raise ValueError("need at least 16 spatial nodes")
-        if self.time_steps < 1:
-            raise ValueError("need at least one time step")
+        if self.nodes < _MIN_NODES:
+            raise ValueError(f"need at least {_MIN_NODES} spatial nodes")
+        if self.time_steps < _MIN_TIME_STEPS:
+            raise ValueError(f"need at least {_MIN_TIME_STEPS} time step")
 
-    @property
+    @functools.cached_property
     def log_nodes(self):
-        return np.linspace(math.log(self.x_min), math.log(self.x_max), self.nodes)
+        """The log-price nodes, built once per grid and read-only."""
+        nodes = np.linspace(math.log(self.x_min), math.log(self.x_max), self.nodes)
+        nodes.flags.writeable = False
+        return nodes
 
 
 def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
@@ -84,7 +89,8 @@ def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
     drift over the horizon, with a floor of 1e-4 log units, so that a
     short-dated or low-volatility claim's kink still spans many nodes.
     A non-finite spot, sigma, maturity or rate, or a maturity that is not
-    positive, raises ValueError naming it.
+    positive, raises ValueError naming it, and so does a half-width that
+    puts either end of the grid outside the float range.
     """
     for name, value in (("spot", spot), ("maturity", maturity)):
         if not 0 < value < math.inf:
@@ -94,11 +100,17 @@ def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
             raise ValueError(f"{name} must be finite, got {value}")
     if nodes % 2 == 0:
         nodes += 1
-    half = max(1e-4, 8.0 * abs(sigma) * math.sqrt(maturity)
-               + abs(rate - 0.5 * sigma ** 2) * maturity)
     center = math.log(spot)
-    return PdeGrid(math.exp(center - half), math.exp(center + half),
-                   nodes, time_steps)
+    try:
+        half = max(1e-4, 8.0 * abs(sigma) * math.sqrt(maturity)
+                   + abs(rate - 0.5 * sigma ** 2) * maturity)
+        x_min, x_max = math.exp(center - half), math.exp(center + half)
+    except OverflowError:
+        x_min = 0.0
+    if not (x_min > 0.0 and x_max < math.inf):
+        raise ValueError(f"the grid around spot {spot:g} leaves the float range at "
+                         f"sigma = {sigma:g}, rate = {rate:g}, maturity = {maturity:g}")
+    return PdeGrid(x_min, x_max, nodes, time_steps)
 
 
 @dataclass(frozen=True)
@@ -276,53 +288,61 @@ def _march(claim, rate, sig_eff_sq, grid):
         return factors
 
     implicit, crank_nicolson = step_factors(1.0), step_factors(0.5)
-    half_lower, half_upper = 0.5 * d_tau * lower, 0.5 * d_tau * upper
-    # Rows in calendar order: step m fills row steps - m - 1, whose boundary
-    # values are set here, from row steps - m.  The march starts from the
-    # start row; the last row stored is the payoff itself.
+    # Rows in calendar order: the step into row i starts from row i + 1, and
+    # the boundary values of every row are set here.  The march starts from
+    # the start row; the last row stored is the payoff itself.
     surface = np.empty((steps + 1, grid.nodes))
     surface[:-1, 0] = bound_l[:0:-1]
     surface[:-1, -1] = bound_r[:0:-1]
     surface[-1] = _start_row(claim, y, payoff_vals)
-    # A fully implicit step solves (I - dtau L) new = known plus the boundary
-    # terms.  A Crank-Nicolson step solves for w = new + known instead:
-    # (I - dtau L / 2) w = 2 known + dtau/2 (lower (new[0] + known[0]) e_first
-    # + upper (new[-1] + known[-1]) e_last), so no step forms L known.
+    # A fully implicit step, into the last two rows, solves (I - dtau L) new
+    # = known + dtau (lower new[0] e_first + upper new[-1] e_last).  A
+    # Crank-Nicolson step, into rows below ``cn``, solves for w = new + known
+    # instead: (I - dtau L / 2) w = 2 known + dtau/2 (lower (new[0] + known[0])
+    # e_first + upper (new[-1] + known[-1]) e_last), so no step forms L known.
+    # The boundary terms of every step are one vector for each end.
+    cn = max(steps - 2, 0)
+    left, right = (np.concatenate((0.5 * d_tau * coef * (col[:cn] + col[1:cn + 1]),
+                                   d_tau * coef * col[cn:steps]))
+                   for col, coef in ((surface[:, 0], lower), (surface[:, -1], upper)))
     rhs = np.empty(grid.nodes - 2)
-    for m in range(steps):
-        known, new = surface[steps - m], surface[steps - m - 1]
-        if m < 2:
-            np.copyto(rhs, known[1:-1])
-            rhs[0] += d_tau * lower * new[0]
-            rhs[-1] += d_tau * upper * new[-1]
-            new[1:-1] = dgttrs(*implicit, rhs, overwrite_b=1)[0]
+    for row in range(steps - 1, -1, -1):
+        known, new = surface[row + 1, 1:-1], surface[row, 1:-1]
+        if row >= cn:
+            np.copyto(rhs, known)
         else:
-            np.add(known[1:-1], known[1:-1], out=rhs)
-            rhs[0] += half_lower * (new[0] + known[0])
-            rhs[-1] += half_upper * (new[-1] + known[-1])
-            np.subtract(dgttrs(*crank_nicolson, rhs, overwrite_b=1)[0], known[1:-1],
-                        out=new[1:-1])
+            np.add(known, known, out=rhs)
+        rhs[0] += left[row]
+        rhs[-1] += right[row]
+        if row >= cn:
+            new[:] = dgttrs(*implicit, rhs, overwrite_b=1)[0]
+        else:
+            np.subtract(dgttrs(*crank_nicolson, rhs, overwrite_b=1)[0], known, out=new)
     surface[-1] = payoff_vals
     _require_finite(claim, "solution surface", surface)
     return surface
 
 
+def _require_half_grid(nodes, time_steps, names=("nodes", "time_steps")):
+    """Refuse a grid whose half grid would fall below PdeGrid's floor."""
+    leasts = (2 * _MIN_NODES - 1, 2 * _MIN_TIME_STEPS)
+    for name, value, least in zip(names, (nodes, time_steps), leasts):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least} for the error estimate, got {value}")
+
+
 def _half_grid(grid):
     """The same ends with (nodes + 1) // 2 nodes and time_steps // 2 steps.
 
-    None when that is below PdeGrid's floor.  On an odd node count its
-    nodes are every other node of ``grid``.
+    On an odd node count its nodes are every other node of ``grid``.
     """
-    nodes, steps = (grid.nodes + 1) // 2, grid.time_steps // 2
-    if nodes < 16 or steps < 1:
-        return None
-    return PdeGrid(grid.x_min, grid.x_max, nodes, steps)
+    _require_half_grid(grid.nodes, grid.time_steps)
+    return PdeGrid(grid.x_min, grid.x_max, (grid.nodes + 1) // 2, grid.time_steps // 2)
 
 
 def _solve_bytes(grid):
     """Bytes of the surfaces solve_tax_bsm holds at once: the grid's and its half's."""
-    grids = [grid, _half_grid(grid)]
-    return sum(8 * g.nodes * (g.time_steps + 1) for g in grids if g is not None)
+    return sum(8 * g.nodes * (g.time_steps + 1) for g in (grid, _half_grid(grid)))
 
 
 def _middle_value(grid, surface):
@@ -350,21 +370,17 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     of that correction, which estimates the error of v and bounds the
     error of the extrapolated value.  ``values`` and ``value_at`` stay
     the second-order surface, so value_at at the middle log-price and
-    the extrapolated value differ by the estimate.  Both keys are None
-    when the half grid would have fewer than 16 nodes or no step.  The
+    the extrapolated value differ by the estimate.  A grid under 31
+    nodes or 2 time steps has no half grid and raises ValueError.  The
     estimate was validated on the default grid, 513 x 64, only: at
     385 x 48 it read as little as 0.12x the error of v, and at 513 x 48
     and 257 x 32, grids of 2^k + 1 nodes, 0.66x and 0.53x.
     """
+    half = _half_grid(grid)
     sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
     surface = _march(claim, rate, sig_eff_sq, grid)
-    half = _half_grid(grid)
-    extrapolated = estimate = None
-    if half is not None:
-        coarse = _march(claim, rate, sig_eff_sq, half)
-        v = _middle_value(grid, surface)
-        correction = (v - _middle_value(half, coarse)) / 3.0
-        extrapolated, estimate = v + correction, abs(correction)
+    v = _middle_value(grid, surface)
+    correction = (v - _middle_value(half, _march(claim, rate, sig_eff_sq, half))) / 3.0
 
     times = claim.maturity - np.linspace(0.0, claim.maturity, grid.time_steps + 1)[::-1]
     return PdeSurface(times=times, prices=np.exp(grid.log_nodes), values=surface,
@@ -372,8 +388,8 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
                             "sigma_eff_sq": sig_eff_sq, "kind": claim.kind,
                             "maturity": claim.maturity, "theta": 0.5,
                             "nodes": grid.nodes, "time_steps": grid.time_steps,
-                            "extrapolated_value": extrapolated,
-                            "error_estimate": estimate})
+                            "extrapolated_value": v + correction,
+                            "error_estimate": abs(correction)})
 
 
 # ---------------------------------------------------------------------------

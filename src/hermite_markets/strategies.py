@@ -414,6 +414,19 @@ class TaxReport:
         return report
 
 
+def _require_finite(demo, parameters, stats, finite=True):
+    """Refuse a demo whose terminal values or costs (``finite``) or statistics are not finite.
+
+    Prices or costs that overflow leave infinities and NaNs, which JSON
+    cannot hold and which no verdict may rest on.  The horizon, the tax or
+    the market may be the cause, so the message names every parameter.
+    """
+    if not (finite and all(math.isfinite(value) for value in stats.values())):
+        shown = ", ".join(f"{name} = {value}" for name, value in parameters.items())
+        raise ValueError(f"{demo}: terminal values, costs or statistics are not finite at "
+                         f"{shown}")
+
+
 def _demo_bytes(paths, steps):
     """Bytes a demo holds at once: 8 a path, and 14 arrays the size of one block.
 
@@ -517,13 +530,14 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
         else:
             alt = float((s_t != 1.0).mean())
         stats["threshold_probability"] = alt
+    parameters = {"intensity": c, "t": t, "hurst": spec.hurst, "steps": steps,
+                  "horizon": horizon}
+    _require_finite("f_strategy", parameters, stats)
     if c == 0.0:
         passed = stats["probability"] == 1.0
     else:
         passed = bool(high < 1.0 and stats["probability"] < 1.0)
-    return TaxReport("f_strategy", {"intensity": c, "t": t, "hurst": spec.hurst,
-                                    "steps": steps, "horizon": horizon},
-                     paths, seed, stats, low, high, passed)
+    return TaxReport("f_strategy", parameters, paths, seed, stats, low, high, passed)
 
 
 def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, tax=None):
@@ -653,7 +667,8 @@ class _ArbTally:
     tax and the interval covers the share whose net value ends negative.
     Passing needs the demo's invariant, a field that starts at exactly zero
     (``initial_value_max_abs``) and, taxed, that interval clear of 0.  Only
-    counts, block maxima and terminal costs are kept from a block.
+    counts, block maxima, terminal costs and whether every terminal value
+    and cost was finite are kept from a block.
     """
 
     def __init__(self, intensities):
@@ -661,6 +676,7 @@ class _ArbTally:
         self.taxed = bool(intensities.any())
         self.paths = self.hits = 0
         self.initial, self.cost_ends = [], []
+        self.finite = True
 
     def terminal_cost(self, assets, densities, increments):
         """sum_j c_j^2/2 sum_k D_j(x_k) (x_{k+1} - x_k) on each path of a block.
@@ -681,12 +697,15 @@ class _ArbTally:
         """Count a block of field ``values``; taxed, charge it its ``terminal_cost``."""
         self.paths += values.shape[0]
         self.initial.append(np.abs(values[:, 0]).max())
+        ends = values[:, -1]
         if self.taxed:
             cost_end = self.terminal_cost(assets, densities, increments)
-            self.hits += int((values[:, -1] - cost_end < 0).sum())
+            ends = ends - cost_end
+            self.hits += int((ends < 0).sum())
             self.cost_ends.append(cost_end)
         else:
-            self.hits += int((values[:, -1] > 0).sum())
+            self.hits += int((ends > 0).sum())
+        self.finite = self.finite and bool(np.isfinite(ends).all())
 
     def report(self, demo, parameters, seed, stats, invariant):
         stats["initial_value_max_abs"] = start = float(np.max(self.initial))
@@ -694,5 +713,6 @@ class _ArbTally:
         if self.taxed:
             stats["fraction_negative_net"] = self.hits / self.paths
             stats["mean_cost"] = float(np.concatenate(self.cost_ends).mean())
+        _require_finite(demo, parameters, stats, self.finite)
         passed = bool(invariant and start == 0.0 and (not self.taxed or low > 0.0))
         return TaxReport(demo, parameters, self.paths, seed, stats, low, high, passed)

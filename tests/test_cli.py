@@ -496,6 +496,20 @@ def test_arb_demo_rejects_bad_tax(capsys, case, tax):
     assert "--tax" in capsys.readouterr().err
 
 
+# At horizon 1e300 every demo's prices overflow.  Each printed numpy
+# warnings and JSON holding Infinity or NaN, and the untaxed diffusion and
+# the taxed fsquare demo passed on those values.
+@pytest.mark.parametrize("tax", ["0", "0.3"])
+@pytest.mark.parametrize("case", ["shiryaev", "fsquare", "diffusion", "mixed"])
+def test_arb_demo_refuses_non_finite_results(capsys, case, tax):
+    assert main(["arb-demo", "--case", case, "--tax", tax, "--horizon", "1e300",
+                 "--paths", "100", "--steps", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: \w+: terminal values, costs or statistics are not finite "
+                        r"at .*, horizon = 1e\+300\n", captured.err)
+
+
 @pytest.mark.parametrize("case", ["shiryaev", "fsquare", "diffusion", "mixed"])
 def test_arb_demo_exits_two_when_driver_exceeds_memory(monkeypatch, capsys, case):
     # One byte short of what the demo would hold: no demo starts.
@@ -578,6 +592,17 @@ def test_price_rejects_non_finite_flag(capsys, flag, value):
 def test_price_overflowing_effective_variance_exits_two(capsys, flags, named):
     assert main(_price_argv(**flags)) == 2
     assert named in capsys.readouterr().err
+
+
+# Each grid's log half-width put an end past the float range, and
+# math.exp ended the command in an OverflowError traceback.
+@pytest.mark.parametrize("flag, value", [("rate", "800"), ("rate", "-900"), ("rate", "1e300"),
+                                         ("maturity", "1e300"), ("sigma", "1e10")])
+def test_price_grid_outside_the_float_range_exits_two(capsys, flag, value):
+    assert main(_price_argv(**{flag: value})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the grid around spot 100 leaves the float range")
+    assert f"{flag} = {float(value):g}" in err
 
 
 def test_price_overflowing_payoff_exits_two(capsys):
@@ -682,22 +707,43 @@ def test_price_line_prints_the_extrapolated_value(tmp_path, capsys, payoff):
         meta["error_estimate"], rel=1e-12, abs=math.ulp(meta["extrapolated_value"]))
 
 
-def test_price_line_omits_a_missing_estimate(capsys):
-    assert main(_price_argv(grid="17", **{"time-steps": "8"})) == 0
-    assert re.fullmatch(r"call value at spot 100: \S+ \(effective vol 0\.2\)\n",
-                        capsys.readouterr().out)
+# The half grid needs 16 nodes and one step, so 31 nodes and --time-steps 2
+# are the least; an even --grid is rounded up, so --grid 30 is the least.
+# Nothing is sized or solved below them.
+@pytest.mark.parametrize("flag, value, named, got", [
+    ("grid", "29", "--grid's odd node count", "29"),
+    ("grid", "28", "--grid's odd node count", "29"),
+    ("grid", "-3", "--grid's odd node count", "-3"),
+    ("time-steps", "1", "--time-steps", "1"), ("time-steps", "0", "--time-steps", "0")])
+def test_price_refuses_a_grid_without_a_half_grid(monkeypatch, capsys, flag, value, named, got):
+    for name in ("grid_for_spot", "_solve_bytes", "solve_tax_bsm"):
+        monkeypatch.setattr(cli, name, pytest.fail)
+    assert main(_price_argv(**{flag: value})) == 2
+    captured = capsys.readouterr()
+    least = 2 if flag == "time-steps" else 31
+    assert captured.out == ""
+    assert captured.err == (f"error: {named} must be at least {least} for the error "
+                            f"estimate, got {got}\n")
+
+
+def test_price_rounds_grid_30_up_to_the_least_half_grid(capsys):
+    assert main(_price_argv(grid="30")) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"call value at spot 100: \S+ \+/- \S+ \(effective vol 0\.2\)\n",
+                        captured.out)
+    assert "unvalidated on 31 x 64" in captured.err
 
 
 @pytest.mark.parametrize("grid, steps, noted", [("385", "48", True), ("513", "48", True),
-                                                 ("513", "64", False), ("24", "48", False)])
+                                                 ("513", "64", False), ("31", "2", True)])
 def test_price_notes_a_grid_where_the_estimate_is_unvalidated(capsys, grid, steps, noted):
     # The estimate was validated on the default 513 x 64 only: at 385 x 48
     # it read 0.12x the true error, and at 513 x 48, 2^k + 1 nodes, 0.66x.
-    # 24 nodes has no half grid and prints no estimate.  The note is one
-    # stderr line; the price line and the exit code stay the same.
+    # The note is one stderr line; the price line and the exit code stay
+    # the same.
     assert main(_price_argv(grid=grid, **{"time-steps": steps})) == 0
     captured = capsys.readouterr()
-    assert re.fullmatch(r"call value at spot 100: \S+( \+/- \S+)? \(effective vol 0\.2\)\n",
+    assert re.fullmatch(r"call value at spot 100: \S+ \+/- \S+ \(effective vol 0\.2\)\n",
                         captured.out)
     if noted:
         assert captured.err == (f"note: the error estimate is unvalidated on {grid} x {steps}; "

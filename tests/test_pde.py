@@ -157,6 +157,17 @@ def test_grid_for_spot_names_a_bad_input(name, bad):
         grid_for_spot(**inputs)
 
 
+# The half-width's exponential overflows, or x_min underflows to zero.
+@pytest.mark.parametrize("inputs", [{"rate": 800.0}, {"rate": -900.0}, {"rate": 1e300},
+                                    {"maturity": 1e300}, {"sigma": 1e10}, {"sigma": 1e200},
+                                    {"spot": 1e-300, "sigma": 12.5}])
+def test_grid_for_spot_refuses_a_grid_outside_the_float_range(inputs):
+    inputs = dict({"spot": SPOT, "sigma": SIGMA, "maturity": MATURITY, "rate": RATE}, **inputs)
+    with pytest.raises(ValueError, match="leaves the float range at sigma = .+, rate = .+, "
+                                         "maturity = "):
+        grid_for_spot(**inputs)
+
+
 def test_ill_posed_effective_variance():
     with pytest.raises(IllPosedProblemError):
         solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), -0.1, 0.1, 0.4, _grid())
@@ -316,7 +327,7 @@ def _step_matrix_pivots(rate, sigma, tax_hat, grid, maturity):
 @given(kind=st.sampled_from(["call", "put", "power"]),
        rate=st.one_of(st.just(0.0), st.floats(-0.5, 0.8)),
        sigma=st.floats(0.01, 1.0), tax_hat=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-       nodes=st.integers(16, 300), steps=st.integers(1, 80),
+       nodes=st.integers(31, 300), steps=st.integers(2, 80),
        maturity=st.floats(0.05, 5.0), half_width=st.floats(0.2, 3.0),
        strike=st.floats(50.0, 150.0), exponent=st.floats(-2.0, 3.0))
 def test_solver_matches_banded_step_loop(kind, rate, sigma, tax_hat, nodes, steps,
@@ -328,8 +339,13 @@ def test_solver_matches_banded_step_loop(kind, rate, sigma, tax_hat, nodes, step
     surface = solve_tax_bsm(claim, rate, sigma, tax_hat, grid)
     _assert_matches_oracle(surface.values,
                            banded_step_surface(claim, rate, sigma, tax_hat, grid))
+    assert all(type(surface.meta[key]) is float
+               for key in ("extrapolated_value", "error_estimate"))
 
 
+# These grids are coarse enough to pivot, and below solve_tax_bsm's floor
+# of 31 nodes and 2 steps; a half grid can be that coarse, so the march is
+# checked on them directly.
 @pytest.mark.parametrize("rate, sigma, tax_hat, nodes, steps, maturity, half_width",
                          _PIVOTING)
 @pytest.mark.parametrize("kind", ["call", "put", "power"])
@@ -339,15 +355,14 @@ def test_solver_matches_banded_step_loop_when_lapack_pivots(
     grid = PdeGrid(SPOT * math.exp(-half_width), SPOT * math.exp(half_width),
                    nodes, steps)
     assert _step_matrix_pivots(rate, sigma, tax_hat, grid, maturity)
-    surface = solve_tax_bsm(claim, rate, sigma, tax_hat, grid)
-    _assert_matches_oracle(surface.values,
-                           banded_step_surface(claim, rate, sigma, tax_hat, grid))
+    surface = pde._march(claim, rate, pde._effective_variance(rate, sigma, tax_hat), grid)
+    _assert_matches_oracle(surface, banded_step_surface(claim, rate, sigma, tax_hat, grid))
 
 
 @pytest.mark.parametrize("claim, rate, sigma, grid, part, numpy_warns", [
     (TerminalClaim.power_claim(400.0, MATURITY), RATE, SIGMA, _grid(),
      "power claim: non-finite payoff", True),
-    (TerminalClaim.call(STRIKE, MATURITY), RATE, 1e154, PdeGrid(50.0, 200.0, 17, 4),
+    (TerminalClaim.call(STRIKE, MATURITY), RATE, 1e154, PdeGrid(50.0, 200.0, 33, 4),
      "call claim: non-finite step-system", True),
     (TerminalClaim(lambda x: np.where((x > 60.0) & (x < 170.0), 1.7e308, 0.0), MATURITY),
      -0.5, SIGMA, PdeGrid(50.0, 200.0, 65, 8), "custom claim: non-finite solution", False),
@@ -458,20 +473,27 @@ def test_narrow_claims_meet_the_closed_form_within_their_estimate(sigma, maturit
 
 
 # The half grid needs 16 nodes and one step: 31 nodes and 2 steps are the least.
-@pytest.mark.parametrize("nodes, steps, estimated",
-                         [(30, 64, False), (31, 64, True), (65, 1, False), (65, 2, True)])
-def test_error_estimate_is_none_without_a_half_grid(nodes, steps, estimated):
-    surface = solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), RATE, SIGMA, 0.0,
-                            PdeGrid(60.0, 170.0, nodes, steps))
-    estimate = surface.meta["error_estimate"]
-    assert (estimate > 0.0) if estimated else (estimate is None)
-    assert (surface.meta["extrapolated_value"] is None) is not estimated
+@pytest.mark.parametrize("nodes, steps", [(31, 64), (65, 2)])
+def test_least_grids_carry_an_estimate(nodes, steps):
+    meta = solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), RATE, SIGMA, 0.0,
+                         PdeGrid(60.0, 170.0, nodes, steps)).meta
+    assert meta["error_estimate"] > 0.0 and type(meta["extrapolated_value"]) is float
+
+
+@pytest.mark.parametrize("nodes, steps, named", [(30, 64, "nodes"), (65, 1, "time_steps")])
+def test_grid_without_a_half_grid_is_refused(monkeypatch, nodes, steps, named):
+    grid = PdeGrid(60.0, 170.0, nodes, steps)
+    monkeypatch.setattr(pde, "_march", pytest.fail)
+    with pytest.raises(ValueError, match=f"^{named} must be at least"):
+        solve_tax_bsm(TerminalClaim.call(STRIKE, MATURITY), RATE, SIGMA, 0.0, grid)
+    with pytest.raises(ValueError, match=f"^{named} must be at least"):
+        pde._solve_bytes(grid)
 
 
 def test_solve_bytes_counts_both_surfaces():
     grid = PdeGrid(60.0, 170.0, 65, 32)
     assert pde._solve_bytes(grid) == 8 * (65 * 33 + 33 * 17)
-    assert pde._solve_bytes(PdeGrid(60.0, 170.0, 30, 1)) == 8 * 30 * 2
+    assert pde._solve_bytes(PdeGrid(60.0, 170.0, 31, 2)) == 8 * (31 * 3 + 16 * 2)
 
 
 def test_value_at_interpolates_and_validates():

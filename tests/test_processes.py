@@ -773,14 +773,16 @@ def test_hou_value_autocov_decay():
 
 
 # Of the examples, lam dt = 300 makes time blocks of one step, 5 makes
-# blocks of 102 steps over 230, the last of them 26, and 0.01 takes the
-# whole history in one block; at sigma = 1e200 the step loop is still finite.
+# blocks of 102 steps over 230, the last of them 26, 60 makes 42 blocks of
+# 8 steps and one of 1 over 337, and 0.01 takes the whole history in one
+# block; at sigma = 1e200 the step loop is still finite.
 @settings(max_examples=40, deadline=None)
 @given(lam_dt=st.floats(1e-3, 600.0), steps=st.integers(1, 40), history=st.integers(1, 300),
        sigma=st.sampled_from([0.5, 1.0, 3.0]), rank=st.sampled_from([1, 2]))
 @example(lam_dt=300.0, steps=5, history=3, sigma=1.0, rank=1)
 @example(lam_dt=5.0, steps=30, history=200, sigma=1.0, rank=1)
 @example(lam_dt=5.0, steps=30, history=200, sigma=1e200, rank=2)
+@example(lam_dt=60.0, steps=37, history=300, sigma=1.0, rank=1)
 @example(lam_dt=0.01, steps=30, history=200, sigma=1.0, rank=2)
 def test_hou_time_blocks_match_the_step_loop(lam_dt, steps, history, sigma, rank):
     hermite = HermiteSpec(0.75, rank, approx_factor=2)
@@ -813,20 +815,24 @@ def test_lattice_bytes_counts_driver_and_chunk():
         9 * 5 * 1025 + 8 * (big + 1) + (56 + 32) * big + buffers
 
 
+@pytest.mark.parametrize("lam, history, horizon, steps, total", [
+    (1.0, 1.0, 1.0, 2048, 4096), (2000.0, 0.01, 16.0, 16384, 16395)])
 @pytest.mark.parametrize("rank", [1, 2, 3, 5])
-def test_lattice_bytes_bounds_the_measured_hou_peak(rank):
-    # The estimate covers what numpy allocates in gen_hou over a 4,096-step
-    # lattice, half of it history, eigenvalues included (their cache is
-    # cleared first).
+def test_lattice_bytes_bounds_the_measured_hou_peak(rank, lam, history, horizon, steps, total):
+    # The estimate covers what numpy allocates in gen_hou, eigenvalues
+    # included (their cache is cleared first): over a 4,096-step lattice,
+    # half of it history, in one time block, and over 16,395 steps in 63
+    # time blocks of 262 steps at lam = 2000.
     hermite = HermiteSpec(0.75, rank, approx_factor=4)
     processes._half_spectrum_scale.cache_clear()
     tracemalloc.start()
     try:
-        gen_hou(HouSpec(1.0, 1.0, history_truncation=1.0), hermite, 1.0, 2048, paths=5, seed=2)
+        gen_hou(HouSpec(lam, 1.0, history_truncation=history), hermite, horizon, steps,
+                paths=5, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < processes._lattice_bytes(hermite, 4096, 2048, 5)
+    assert peak < processes._lattice_bytes(hermite, total, steps, 5)
 
 
 _PREFLIGHT_CASES = [

@@ -109,7 +109,7 @@ _TAX_CONSUMERS = {
     "synth_riskless_taxed": (3, lambda tax: _bits(*vars(synth_riskless_taxed(
         [0.2, 0.3, 0.5], [0.02, 0.03, 0.05], tax)).values())),
     "solve_tax_bsm": (1, lambda tax: _bits(solve_tax_bsm(
-        TerminalClaim.call(1.0, 1.0), 0.05, 0.2, tax, PdeGrid(0.3, 3.0, 17, 4)).values)),
+        TerminalClaim.call(1.0, 1.0), 0.05, 0.2, tax, PdeGrid(0.3, 3.0, 33, 4)).values)),
     "reduce_to_heat": (None, lambda tax: _bits(*(
         getattr(reduce_to_heat(tax, 0.03, 1.0), name) for name in
         ("intensities", "diffusivities", "exponents", "drift_shift", "time_tilt")))),
@@ -595,21 +595,32 @@ def test_demo_reports_do_not_depend_on_path_blocks(monkeypatch, tax, demo, optio
 
 
 @pytest.mark.parametrize("tax", [None, 0.3])
-def test_demo_extremes_keep_nan_across_blocks(monkeypatch, tax):
+def test_demo_extremes_are_refused_in_any_block(monkeypatch, tax):
     # Drifts near log(max float) overflow both prices on the paths whose
     # W(1) exceeds 0.5, and inf - inf is NaN.  Path 0 ends finite, so a
-    # reduction that drops NaN after a finite block minimum would report
-    # a number where the whole ensemble's minimum is NaN.
+    # check of the first block alone would pass; a block of 17 prices is
+    # one path.  The message names every parameter, the drifts that cause
+    # it among them.
     market = TwoAssetDiffusion.shared_vol(709.7, 709.75, 0.2)
     s_first, v_first = market.price_paths(gen_bm(1.0, 16, 1, seed=2))
     assert math.isfinite(s_first[0, -1]) and math.isfinite(v_first[0, -1])
-    reports = []
     with np.errstate(all="ignore"):
         for entries in (17, 2**40):
             monkeypatch.setattr(processes, "_BLOCK_ENTRIES", entries)
-            reports.append(diffusion_arb_demo(market, 12, 16, 1.0, 2, tax))
-    assert math.isnan(reports[0].statistics["min_terminal_value"])
-    assert _demo_bytes(reports[0]) == _demo_bytes(reports[1])
+            with pytest.raises(ValueError, match=r"^diffusion_arbitrage: .* not finite at "
+                                                 r"mu1 = 709\.7, mu2 = 709\.75, .*horizon = 1\.0$"):
+                diffusion_arb_demo(market, 12, 16, 1.0, 2, tax)
+
+
+def test_tally_refuses_a_terminal_value_its_statistics_hide():
+    # A least terminal value, as the diffusion demo reports, stays finite
+    # when one path among finite ones ends infinite.
+    tally = strategies._ArbTally(np.zeros(2))
+    tally.add(np.array([[0.0, 1.0], [0.0, 2.0]]))
+    tally.add(np.array([[0.0, np.inf]]))
+    with pytest.raises(ValueError, match="^demo: terminal values, costs or statistics are not "
+                                         "finite at horizon = 2.0$"):
+        tally.report("demo", {"horizon": 2.0}, 0, {"min_terminal_value": 1.0}, True)
 
 
 @pytest.mark.parametrize("demo", ["diffusion", "mixed", "shiryaev", "fsquare"])
