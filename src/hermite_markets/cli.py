@@ -81,8 +81,6 @@ def build_parser():
     sim.add_argument("--paths", type=int, default=1)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--approx-factor", type=int, default=32)
-    sim.add_argument("--normalization", choices=["empirical", "analytic"],
-                     default="empirical")
     sim.add_argument("--weights", type=_list_of(float), default=None,
                      help="mixed process component weights, e.g. 0.8,0.6")
     sim.add_argument("--ranks", type=_list_of(int), default=None,
@@ -140,12 +138,11 @@ def _make_generator(args, seed):
         if not args.weights or not args.ranks or len(args.weights) != len(args.ranks):
             raise ValueError("mixed process needs matching --weights and --ranks")
         spec = MixedHermiteSpec(args.hurst,
-                                tuple(zip(args.weights, args.ranks)),
-                                args.approx_factor, args.normalization)
+                                tuple(zip(args.weights, args.ranks)), args.approx_factor)
         return lambda paths, offset: gen_mixed(spec, args.horizon, args.steps,
                                                paths, seed, path_offset=offset)
     rank = 1 if args.process == "fbm" else args.rank
-    spec = HermiteSpec(args.hurst, rank, args.approx_factor, args.normalization)
+    spec = HermiteSpec(args.hurst, rank, args.approx_factor)
     if args.process == "fbm":
         return lambda paths, offset: gen_fbm(spec, args.horizon, args.steps,
                                              paths, seed, path_offset=offset)
@@ -304,6 +301,9 @@ def _cmd_arb_demo(args):
     seed = _resolve_seed(args.seed)
     if not 0 <= args.tax < math.inf:
         raise ValueError(f"--tax must be finite and nonnegative, got {args.tax}")
+    if args.case == "shiryaev" and args.tax != 0:
+        raise ValueError(f"--tax {args.tax:g} taxes nothing in the shiryaev case; "
+                         "its taxed form, (S - 1)^2, is --case fsquare")
     _check_memory(f"arb-demo --case {args.case}", _demo_bytes(args.paths, args.steps),
                   "lower --paths or --steps")
     grid = (args.paths, args.steps, args.horizon, seed)

@@ -13,10 +13,11 @@ inverse FFT maps them to the sequence.  A rank-``kappa`` Hermite process
 with Hurst index ``H``, ``kappa >= 2``, is approximated by partial sums of
 the rank-``kappa`` Hermite polynomial applied to an inner FGN whose Hurst
 index is ``(H - 1)/kappa + 1``; the sums run on a lattice ``approx_factor``
-times finer than the output grid and are renormalized so the variance at
-t = 1 is one.  Rank 1 (FBM) is drawn exactly on the output grid instead:
-the partial sums of a finer lattice, sampled on the grid, have the same
-law, so ``approx_factor`` plays no part.
+times finer than the output grid and are divided by their exact standard
+deviation on that lattice, so the variance at t = 1 is one.  Rank 1 (FBM)
+is drawn exactly on the output grid instead: the partial sums of a finer
+lattice, sampled on the grid, have the same law, so ``approx_factor``
+plays no part.
 
 Every path derives its own random stream from ``(seed, path index,
 component index)``, so ensembles can be generated in any order, split
@@ -115,26 +116,17 @@ class HermiteSpec:
     approx_factor : int
         Inner lattice points per output step in the partial-sum scheme.
         Ignored for rank 1, which is drawn exactly on the output grid.
-    normalization : str
-        'empirical' divides by the exact finite-lattice standard deviation
-        of the raw partial sum; 'analytic' uses the closed-form limit
-        constant and is available for rank 1 and 2 only.
     """
 
     hurst: float
     rank: int = 1
     approx_factor: int = 32
-    normalization: str = "empirical"
 
     def __post_init__(self):
         _require(0.5 < self.hurst < 1.0, f"hurst must lie in (1/2, 1), got {self.hurst}")
         _require(type(self.rank) is int and self.rank >= 1, f"rank must be an integer >= 1, got {self.rank}")
         _require(type(self.approx_factor) is int and self.approx_factor >= 1,
                  f"approx_factor must be an integer >= 1, got {self.approx_factor}")
-        _require(self.normalization in ("empirical", "analytic"),
-                 f"normalization must be 'empirical' or 'analytic', got {self.normalization!r}")
-        if self.normalization == "analytic":
-            _require(self.rank <= 2, "analytic normalization is closed-form for rank 1 and 2 only")
 
     @property
     def inner_hurst(self):
@@ -153,7 +145,6 @@ class MixedHermiteSpec:
     hurst: float
     components: tuple
     approx_factor: int = 32
-    normalization: str = "empirical"
 
     def __post_init__(self):
         _require(len(self.components) >= 1, "at least one component is required")
@@ -161,13 +152,13 @@ class MixedHermiteSpec:
         for index, (weight, _) in enumerate(self.components):
             _require(weight > 0, f"component weights must be positive, got {weight}")
             self.component_spec(index)
-            sq += float(weight) ** 2
+            sq += float(weight) * float(weight)  # inf, not OverflowError, past 1e154
         _require(abs(sq - 1.0) <= 1e-12, f"squared weights must sum to 1 within 1e-12, got {sq!r}")
 
     def component_spec(self, index):
         """HermiteSpec of component ``index``; building it validates the component."""
         _, rank = self.components[index]
-        return HermiteSpec(self.hurst, rank, self.approx_factor, self.normalization)
+        return HermiteSpec(self.hurst, rank, self.approx_factor)
 
 
 @dataclass(frozen=True)
@@ -183,16 +174,16 @@ class HouSpec:
     history_truncation: float = None
 
     def __post_init__(self):
-        _require(self.lam > 0, f"lam must be positive, got {self.lam}")
         _require(math.isfinite(self.lam), f"lam must be finite, got {self.lam}")
-        _require(self.sigma >= 0, f"sigma must be nonnegative, got {self.sigma}")
+        _require(self.lam > 0, f"lam must be positive, got {self.lam}")
         _require(math.isfinite(self.sigma), f"sigma must be finite, got {self.sigma}")
+        _require(self.sigma >= 0, f"sigma must be nonnegative, got {self.sigma}")
         if self.history_truncation is None:
             object.__setattr__(self, "history_truncation", 20.0 / self.lam)
-        _require(self.history_truncation > 0,
-                 f"history_truncation must be positive, got {self.history_truncation}")
         _require(math.isfinite(self.history_truncation),
                  f"history_truncation must be finite, got {self.history_truncation}")
+        _require(self.history_truncation > 0,
+                 f"history_truncation must be positive, got {self.history_truncation}")
 
 
 @dataclass
@@ -431,7 +422,7 @@ def gen_fgn(inner_hurst, count, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials and partial-sum normalizers
+# Hermite polynomials and the partial-sum normalizer
 
 def hermite_poly(order, x):
     """Probabilists' Hermite polynomial He_order(x), three-term recurrence."""
@@ -463,13 +454,6 @@ def _raw_sum_std(inner_hurst, rank, count):
     return math.sqrt(variance)
 
 
-def _limit_std(hurst, rank):
-    """Closed-form limit of _raw_sum_std(...) / count**hurst as count grows."""
-    hp = (hurst - 1.0) / rank + 1.0
-    top = math.factorial(rank) * (hp * (2.0 * hp - 1.0)) ** rank
-    return math.sqrt(top / (hurst * (2.0 * hurst - 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -491,8 +475,7 @@ def _bm_walk(values, words, dt_root):
 
 def _meta(process, spec, paths, path_offset, **fields):
     """A draw's ``meta``: its process, ``spec``'s parameters, its paths and the caller's ``fields``."""
-    params = {} if spec is None else {"hurst": spec.hurst, "approx_factor": spec.approx_factor,
-                                      "normalization": spec.normalization}
+    params = {} if spec is None else {"hurst": spec.hurst, "approx_factor": spec.approx_factor}
     return dict(process=process, **params, paths=paths, path_offset=path_offset, **fields)
 
 
@@ -527,7 +510,7 @@ def _lattice_factor(spec):
     """Inner lattice points per output step.
 
     Rank-1 partial sums are inner-lattice FBM sampled every approx_factor
-    points, and both normalizations reduce to n_inner**-hurst; by
+    points, and their exact standard deviation is n_inner**hurst; by
     self-similarity that is FBM drawn on the output grid, exactly in law,
     whatever approx_factor is.
     """
@@ -538,11 +521,7 @@ def _hermite_scale(spec, horizon, steps):
     """Factor taking the partial sums of the inner lattice to the process on [0, horizon]."""
     if spec.rank == 1:
         return (horizon / steps) ** spec.hurst
-    n_inner = spec.approx_factor * steps
-    if spec.normalization == "empirical":
-        std = _raw_sum_std(spec.inner_hurst, spec.rank, n_inner)
-    else:
-        std = n_inner ** spec.hurst * _limit_std(spec.hurst, spec.rank)
+    std = _raw_sum_std(spec.inner_hurst, spec.rank, spec.approx_factor * steps)
     return horizon ** spec.hurst * (1.0 / std)
 
 
@@ -634,10 +613,8 @@ def _draw_blocks(drivers, paths, steps, horizon, path_offset=0, spare=0):
 
 
 def _drawn(drivers, horizon, steps, paths, seed, path_offset):
-    """Sum of the ``_draw_blocks`` drivers (spec, component, weight), Hermite specs preflighted."""
-    hermite = [spec for spec, _, _ in drivers if spec is not None]
-    if hermite:
-        _check_lattice(hermite, steps, paths)
+    """Sum of the ``_draw_blocks`` drivers (spec, component, weight), every driver preflighted."""
+    _check_lattice([spec for spec, _, _ in drivers], steps, paths)
     values = np.zeros((paths, steps + 1))
     for spec, component, weight in drivers:
         for start, stop, (rows,), _ in _draw_blocks([(spec, seed, component)], paths, steps,
@@ -679,25 +656,27 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
                                  ranks=[r for _, r in spec.components]))
 
 
-def _lattice_bytes(hermite, total, steps, paths):
-    """Bytes a draw of ``hermite`` over ``total`` grid steps holds at once, an over-estimate.
+def _lattice_bytes(spec, total, steps, paths):
+    """Bytes a draw of driver ``spec`` over ``total`` grid steps holds at once, an over-estimate.
 
     The (paths, steps + 1) output, the last steps + 1 points of each path,
     9 bytes a point with SamplePath's finiteness mask, and one block: the
-    driver's (rows, total + 1) values and its work arrays (gen_hou writes
-    its OU values over the first and its increments into the second).  The
-    circulant's eigenvalues take about 56 bytes per inner lattice point,
-    before the work arrays exist: per row and inner point, 16 bytes each for
-    the normals and the half spectrum, and for rank >= 2 up to five arrays of
+    driver's (rows, total + 1) values and, for a Hermite ``spec`` (None is
+    Brownian motion), its work arrays (gen_hou writes its OU values over
+    the first and its increments into the second).  The circulant's
+    eigenvalues take about 56 bytes per inner lattice point, before the
+    work arrays exist: per row and inner point, 16 bytes each for the
+    normals and the half spectrum, and for rank >= 2 up to five arrays of
     Hermite terms from He_rank's recurrence, 40 more.  A ufunc over rows
     that are not contiguous buffers 8,192 elements of each of its three
     operands, up to 16 bytes each, whatever the block's size.
     """
-    n_inner = total * _lattice_factor(hermite)
-    rows = min(paths, _driver_rows(hermite, total))
-    per_row = 32 if hermite.rank == 1 else 72
-    return (9 * paths * (steps + 1) + 8 * rows * (total + 1) + (56 + per_row * rows) * n_inner
-            + 3 * 8192 * 16)
+    rows = min(paths, _driver_rows(spec, total))
+    need = 9 * paths * (steps + 1) + 8 * rows * (total + 1) + 3 * 8192 * 16
+    if spec is not None:
+        per_row = 32 if spec.rank == 1 else 72
+        need += (56 + per_row * rows) * total * _lattice_factor(spec)
+    return need
 
 
 def _physical_memory():
@@ -712,7 +691,8 @@ def _check_memory(what, need, remedy):
     """ValueError ending in ``remedy`` when ``need`` bytes exceed physical memory."""
     have = _physical_memory()
     if have is not None and need > have:
-        raise ValueError(f"{what} would need about {need / 2**30:.1f} GiB, more than the "
+        need_gib = f"{need / 2**30:.1f}" if need < 2**50 else f"{need / 2**30:.3g}"
+        raise ValueError(f"{what} would need about {need_gib} GiB, more than the "
                          f"{have / 2**30:.1f} GiB of physical memory; {remedy}")
 
 
@@ -720,13 +700,16 @@ def _check_lattice(specs, steps, paths):
     """Refuse a draw whose largest driver in ``specs`` would overflow physical memory.
 
     The draw holds its (paths, steps + 1) output once and one driver's
-    block at a time.
+    block at a time; a None in ``specs`` is Brownian motion.
     """
     _check_memory(f"drawing {paths} paths of {steps} steps",
                   max(_lattice_bytes(spec, steps, steps, paths) for spec in specs),
                   "lower steps or paths")
 
 
+# A sigma near the largest float overflows the recursion; the finite check
+# at the end names it, where numpy's warnings would name no parameter.
+@np.errstate(over="ignore", invalid="ignore")
 def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     """Hermite-driven Ornstein-Uhlenbeck process on [0, horizon].
 
@@ -739,12 +722,15 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     _require(isinstance(hermite, HermiteSpec), "hermite must be a HermiteSpec")
     _check_grid(horizon, steps, paths)
     dt = horizon / steps
-    burn = int(math.ceil(spec.history_truncation / dt))
+    history = spec.history_truncation / dt
+    remedy = f"raise ou_lambda ({spec.lam}) or lower history_truncation ({spec.history_truncation})"
+    _require(math.isfinite(history),
+             f"gen_hou's history, history_truncation / dt = {spec.history_truncation:.6g} / "
+             f"{dt:.6g} steps, is not finite; {remedy}")
+    burn = math.ceil(history)
     total = burn + steps
-    _check_memory(f"gen_hou for {paths} paths of {total} steps ({burn} of them history)",
-                  _lattice_bytes(hermite, total, steps, paths),
-                  f"raise ou_lambda ({spec.lam}) or lower "
-                  f"history_truncation ({spec.history_truncation})")
+    _check_memory(f"gen_hou for {paths} paths of {total:.6g} steps ({burn:.6g} of them history)",
+                  _lattice_bytes(hermite, total, steps, paths), remedy)
     lam_dt = spec.lam * dt  # d = e**-lam_dt, the decay over one step
     span = total if lam_dt * total <= 512 else max(1, int(512 / lam_dt))  # d**-span <= e**512
     grow, shrink = np.exp(lam_dt * np.arange(span)), np.exp(-lam_dt * np.arange(1, span + 1))
@@ -762,6 +748,9 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
             np.multiply(ou[:, s:s + 1], shrink[:terms.shape[1]], out=block)
             block += terms
         values[start:stop] = ou[:, burn:]
+    _require(np.isfinite(values).all(),
+             f"gen_hou's values are not finite at ou_lambda = {spec.lam}, ou_sigma = {spec.sigma}; "
+             "lower ou_sigma or raise ou_lambda")
     return SamplePath(horizon, steps, values, seed,
                       meta=_meta("hou", hermite, paths, path_offset, rank=hermite.rank,
                                  ou_lambda=spec.lam, ou_sigma=spec.sigma,

@@ -592,6 +592,12 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
     intensities = _intensities(tax, 2)
     if hermite is None:
         hermite = HermiteSpec(market.hurst, 1)
+    elif not isinstance(hermite, HermiteSpec):
+        raise ValueError("hermite must be a HermiteSpec")
+    elif hermite.hurst != market.hurst:
+        # the legs' t^{1-2H} singular term is the market's, so the driver must share its H
+        raise ValueError(f"hermite.hurst ({hermite.hurst}) must equal market.hurst "
+                         f"({market.hurst})")
     w_seed, h_seed = derive_seeds(seed, 2)
     _check_grid(horizon, steps, paths)
     portfolio = mixed_arbitrage_portfolio(market.r)

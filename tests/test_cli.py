@@ -9,6 +9,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -76,24 +77,22 @@ _PROCESS_ARGV = {
                 "--steps", "32", "--paths", "5", "--seed", "5", "--approx-factor", "4"],
     "mixed": ["--process", "mixed", "--hurst", "0.75", "--weights", "0.6,0.8",
               "--ranks", "1,2", "--steps", "32", "--paths", "5", "--seed", "5",
-              "--approx-factor", "4", "--normalization", "analytic"],
+              "--approx-factor", "4"],
     "hou": ["--process", "hou", "--hurst", "0.75", "--ou-lambda", "2.0",
             "--ou-sigma", "0.5", "--steps", "32", "--paths", "5", "--seed", "5",
             "--horizon", "2.0", "--approx-factor", "4"],
 }
 _PROCESS_SIDECAR = {
-    "fbm": {"approx_factor": 32, "horizon": 1.0, "hurst": 0.7,
-            "normalization": "empirical", "paths": 5, "process": "fbm", "rank": 1,
-            "seed": 5, "steps": 32},
-    "hermite": {"approx_factor": 4, "horizon": 1.0, "hurst": 0.72,
-                "normalization": "empirical", "paths": 5, "process": "hermite",
-                "rank": 2, "seed": 5, "steps": 32},
-    "mixed": {"approx_factor": 4, "horizon": 1.0, "hurst": 0.75,
-              "normalization": "analytic", "paths": 5, "process": "mixed",
-              "ranks": [1, 2], "seed": 5, "steps": 32, "weights": [0.6, 0.8]},
-    "hou": {"approx_factor": 4, "horizon": 2.0, "hurst": 0.75,
-            "normalization": "empirical", "ou_lambda": 2.0, "ou_sigma": 0.5,
-            "paths": 5, "process": "hou", "rank": 1, "seed": 5, "steps": 32},
+    "fbm": {"approx_factor": 32, "horizon": 1.0, "hurst": 0.7, "paths": 5,
+            "process": "fbm", "rank": 1, "seed": 5, "steps": 32},
+    "hermite": {"approx_factor": 4, "horizon": 1.0, "hurst": 0.72, "paths": 5,
+                "process": "hermite", "rank": 2, "seed": 5, "steps": 32},
+    "mixed": {"approx_factor": 4, "horizon": 1.0, "hurst": 0.75, "paths": 5,
+              "process": "mixed", "ranks": [1, 2], "seed": 5, "steps": 32,
+              "weights": [0.6, 0.8]},
+    "hou": {"approx_factor": 4, "horizon": 2.0, "hurst": 0.75, "ou_lambda": 2.0,
+            "ou_sigma": 0.5, "paths": 5, "process": "hou", "rank": 1, "seed": 5,
+            "steps": 32},
 }
 _PROVENANCE = {"path_offset", "component", "history_truncation"}
 _PROCESS_PROVENANCE = {"fbm": {"path_offset", "component"}, "hermite": {"path_offset"},
@@ -186,6 +185,46 @@ def test_simulate_exits_two_when_the_lattice_exceeds_memory(monkeypatch, capsys,
                  "--steps", "4096", "--paths", "1", "--out", str(out)]) == 2
     assert "lower steps or paths" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Inputs that once ended in a traceback, a numpy warning, a message naming
+# no parameter, or a report that ignored them; at most 8 paths of 16 steps.
+# Each row: argv, exit code, the words an exit-2 message must hold.
+_EXTREME_INPUTS = [
+    (["simulate", "--process", "mixed", "--hurst", "0.75", "--weights", "1e200,1",
+      "--ranks", "1,2"], 2, ["weights", "inf"]),
+    (["simulate", "--process", "hou", "--hurst", "0.75", "--ou-lambda", "1.2e-307"],
+     2, ["ou_lambda", "history_truncation"]),
+    (["simulate", "--process", "hou", "--hurst", "0.75", "--ou-lambda", "1e-300"],
+     2, ["ou_lambda", "history_truncation", "3.2e+302 steps"]),
+    (["simulate", "--process", "hou", "--hurst", "0.75", "--ou-sigma", "1e308",
+      "--paths", "2"], 0, []),
+    (["simulate", "--process", "hou", "--hurst", "0.75", "--ou-sigma", "1e308",
+      "--paths", "8"], 2, ["ou_lambda", "ou_sigma"]),
+    (["simulate", "--process", "hou", "--hurst", "0.75", "--ou-sigma", "nan"],
+     2, ["sigma must be finite, got nan"]),
+    (["simulate", "--process", "hou", "--hurst", "0.75", "--ou-lambda", "nan"],
+     2, ["lam must be finite, got nan"]),
+    (["arb-demo", "--case", "shiryaev", "--tax", "0.3", "--paths", "8"],
+     2, ["--tax", "--case fsquare"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, named", _EXTREME_INPUTS,
+                         ids=[" ".join(row[0][1:]) for row in _EXTREME_INPUTS])
+def test_extreme_inputs_exit_cleanly(tmp_path, capsys, argv, code, named):
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--steps", "16", "--seed", "1"]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not re.search(r"\d{20}", err)
+    for word in named:
+        assert word in err
+    assert err.startswith("error: ") == (code == 2)
 
 
 def test_simulate_hou(tmp_path):
@@ -400,6 +439,25 @@ def test_stats_malformed_sidecar_exits_two(tmp_path, capsys, sidecar, message):
     assert capsys.readouterr().err.startswith(f"error: {target}.json: {message}")
 
 
+def test_stats_reads_a_sidecar_with_a_normalization_key(tmp_path, capsys):
+    # Files written while simulate had --normalization carry the key; stats
+    # reads only hurst, seed and the rank fields.
+    target = tmp_path / "p.csv"
+    write_path_csv(gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=1), str(target))
+    (tmp_path / "p.csv.json").write_text('{"hurst": 0.7, "seed": 1, "rank": 1, '
+                                         '"normalization": "empirical"}')
+    assert main(["stats", "--in", str(target), "--check", "lrd"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["check"] == "lrd"
+
+
+def test_simulate_has_no_normalization_flag(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--process", "hermite", "--rank", "2", "--hurst", "0.75",
+                 "--steps", "16", "--normalization", "analytic", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --normalization analytic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_missing_file(tmp_path):
     assert main(["stats", "--in", str(tmp_path / "nope.csv"), "--check", "cov"]) == 2
 
@@ -455,8 +513,9 @@ def test_arb_demo_mixed(capsys):
 _GOLDEN_ARB_STDOUT = [
     ("shiryaev", "0", "300", 0,
      "ec81bc3dd9b2967be481540d2815253e66c5a3a4bbe0b29aadd69dc40186148a"),
-    ("shiryaev", "0.3", "300", 0,
-     "ec81bc3dd9b2967be481540d2815253e66c5a3a4bbe0b29aadd69dc40186148a"),
+    # shiryaev takes no tax: a nonzero --tax exits 2 and prints nothing
+    ("shiryaev", "0.3", "300", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fsquare", "0", "300", 0,
      "468508ac483e52903525191425b71d831d76353451f7851911d6438f95ed70a5"),
     ("fsquare", "0.3", "300", 0,
@@ -499,8 +558,9 @@ def test_arb_demo_rejects_bad_tax(capsys, case, tax):
 # At horizon 1e300 every demo's prices overflow.  Each printed numpy
 # warnings and JSON holding Infinity or NaN, and the untaxed diffusion and
 # the taxed fsquare demo passed on those values.
-@pytest.mark.parametrize("tax", ["0", "0.3"])
-@pytest.mark.parametrize("case", ["shiryaev", "fsquare", "diffusion", "mixed"])
+@pytest.mark.parametrize("case, tax", [("shiryaev", "0"), ("fsquare", "0"), ("fsquare", "0.3"),
+                                       ("diffusion", "0"), ("diffusion", "0.3"),
+                                       ("mixed", "0"), ("mixed", "0.3")])
 def test_arb_demo_refuses_non_finite_results(capsys, case, tax):
     assert main(["arb-demo", "--case", case, "--tax", tax, "--horizon", "1e300",
                  "--paths", "100", "--steps", "64"]) == 2
@@ -778,7 +838,7 @@ def test_each_subcommand_keeps_its_own_defaults(capsys):
     # The parser is built once per process; a flag given to one call must
     # not become the default of the next, on the same or another subcommand.
     for argv in (_price_argv(tax="0.5", grid="65", **{"time-steps": "8"}),
-                 ["arb-demo", "--case", "shiryaev", "--tax", "0.3", "--paths", "10",
+                 ["arb-demo", "--case", "diffusion", "--tax", "0.3", "--paths", "10",
                   "--steps", "16"],
                  _price_argv(grid="65", **{"time-steps": "8"})):
         assert main(argv) == 0

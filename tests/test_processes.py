@@ -2,7 +2,9 @@
 
 import math
 import os
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -359,14 +361,15 @@ def test_hurst_range_enforced():
         HermiteSpec(1.0)
 
 
-def test_analytic_normalization_needs_low_rank():
-    with pytest.raises(ValueError):
-        HermiteSpec(0.7, 3, normalization="analytic")
-
-
 def test_mixed_weights_must_be_unit_norm():
     with pytest.raises(ValueError):
         MixedHermiteSpec(0.7, ((0.6, 1), (0.6, 2)))
+
+
+def test_mixed_weight_whose_square_overflows_is_refused():
+    # 1e200 squared is inf, refused like any other sum, not an OverflowError
+    with pytest.raises(ValueError, match="squared weights must sum to 1 .*got inf"):
+        MixedHermiteSpec(0.75, ((1e200, 1), (1.0, 2)))
 
 
 def test_mixed_spec_checks_components_as_hermite_specs():
@@ -375,11 +378,6 @@ def test_mixed_spec_checks_components_as_hermite_specs():
         MixedHermiteSpec(0.4, ((w, 1), (w, 2)))
     with pytest.raises(ValueError, match="approx_factor must be an integer >= 1, got 0"):
         MixedHermiteSpec(0.75, ((w, 1), (w, 2)), approx_factor=0)
-    with pytest.raises(ValueError, match="normalization must be .*got 'exact'"):
-        MixedHermiteSpec(0.75, ((w, 1), (w, 2)), normalization="exact")
-    # An analytic rank-3 component fails here, not later inside gen_mixed.
-    with pytest.raises(ValueError, match="analytic normalization"):
-        MixedHermiteSpec(0.75, ((w, 1), (w, 3)), normalization="analytic")
 
 
 def test_grid_validation():
@@ -558,11 +556,10 @@ def test_rank1_hermite_matches_fbm_in_law():
 
 
 @pytest.mark.parametrize("approx_factor", [1, 5, 32])
-@pytest.mark.parametrize("normalization", ["empirical", "analytic"])
-def test_rank1_hermite_is_fbm(approx_factor, normalization):
+def test_rank1_hermite_is_fbm(approx_factor):
     # Rank 1 is drawn exactly on the output grid, so the partial-sum
     # lattice setting plays no part and gen_hermite is gen_fbm.
-    spec = HermiteSpec(0.75, 1, approx_factor, normalization)
+    spec = HermiteSpec(0.75, 1, approx_factor)
     a = gen_hermite(spec, 2.0, 64, paths=3, seed=8, path_offset=1)
     b = gen_fbm(HermiteSpec(0.75), 2.0, 64, paths=3, seed=8, path_offset=1)
     assert np.array_equal(a.values, b.values)
@@ -690,24 +687,6 @@ def test_mixed_records_ranks_in_meta():
 
 
 # ---------------------------------------------------------------------------
-# normalization modes
-
-def test_analytic_matches_empirical_rank1():
-    # Rank-1 partial sums have variance exactly N^(2H), so the two
-    # normalization modes coincide to machine precision.
-    a = gen_fbm(HermiteSpec(0.8, 1, normalization="empirical"), 1.0, 128, seed=5)
-    b = gen_fbm(HermiteSpec(0.8, 1, normalization="analytic"), 1.0, 128, seed=5)
-    assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-14)
-
-
-def test_analytic_close_to_empirical_rank2():
-    a = gen_hermite(HermiteSpec(0.7, 2, normalization="empirical"), 1.0, 64, seed=5)
-    b = gen_hermite(HermiteSpec(0.7, 2, normalization="analytic"), 1.0, 64, seed=5)
-    ratio = np.max(np.abs(b.values[:, 1:] / a.values[:, 1:] - 1.0))
-    assert ratio < 0.02
-
-
-# ---------------------------------------------------------------------------
 # fractional Ornstein-Uhlenbeck
 
 @pytest.mark.parametrize("lam, sigma, history, message", [
@@ -715,11 +694,45 @@ def test_analytic_close_to_empirical_rank2():
     (1.0, math.inf, None, "sigma must be finite, got inf"),
     # an infinite history once reached gen_hou, and an OverflowError
     (1.0, 1.0, math.inf, "history_truncation must be finite, got inf"),
+    # NaN fails every comparison, so it once read as "must be positive"
+    (math.nan, 1.0, None, "lam must be finite, got nan"),
+    (1.0, math.nan, None, "sigma must be finite, got nan"),
+    (1.0, 1.0, math.nan, "history_truncation must be finite, got nan"),
+    (-math.inf, 1.0, None, "lam must be finite, got -inf"),
 ])
 def test_hou_spec_names_a_non_finite_parameter(lam, sigma, history, message):
     with pytest.raises(ValueError) as err:
         HouSpec(lam, sigma, history)
     assert str(err.value) == message
+
+
+def test_hou_history_that_is_not_finite_is_refused():
+    # 20 / 1.2e-307 is a finite history, but it overflows to inf steps of 1/16
+    with pytest.raises(ValueError, match=r"history.* not finite; raise ou_lambda "
+                                         r"\(1\.2e-307\) or lower history_truncation"):
+        gen_hou(HouSpec(1.2e-307, 1.0), HermiteSpec(0.75), 1.0, 16)
+
+
+def test_hou_huge_history_is_counted_in_short_form():
+    with pytest.raises(ValueError, match=r"3\.2e\+302 steps.*ou_lambda") as err:
+        gen_hou(HouSpec(1e-300, 1.0), HermiteSpec(0.75), 1.0, 16)
+    assert not re.search(r"\d{20}", str(err.value))
+
+
+def test_hou_values_that_overflow_name_lambda_and_sigma():
+    # The stationary scale sigma lam**-H is far past the largest float; the
+    # recursion overflows without a numpy warning and the output is refused.
+    with pytest.raises(ValueError, match=r"not finite at ou_lambda = 0\.001, ou_sigma = 1e\+308"):
+        gen_hou(HouSpec(1e-3, 1e308), HermiteSpec(0.75), 1000.0, 16, paths=2, seed=1)
+
+
+def test_hou_overflow_outside_the_output_warns_nothing():
+    # At seed 1 two paths overflow only in history the output drops: the
+    # values are finite, and the recursion's overflow prints no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = gen_hou(HouSpec(1.0, 1e308), HermiteSpec(0.75), 1.0, 16, paths=2, seed=1)
+    assert np.isfinite(path.values).all()
 
 
 def test_hou_zero_sigma_is_flat():
@@ -873,6 +886,23 @@ def test_generator_preflight_raises_before_allocating(monkeypatch, gen, spec, la
     monkeypatch.setattr(processes, "_physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match=r"3 paths of 1024 steps.*lower steps or paths"):
         gen(spec, 1.0, 1024, paths=3)
+
+
+def test_bm_preflight_raises_before_allocating(monkeypatch):
+    # gen_bm takes the same preflight as the Hermite generators: its
+    # output at 9 bytes a point, plus one block.
+    need = processes._lattice_bytes(None, 64, 64, 100)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: need)
+    assert gen_bm(1.0, 64, paths=100).values.shape == (100, 65)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the driver was allocated")
+
+    monkeypatch.setattr(processes, "_draw_blocks", never)
+    for memory in (need - 1, 1000):
+        monkeypatch.setattr(processes, "_physical_memory", lambda: memory)
+        with pytest.raises(ValueError, match=r"100 paths of 64 steps.*lower steps or paths"):
+            gen_bm(1.0, 64, paths=100)
 
 
 def test_hou_holds_its_output_and_one_block():

@@ -85,15 +85,6 @@ def test_library_import_leaves_out_scipy_special_and_optimize():
     assert out.strip() == "[]"
 
 
-def test_rank1_scaling_factor_is_consistent():
-    # For rank 1 the finite-lattice rescale factor used by the generator
-    # equals the analytic limit exactly, so the two modes agree everywhere.
-    emp = gen_hermite(HermiteSpec(0.75, 1), 1.0, 64, paths=2, seed=3)
-    ana = gen_hermite(HermiteSpec(0.75, 1, normalization="analytic"), 1.0, 64,
-                      paths=2, seed=3)
-    assert np.allclose(emp.values, ana.values, rtol=1e-12, atol=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # centered quadratic variation
 

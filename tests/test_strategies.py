@@ -854,6 +854,13 @@ def test_mixed_demo_rosenblatt_driver():
     assert report.statistics["min_value"] >= 0.0
 
 
+def test_mixed_demo_refuses_a_driver_of_another_hurst():
+    # The legs carry the market's t^{1-2H} singular term, so a driver of
+    # another H would run, pass and report the market's H without meaning.
+    with pytest.raises(ValueError, match=r"hermite\.hurst \(0\.55\) must equal market\.hurst \(0\.75\)"):
+        mixed_arb_demo(_mixed_market(), paths=8, steps=16, hermite=HermiteSpec(0.55, 2))
+
+
 def _coerced_report(report):
     """A report's dict with every statistic, the interval and the verdict coerced by hand."""
     return {
