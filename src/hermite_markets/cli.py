@@ -28,12 +28,11 @@ from .markets import MixedMarket, TwoAssetDiffusion
 from .pathio import PathFormatError, read_path_csv, write_path_csv, write_sidecar, \
     write_surface_csv
 from .pde import _DEFAULT_NODES, _DEFAULT_TIME_STEPS, IllPosedProblemError, TerminalClaim, \
-    _effective_variance, _require_half_grid, _solve_bytes, grid_for_spot, solve_tax_bsm
+    _effective_variance, _require_half_grid, grid_for_spot, solve_tax_bsm
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
     _check_memory, gen_fbm, gen_hermite, gen_hou, gen_mixed
 from .stats import autocov_slope, centered_qv, estimate_hurst, theoretical_cov
-from .strategies import _demo_bytes, diffusion_arb_demo, f_strategy_demo, \
-    mixed_arb_demo, shiryaev_demo
+from .strategies import diffusion_arb_demo, f_strategy_demo, mixed_arb_demo, shiryaev_demo
 
 __all__ = ["main"]
 
@@ -137,21 +136,17 @@ def _make_generator(args, seed):
     if args.process == "mixed":
         if not args.weights or not args.ranks or len(args.weights) != len(args.ranks):
             raise ValueError("mixed process needs matching --weights and --ranks")
-        spec = MixedHermiteSpec(args.hurst,
-                                tuple(zip(args.weights, args.ranks)), args.approx_factor)
-        return lambda paths, offset: gen_mixed(spec, args.horizon, args.steps,
-                                               paths, seed, path_offset=offset)
-    rank = 1 if args.process == "fbm" else args.rank
-    spec = HermiteSpec(args.hurst, rank, args.approx_factor)
-    if args.process == "fbm":
-        return lambda paths, offset: gen_fbm(spec, args.horizon, args.steps,
-                                             paths, seed, path_offset=offset)
-    if args.process == "hermite":
-        return lambda paths, offset: gen_hermite(spec, args.horizon, args.steps,
-                                                 paths, seed, path_offset=offset)
-    hou = HouSpec(args.ou_lambda, args.ou_sigma)
-    return lambda paths, offset: gen_hou(hou, spec, args.horizon, args.steps,
-                                         paths, seed, path_offset=offset)
+        generate, specs = gen_mixed, (MixedHermiteSpec(
+            args.hurst, tuple(zip(args.weights, args.ranks)), args.approx_factor),)
+    else:
+        rank = 1 if args.process == "fbm" else args.rank
+        spec = HermiteSpec(args.hurst, rank, args.approx_factor)
+        if args.process == "hou":
+            generate, specs = gen_hou, (HouSpec(args.ou_lambda, args.ou_sigma), spec)
+        else:
+            generate, specs = gen_fbm if args.process == "fbm" else gen_hermite, (spec,)
+    return lambda paths, offset: generate(*specs, args.horizon, args.steps,
+                                          paths, seed, path_offset=offset)
 
 
 def _cmd_simulate(args):
@@ -304,8 +299,6 @@ def _cmd_arb_demo(args):
     if args.case == "shiryaev" and args.tax != 0:
         raise ValueError(f"--tax {args.tax:g} taxes nothing in the shiryaev case; "
                          "its taxed form, (S - 1)^2, is --case fsquare")
-    _check_memory(f"arb-demo --case {args.case}", _demo_bytes(args.paths, args.steps),
-                  "lower --paths or --steps")
     grid = (args.paths, args.steps, args.horizon, seed)
     if args.case == "shiryaev":
         report = shiryaev_demo(HermiteSpec(args.hurst), *grid)
@@ -343,7 +336,6 @@ def _cmd_price(args):
         sig_eff_sq = _effective_variance(args.rate, args.sigma, args.tax)
         grid = grid_for_spot(args.spot, math.sqrt(sig_eff_sq), args.maturity,
                              args.rate, args.grid, args.time_steps)
-        _check_memory("price", _solve_bytes(grid), "lower --grid or --time-steps")
         surface = solve_tax_bsm(claim, args.rate, args.sigma, args.tax, grid)
     except IllPosedProblemError as exc:
         print(f"pricing failed: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .markets import _intensities
+from .processes import _check_memory
 
 __all__ = [
     "IllPosedProblemError",
@@ -371,12 +372,15 @@ def solve_tax_bsm(claim, rate, sigma, tax_hat, grid):
     error of the extrapolated value.  ``values`` and ``value_at`` stay
     the second-order surface, so value_at at the middle log-price and
     the extrapolated value differ by the estimate.  A grid under 31
-    nodes or 2 time steps has no half grid and raises ValueError.  The
+    nodes or 2 time steps has no half grid and raises ValueError, as does
+    one whose two surfaces would not fit in physical memory.  The
     estimate was validated on the default grid, 513 x 64, only: at
     385 x 48 it read as little as 0.12x the error of v, and at 513 x 48
     and 257 x 32, grids of 2^k + 1 nodes, 0.66x and 0.53x.
     """
     half = _half_grid(grid)
+    _check_memory(f"solve_tax_bsm on {grid.nodes} nodes and {grid.time_steps} time steps",
+                  _solve_bytes(grid), "lower nodes or time_steps")
     sig_eff_sq = _effective_variance(rate, sigma, tax_hat)
     surface = _march(claim, rate, sig_eff_sq, grid)
     v = _middle_value(grid, surface)

@@ -152,7 +152,11 @@ class MixedHermiteSpec:
         for index, (weight, _) in enumerate(self.components):
             _require(weight > 0, f"component weights must be positive, got {weight}")
             self.component_spec(index)
-            sq += float(weight) * float(weight)  # inf, not OverflowError, past 1e154
+            try:
+                weight = float(weight)
+            except OverflowError:  # an int past the float range
+                weight = math.inf
+            sq += weight * weight  # inf, not OverflowError, past 1e154
         _require(abs(sq - 1.0) <= 1e-12, f"squared weights must sum to 1 within 1e-12, got {sq!r}")
 
     def component_spec(self, index):
@@ -180,6 +184,8 @@ class HouSpec:
         _require(self.sigma >= 0, f"sigma must be nonnegative, got {self.sigma}")
         if self.history_truncation is None:
             object.__setattr__(self, "history_truncation", 20.0 / self.lam)
+            _require(math.isfinite(self.history_truncation), "lam must make the default "
+                     f"history_truncation, 20 / lam, finite, got {self.lam}")
         _require(math.isfinite(self.history_truncation),
                  f"history_truncation must be finite, got {self.history_truncation}")
         _require(self.history_truncation > 0,
@@ -338,6 +344,7 @@ def _fill_normals(out, words):
 
 def derive_seeds(seed, count):
     """Split one base seed into ``count`` independent integer sub-seeds."""
+    _uint32_words(seed, "seed")
     children = np.random.SeedSequence(int(seed)).spawn(count)
     return [int(child.generate_state(1)[0]) for child in children]
 
@@ -481,10 +488,8 @@ def _meta(process, spec, paths, path_offset, **fields):
 
 def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     """Standard Brownian motion, W(0) = 0, exact Gaussian increments."""
-    _check_grid(horizon, steps, paths)
-    values = _drawn([(None, component, 1)], horizon, steps, paths, seed, path_offset)
-    return SamplePath(horizon, steps, values, seed,
-                      meta=_meta("bm", None, paths, path_offset, component=component))
+    return _drawn("bm", None, [(None, component, 1)], horizon, steps, paths, seed, path_offset,
+                  component=component)
 
 
 def _require_fbm(spec):
@@ -500,10 +505,8 @@ def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     effect, and the paths equal gen_hermite's for the same seed.
     """
     _require_fbm(spec)
-    _check_grid(horizon, steps, paths)
-    values = _drawn([(spec, component, 1)], horizon, steps, paths, seed, path_offset)
-    return SamplePath(horizon, steps, values, seed,
-                      meta=_meta("fbm", spec, paths, path_offset, rank=1, component=component))
+    return _drawn("fbm", spec, [(spec, component, 1)], horizon, steps, paths, seed, path_offset,
+                  rank=1, component=component)
 
 
 def _lattice_factor(spec):
@@ -612,17 +615,27 @@ def _draw_blocks(drivers, paths, steps, horizon, path_offset=0, spare=0):
             yield start, stop, values[:, :n], spares[:, :n]
 
 
-def _drawn(drivers, horizon, steps, paths, seed, path_offset):
-    """Sum of the ``_draw_blocks`` drivers (spec, component, weight), every driver preflighted."""
-    _check_lattice([spec for spec, _, _ in drivers], steps, paths)
+def _drawn(process, spec, drivers, horizon, steps, paths, seed, path_offset, **fields):
+    """The SamplePath of the sum of the ``_draw_blocks`` drivers (spec, component, weight).
+
+    The grid is checked, and physical memory asked for the output once and
+    the largest driver's block (a None spec is Brownian motion), before
+    anything is allocated.  ``process``, ``spec`` and ``fields`` make its
+    ``meta``.
+    """
+    _check_grid(horizon, steps, paths)
+    _check_memory(f"drawing {paths} paths of {steps} steps",
+                  max(_lattice_bytes(driver, steps, steps, paths) for driver, _, _ in drivers),
+                  "lower steps or paths")
     values = np.zeros((paths, steps + 1))
-    for spec, component, weight in drivers:
-        for start, stop, (rows,), _ in _draw_blocks([(spec, seed, component)], paths, steps,
+    for driver, component, weight in drivers:
+        for start, stop, (rows,), _ in _draw_blocks([(driver, seed, component)], paths, steps,
                                                     horizon, path_offset):
             if weight != 1:
                 rows *= weight
             values[start:stop] += rows
-    return values
+    return SamplePath(horizon, steps, values, seed,
+                      meta=_meta(process, spec, paths, path_offset, **fields))
 
 
 def gen_hermite(spec, horizon, steps, paths=1, seed=0, path_offset=0):
@@ -634,10 +647,8 @@ def gen_hermite(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     at exactly 0.
     """
     _require(isinstance(spec, HermiteSpec), "spec must be a HermiteSpec")
-    _check_grid(horizon, steps, paths)
-    values = _drawn([(spec, 0, 1)], horizon, steps, paths, seed, path_offset)
-    return SamplePath(horizon, steps, values, seed,
-                      meta=_meta("hermite", spec, paths, path_offset, rank=spec.rank))
+    return _drawn("hermite", spec, [(spec, 0, 1)], horizon, steps, paths, seed, path_offset,
+                  rank=spec.rank)
 
 
 def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
@@ -647,13 +658,9 @@ def gen_mixed(spec, horizon, steps, paths=1, seed=0, path_offset=0):
     single-component mixture with weight 1 reproduces gen_hermite exactly.
     """
     _require(isinstance(spec, MixedHermiteSpec), "spec must be a MixedHermiteSpec")
-    _check_grid(horizon, steps, paths)
     drivers = [(spec.component_spec(i), i, weight) for i, (weight, _) in enumerate(spec.components)]
-    values = _drawn(drivers, horizon, steps, paths, seed, path_offset)
-    return SamplePath(horizon, steps, values, seed,
-                      meta=_meta("mixed", spec, paths, path_offset,
-                                 weights=[w for w, _ in spec.components],
-                                 ranks=[r for _, r in spec.components]))
+    return _drawn("mixed", spec, drivers, horizon, steps, paths, seed, path_offset,
+                  weights=[w for w, _ in spec.components], ranks=[r for _, r in spec.components])
 
 
 def _lattice_bytes(spec, total, steps, paths):
@@ -694,17 +701,6 @@ def _check_memory(what, need, remedy):
         need_gib = f"{need / 2**30:.1f}" if need < 2**50 else f"{need / 2**30:.3g}"
         raise ValueError(f"{what} would need about {need_gib} GiB, more than the "
                          f"{have / 2**30:.1f} GiB of physical memory; {remedy}")
-
-
-def _check_lattice(specs, steps, paths):
-    """Refuse a draw whose largest driver in ``specs`` would overflow physical memory.
-
-    The draw holds its (paths, steps + 1) output once and one driver's
-    block at a time; a None in ``specs`` is Brownian motion.
-    """
-    _check_memory(f"drawing {paths} paths of {steps} steps",
-                  max(_lattice_bytes(spec, steps, steps, paths) for spec in specs),
-                  "lower steps or paths")
 
 
 # A sigma near the largest float overflows the recursion; the finite check

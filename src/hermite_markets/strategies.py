@@ -22,7 +22,7 @@ import numpy as np
 from .calculus import GridFunction
 from .markets import _intensities, _mixed_legs
 from .processes import (SamplePath, derive_seeds, HermiteSpec, _BLOCK_ENTRIES, _block_rows,
-                        _check_grid, _draw_blocks, _require_fbm)
+                        _check_grid, _check_memory, _draw_blocks, _require_fbm)
 
 __all__ = [
     "PortfolioFunction",
@@ -441,6 +441,13 @@ def _demo_bytes(paths, steps):
     return 8 * paths + 14 * 8 * max(_BLOCK_ENTRIES, steps + 1)
 
 
+def _check_demo(demo, horizon, steps, paths):
+    """Refuse ``demo``'s grid, or a demo whose ``_demo_bytes`` exceed physical memory."""
+    _check_grid(horizon, steps, paths)
+    _check_memory(f"{demo} of {paths} paths of {steps} steps", _demo_bytes(paths, steps),
+                  "lower paths or steps")
+
+
 def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
     """Classic fractional arbitrage on S = exp(B_H) against a flat bond.
 
@@ -452,7 +459,7 @@ def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
     gap itself to zero.  Paths of the rank-1 ``spec`` are drawn a block at
     a time.
     """
-    _check_grid(horizon, steps, paths)
+    _check_demo("shiryaev_demo", horizon, steps, paths)
     _require_fbm(spec)
     tally = _ArbTally(np.zeros(1))  # untaxed: no running cost is charged
     identity_err, gap_ratios = [], []
@@ -499,7 +506,7 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
         raise ValueError(f"intensity must lie in [0, sqrt(2)), got {c}")
     if abs(f(1.0)) > 1e-12:
         raise ValueError("strategy must start worthless: f(1) != 0")
-    _check_grid(horizon, steps, paths)
+    _check_demo("f_strategy_demo", horizon, steps, paths)
     if t is None:
         t = horizon
     if not 0.0 < t <= horizon:
@@ -551,7 +558,7 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     if market.variant != "shared_vol":
         raise ValueError("demo needs the shared-volatility two-asset market")
     intensities = _intensities(tax, 2)
-    _check_grid(horizon, steps, paths)
+    _check_demo("diffusion_arb_demo", horizon, steps, paths)
     portfolio = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
     tally = _ArbTally(intensities)
     t = np.linspace(0.0, horizon, steps + 1)
@@ -599,7 +606,7 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
         raise ValueError(f"hermite.hurst ({hermite.hurst}) must equal market.hurst "
                          f"({market.hurst})")
     w_seed, h_seed = derive_seeds(seed, 2)
-    _check_grid(horizon, steps, paths)
+    _check_demo("mixed_arb_demo", horizon, steps, paths)
     portfolio = mixed_arbitrage_portfolio(market.r)
     tally = _ArbTally(intensities)
     t = np.linspace(0.0, horizon, steps + 1)

@@ -17,13 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hermite_markets import cli, processes, strategies
+from hermite_markets import cli, pde, processes, strategies
 from hermite_markets.cli import main
 from hermite_markets.pathio import (
     PathFormatError,
     read_path_csv,
     read_sidecar,
     write_path_csv,
+    write_sidecar,
 )
 from hermite_markets import (HermiteSpec, SamplePath, TerminalClaim, gen_fbm, grid_for_spot,
                              solve_tax_bsm, theoretical_cov)
@@ -205,6 +206,8 @@ _EXTREME_INPUTS = [
      2, ["sigma must be finite, got nan"]),
     (["simulate", "--process", "hou", "--hurst", "0.75", "--ou-lambda", "nan"],
      2, ["lam must be finite, got nan"]),
+    (["simulate", "--process", "hou", "--hurst", "0.75", "--ou-lambda", "1e-310"],
+     2, ["lam must make the default history_truncation, 20 / lam, finite, got 1e-310"]),
     (["arb-demo", "--case", "shiryaev", "--tax", "0.3", "--paths", "8"],
      2, ["--tax", "--case fsquare"]),
 ]
@@ -261,6 +264,20 @@ def test_seed_default_without_env(tmp_path, monkeypatch):
     assert read_sidecar(str(out))["seed"] == 42
 
 
+@pytest.mark.parametrize("argv, env", [(["--seed", "-1"], None), ([], "-1")])
+def test_mixed_arb_demo_names_a_negative_seed(monkeypatch, capsys, argv, env):
+    # Its two drivers' seeds are split from the one given, which takes the
+    # same rule as every other seed; numpy's own message named nothing.
+    if env is None:
+        monkeypatch.delenv("HERMITE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HERMITE_SEED", env)
+    assert main(["arb-demo", "--case", "mixed", "--paths", "8", "--steps", "16"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -305,6 +322,19 @@ def test_csv_malformed_field_is_located(tmp_path):
         bad.write_text(text)
         with pytest.raises(PathFormatError, match=re.escape(message)):
             read_path_csv(str(bad))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,p0\n0.0,0.0\n", "line 2: need at least two time rows"),
+    ("t,p0\n0.5,0.0\n1.0,0.1\n", "line 2: time grid must start at 0"),
+    ("t,p0\n0.0,0.0\n0.0,0.1\n", "line 3: time grid must increase"),
+])
+def test_csv_time_grid_faults_are_located(tmp_path, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(PathFormatError) as err:
+        read_path_csv(str(bad))
+    assert str(err.value) == message
 
 
 def test_csv_read_holds_about_two_arrays(tmp_path):
@@ -423,6 +453,59 @@ def test_stats_needs_hurst_metadata(tmp_path):
     path = gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=1)
     write_path_csv(path, str(bare))  # no sidecar written
     assert main(["stats", "--in", str(bare), "--check", "lrd"]) == 2
+
+
+def _stats_file(tmp_path, paths, flat):
+    """``paths`` fbm paths of 16 steps, or all zero when ``flat``, with a hurst 0.75 sidecar."""
+    path = gen_fbm(HermiteSpec(0.75), 1.0, 16, paths=paths, seed=3)
+    if flat:
+        path.values[:] = 0.0
+    target = str(tmp_path / "x.csv")
+    write_path_csv(path, target)
+    write_sidecar(target, dict(path.meta, seed=3))
+    return target
+
+
+# Each row: HERMITE_SEED, argv, the (paths, flat) of the file stats reads,
+# exit code, and the message: an error line's words, or a report's detail.
+_CLI_FAULTS = [
+    ("abc", ["simulate", "--process", "fbm", "--hurst", "0.7"], None, 2,
+     "error: HERMITE_SEED must be an integer, got 'abc'"),
+    (None, ["simulate", "--process", "mixed", "--hurst", "0.7", "--weights", "0.5,x",
+            "--ranks", "1,2"], None, 2,
+     "argument --weights: not a comma-separated float list: '0.5,x'"),
+    (None, ["simulate", "--process", "fbm", "--hurst", "0.7", "--paths", "0"], None, 2,
+     "error: --paths must be >= 1"),
+    (None, ["simulate", "--process", "fbm", "--hurst", "0.7", "--workers", "0"], None, 2,
+     "error: --workers must be >= 1"),
+    (None, ["stats", "--check", "cov"], (49, False), 1, "cov check needs at least 50 paths"),
+    (None, ["stats", "--check", "selfsim"], (99, False), 1,
+     "selfsim check needs at least 100 paths"),
+    (None, ["stats", "--check", "qv"], (19, False), 1, "qv check needs at least 20 paths"),
+    # every path's statistic is -16 (1/16)^1.5 = -1/4, exactly
+    (None, ["stats", "--check", "qv"], (20, True), 1,
+     "centered quadratic variation has no scatter"),
+]
+
+
+@pytest.mark.parametrize("env, argv, infile, code, message", _CLI_FAULTS,
+                         ids=[" ".join(row[1]) + (f" {row[2]}" if row[2] else "")
+                              for row in _CLI_FAULTS])
+def test_cli_names_each_fault(monkeypatch, capsys, tmp_path, env, argv, infile, code, message):
+    if env is None:
+        monkeypatch.delenv("HERMITE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HERMITE_SEED", env)
+    if infile is None:
+        argv = argv + ["--steps", "16", "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = argv + ["--in", _stats_file(tmp_path, *infile)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert json.loads(captured.out)["detail"] == message
+    else:
+        assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize("sidecar, message", [
@@ -572,14 +655,14 @@ def test_arb_demo_refuses_non_finite_results(capsys, case, tax):
 
 @pytest.mark.parametrize("case", ["shiryaev", "fsquare", "diffusion", "mixed"])
 def test_arb_demo_exits_two_when_driver_exceeds_memory(monkeypatch, capsys, case):
-    # One byte short of what the demo would hold: no demo starts.
+    # One byte short of what the demo would hold: the demo refuses before
+    # it draws a path.
     monkeypatch.setattr(processes, "_physical_memory",
                         lambda: strategies._demo_bytes(100, 64) - 1)
-    for demo in ("shiryaev_demo", "f_strategy_demo", "diffusion_arb_demo", "mixed_arb_demo"):
-        monkeypatch.setattr(cli, demo, pytest.fail)
+    monkeypatch.setattr(strategies, "_draw_blocks", pytest.fail)
     assert main(["arb-demo", "--case", case, "--paths", "100", "--steps", "64"]) == 2
     err = capsys.readouterr().err
-    assert "--paths" in err and "--steps" in err
+    assert "of 100 paths of 64 steps" in err and "lower paths or steps" in err
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +859,7 @@ def test_price_line_prints_the_extrapolated_value(tmp_path, capsys, payoff):
     ("grid", "-3", "--grid's odd node count", "-3"),
     ("time-steps", "1", "--time-steps", "1"), ("time-steps", "0", "--time-steps", "0")])
 def test_price_refuses_a_grid_without_a_half_grid(monkeypatch, capsys, flag, value, named, got):
-    for name in ("grid_for_spot", "_solve_bytes", "solve_tax_bsm"):
+    for name in ("grid_for_spot", "solve_tax_bsm"):
         monkeypatch.setattr(cli, name, pytest.fail)
     assert main(_price_argv(**{flag: value})) == 2
     captured = capsys.readouterr()
@@ -814,12 +897,12 @@ def test_price_notes_a_grid_where_the_estimate_is_unvalidated(capsys, grid, step
 
 
 def test_price_exits_two_when_surfaces_exceed_memory(monkeypatch, capsys):
-    # 513 x 513 and 257 x 257 surfaces of 8 bytes; nothing is solved.
+    # 513 x 513 and 257 x 257 surfaces of 8 bytes; nothing is marched.
     monkeypatch.setattr(processes, "_physical_memory", lambda: 8 * (513 * 513 + 257 * 257) - 1)
-    monkeypatch.setattr(cli, "solve_tax_bsm", pytest.fail)
+    monkeypatch.setattr(pde, "_march", pytest.fail)
     assert main(_price_argv(grid="513", **{"time-steps": "512"})) == 2
     err = capsys.readouterr().err
-    assert "--grid" in err and "--time-steps" in err
+    assert "513 nodes and 512 time steps" in err and "lower nodes or time_steps" in err
 
 
 def test_price_rejects_bad_payoff():

@@ -32,6 +32,32 @@ from hermite_markets.processes import derive_seeds
 # ---------------------------------------------------------------------------
 # plain riskless synthesis
 
+def _two_asset_file(tmp_path):
+    target = tmp_path / "market.cfg"
+    target.write_text("type=two_asset\nmu=0.05,0.02,0.01\nsigma=0.2,0.3\n")
+    return load_market(str(target))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: PureHermiteMarket(mu=[[0.1, 0.2]], sigma=[0.2, 0.3]),
+     "mu must be one-dimensional"),
+    (lambda tmp: PureHermiteMarket(mu=[0.1], sigma=[0.2], s0=[1.0, 2.0]),
+     "s0 must match the number of assets"),
+    (lambda tmp: PureHermiteMarket(mu=[0.1], sigma=[0.2], mu_fn=[abs, abs]),
+     "mu_fn must provide one callable per asset"),
+    (lambda tmp: price_mixed_market(MixedMarket(**_MIXED), gen_bm(1.0, 8, paths=2, seed=1),
+                                    gen_fbm(HermiteSpec(0.7), 1.0, 8, paths=3, seed=2)),
+     "Brownian and Hermite ensembles must have equal path counts"),
+    (lambda tmp: synth_riskless([0.1, 0.2], [0.1]), "sigma and mu must have the same length"),
+    (lambda tmp: synth_riskless([0.1], [0.1]), "need at least two assets"),
+    (_two_asset_file, "two_asset markets need exactly two mu and sigma entries"),
+])
+def test_markets_name_a_bad_input(tmp_path, call, message):
+    with pytest.raises(ValueError) as err:
+        call(tmp_path)
+    assert str(err.value) == message
+
+
 def test_synthesis_two_asset_closed_form():
     out = synth_riskless([0.1, 0.3], [0.03, 0.04])
     assert np.allclose(out.exponents, [1.5, -0.5], atol=1e-12)

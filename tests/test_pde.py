@@ -21,7 +21,7 @@ from hermite_markets import (
     reduce_to_heat,
     solve_tax_bsm,
 )
-from hermite_markets import pde
+from hermite_markets import pde, processes
 from _oracles import banded_step_surface, black_scholes, power_claim_value
 
 SPOT, STRIKE, RATE, SIGMA, MATURITY = 100.0, 100.0, 0.05, 0.2, 1.0
@@ -46,6 +46,19 @@ def test_grid_validation():
         PdeGrid(2.0, 1.0)
     with pytest.raises(ValueError):
         PdeGrid(1.0, 2.0, nodes=8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PdeGrid(50.0, 200.0, 33, time_steps=0), "need at least 1 time step"),
+    # three values for 33 nodes
+    (lambda: solve_tax_bsm(TerminalClaim(lambda x: np.zeros(3), 1.0), 0.05, 0.2, 0.0,
+                           PdeGrid(50.0, 200.0, 33, 4)),
+     "payoff must map the price nodes to one value each"),
+])
+def test_solver_inputs_name_their_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_grid_defaults_are_the_pricers_default_grid():
@@ -494,6 +507,20 @@ def test_solve_bytes_counts_both_surfaces():
     grid = PdeGrid(60.0, 170.0, 65, 32)
     assert pde._solve_bytes(grid) == 8 * (65 * 33 + 33 * 17)
     assert pde._solve_bytes(PdeGrid(60.0, 170.0, 31, 2)) == 8 * (31 * 3 + 16 * 2)
+
+
+def test_solve_refuses_surfaces_past_memory_before_marching(monkeypatch):
+    # Memory that holds both surfaces solves; one byte less is refused,
+    # naming the grid's sizes, before either grid is marched.
+    grid = PdeGrid(60.0, 170.0, 65, 32)
+    claim = TerminalClaim.call(STRIKE, MATURITY)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: pde._solve_bytes(grid))
+    solve_tax_bsm(claim, RATE, SIGMA, 0.0, grid)
+    monkeypatch.setattr(processes, "_physical_memory", lambda: pde._solve_bytes(grid) - 1)
+    monkeypatch.setattr(pde, "_march", pytest.fail)
+    with pytest.raises(ValueError, match=r"^solve_tax_bsm on 65 nodes and 32 time steps .*"
+                                         r"lower nodes or time_steps$"):
+        solve_tax_bsm(claim, RATE, SIGMA, 0.0, grid)
 
 
 def test_value_at_interpolates_and_validates():

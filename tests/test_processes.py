@@ -270,6 +270,13 @@ def test_stream_seeding_rejects_negative_integers():
         gen_bm(1.0, 4, path_offset=-1)
 
 
+def test_derive_seeds_takes_the_stream_seed_rule():
+    # numpy's SeedSequence would say "expected non-negative integer", naming nothing
+    with pytest.raises(ValueError) as err:
+        processes.derive_seeds(-1, 2)
+    assert str(err.value) == "seed must be a nonnegative integer, got -1"
+
+
 # Pinned realizations, 3 paths x 8 steps at seed 2024 (t = 0 column
 # omitted): a change that moves them changes what every seed draws.
 _GOLDEN_FBM = [
@@ -366,10 +373,12 @@ def test_mixed_weights_must_be_unit_norm():
         MixedHermiteSpec(0.7, ((0.6, 1), (0.6, 2)))
 
 
-def test_mixed_weight_whose_square_overflows_is_refused():
-    # 1e200 squared is inf, refused like any other sum, not an OverflowError
+@pytest.mark.parametrize("weight", [1e200, 10**400], ids=["1e200", "10**400"])
+def test_mixed_weight_whose_square_overflows_is_refused(weight):
+    # 1e200 squared is inf, and an int past the float range squares to inf
+    # too: refused like any other sum, not an OverflowError
     with pytest.raises(ValueError, match="squared weights must sum to 1 .*got inf"):
-        MixedHermiteSpec(0.75, ((1e200, 1), (1.0, 2)))
+        MixedHermiteSpec(0.75, ((weight, 1), (1.0, 2)))
 
 
 def test_mixed_spec_checks_components_as_hermite_specs():
@@ -414,6 +423,13 @@ def test_sample_path_names_a_non_finite_horizon(horizon, message):
     with pytest.raises(ValueError) as err:
         SamplePath(horizon, 2, [[0.0, 1.0, 2.0]])
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_path_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError) as err:
+        SamplePath(1.0, 2, [[0.0, bad, 2.0]])
+    assert str(err.value) == "values contain non-finite entries"
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +715,10 @@ def test_mixed_records_ranks_in_meta():
     (1.0, math.nan, None, "sigma must be finite, got nan"),
     (1.0, 1.0, math.nan, "history_truncation must be finite, got nan"),
     (-math.inf, 1.0, None, "lam must be finite, got -inf"),
+    # 20 / lam overflows: the default history is refused by lam, which the caller set
+    (1e-310, 1.0, None, "lam must make the default history_truncation, 20 / lam, finite, "
+                        "got 1e-310"),
+    (1e-310, 1.0, math.inf, "history_truncation must be finite, got inf"),
 ])
 def test_hou_spec_names_a_non_finite_parameter(lam, sigma, history, message):
     with pytest.raises(ValueError) as err:

@@ -108,6 +108,18 @@ def test_centered_qv_block_coarsening():
     assert abs(stats[0] - expected) < 1e-14
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: norm_const(0.4, 1), "hurst must lie in (1/2, 1), got 0.4"),
+    (lambda: centered_qv(gen_fbm(HermiteSpec(0.7), 1.0, 16, seed=1), block=0),
+     "block must be an integer >= 1, got 0"),
+    (lambda: autocov_slope(np.arange(16.0), [0, 1, 2]), "lags must be >= 1"),
+])
+def test_statistics_name_a_bad_argument(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_centered_qv_validation():
     path = gen_fbm(HermiteSpec(0.7), 1.0, 16, seed=1)
     with pytest.raises(ValueError):

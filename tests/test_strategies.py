@@ -180,6 +180,68 @@ def test_mixed_portfolio_time_partial():
             bare.time_partial([x, y], t), rel=1e-6, abs=1e-8)
 
 
+def test_mixed_portfolio_cross_partial_is_its_closed_form():
+    # d2/dx dy (sqrt(x) + sqrt(y) - 2 e^{rt/2})^2 = 1 / (2 sqrt(xy)), with no t;
+    # central differences of the value agree to their truncation error
+    field = mixed_arbitrage_portfolio(0.03)
+    bare = PortfolioFunction(fn=field.fn, arity=2, time_dependent=True)
+    rng = np.random.default_rng(3)
+    for x, y, t in zip(0.5 + 1.5 * rng.random(6), 0.5 + 1.5 * rng.random(6),
+                       0.2 + 0.6 * rng.random(6)):
+        exact = 1.0 / (2.0 * math.sqrt(x * y))
+        assert field.second(0, 1, [x, y], t) == pytest.approx(exact, rel=1e-15)
+        assert field.second(1, 0, [x, y], t) == pytest.approx(exact, rel=1e-15)
+        assert bare.second(0, 1, [x, y], t) == pytest.approx(exact, rel=1e-5)
+
+
+_MARKET = dict(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2, sigma_h=0.3, hurst=0.7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PortfolioFunction(fn=lambda x: x[0], arity=2, grad=[lambda x: 1.0]),
+     "grad must provide one callable per asset"),
+    (lambda: taxed_bsm_residual(power_portfolio([2.0]), [1.5], 0.05, [0.2, 0.2], 0.0),
+     "taxed_bsm_residual expects a two-asset field"),
+    # no rate, no second volatility and no tax leave nothing that involves b
+    (lambda: power_pair_exponents(2.0, 0.0, [0.2, 0.0], None),
+     "degenerate identity: no dependence on the second exponent"),
+    (lambda: f_strategy_demo(lambda x: x - 1.0, lambda x: 1.0, HermiteSpec(0.7), 0.0,
+                             paths=8, steps=16, t=2.0),
+     "evaluation time 2.0 outside (0, 1.0]"),
+    (lambda: mixed_arb_demo(MixedMarket(**_MARKET), paths=8, steps=16, hermite="x"),
+     "hermite must be a HermiteSpec"),
+])
+def test_strategies_name_a_bad_argument(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+_DEMOS = {
+    "shiryaev_demo": lambda paths: shiryaev_demo(HermiteSpec(0.7), paths, 64),
+    "f_strategy_demo": lambda paths: f_strategy_demo(lambda x: (x - 1.0) ** 2,
+                                                     lambda x: 2.0 * (x - 1.0),
+                                                     HermiteSpec(0.7), 0.3, paths, 64),
+    "diffusion_arb_demo": lambda paths: diffusion_arb_demo(
+        TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2), paths, 64, tax=0.3),
+    "mixed_arb_demo": lambda paths: mixed_arb_demo(MixedMarket(**_MARKET), paths, 64, tax=0.3),
+}
+
+
+@pytest.mark.parametrize("demo", sorted(_DEMOS))
+def test_demo_refuses_a_run_past_memory_before_drawing(monkeypatch, demo):
+    # Memory that holds the demo's estimate runs it; one byte less is
+    # refused, naming paths and steps, before a path is drawn.
+    monkeypatch.setattr(processes, "_physical_memory", lambda: strategies._demo_bytes(100, 64))
+    _DEMOS[demo](100)
+    monkeypatch.setattr(processes, "_physical_memory",
+                        lambda: strategies._demo_bytes(100, 64) - 1)
+    monkeypatch.setattr(strategies, "_draw_blocks", pytest.fail)
+    with pytest.raises(ValueError, match=rf"^{demo} of 100 paths of 64 steps .*"
+                                         r"lower paths or steps$"):
+        _DEMOS[demo](100)
+
+
 def test_portfolio_arity_checks():
     field = power_portfolio([1.0, 1.0])
     with pytest.raises(ValueError):
