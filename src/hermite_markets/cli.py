@@ -79,7 +79,7 @@ def build_parser():
     sim.add_argument("--horizon", type=float, default=1.0)
     sim.add_argument("--paths", type=int, default=1)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--approx-factor", type=int, default=32)
+    sim.add_argument("--approx-factor", type=int, default=HermiteSpec.approx_factor)
     sim.add_argument("--weights", type=_list_of(float), default=None,
                      help="mixed process component weights, e.g. 0.8,0.6")
     sim.add_argument("--ranks", type=_list_of(int), default=None,
@@ -92,8 +92,7 @@ def build_parser():
 
     stc = sub.add_parser("stats", help="diagnostic checks on a simulated ensemble")
     stc.add_argument("--in", dest="infile", required=True)
-    stc.add_argument("--check", required=True,
-                     choices=["cov", "selfsim", "lrd", "qv", "hurst"])
+    stc.add_argument("--check", required=True, choices=list(_CHECKS))
     stc.set_defaults(func=_cmd_stats)
 
     arb = sub.add_parser("arb-demo", help="run one arbitrage / tax demonstration")
@@ -180,17 +179,36 @@ def _cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # stats
 
-def _sidecar_hurst(path, filename):
-    hurst = path.meta.get("hurst")
+def _is_rank(value):
+    return type(value) is int and value >= 1
+
+
+def _sidecar_law(path, filename):
+    """The sidecar's Hurst index and Hermite ranks; a file with no rank field is rank 1.
+
+    A field that is present but malformed raises PathFormatError naming it.
+    """
+    meta = path.meta
+    hurst = meta.get("hurst")
     if hurst is None:
         raise ValueError("no hurst in the sidecar; cannot run this check")
     try:
-        return float(hurst)
-    except (TypeError, ValueError):
+        value = float(hurst)
+    except (TypeError, ValueError, OverflowError):
         raise PathFormatError(f"{filename}.json: hurst must be a number, got {hurst!r}") from None
+    if not 0.5 < value < 1.0:
+        raise PathFormatError(f"{filename}.json: hurst must lie in (1/2, 1), got {hurst!r}")
+    if "rank" in meta and not _is_rank(meta["rank"]):
+        raise PathFormatError(
+            f"{filename}.json: rank must be an integer >= 1, got {meta['rank']!r}")
+    ranks = meta.get("ranks", [meta.get("rank", 1)])
+    if not (isinstance(ranks, list) and ranks and all(map(_is_rank, ranks))):
+        raise PathFormatError(
+            f"{filename}.json: ranks must be a non-empty list of integers >= 1, got {ranks!r}")
+    return value, ranks
 
 
-def _check_cov(path, hurst):
+def _check_cov(path, hurst, ranks):
     if path.n_paths < 50:
         raise ValueError("cov check needs at least 50 paths")
     if path.steps < 4:
@@ -210,7 +228,7 @@ def _check_cov(path, hurst):
                       "stationary-increment form, over a 4x4 time grid"}
 
 
-def _check_selfsim(path, hurst):
+def _check_selfsim(path, hurst, ranks):
     if path.n_paths < 100:
         raise ValueError("selfsim check needs at least 100 paths")
     if path.steps < 4:
@@ -225,7 +243,7 @@ def _check_selfsim(path, hurst):
                       f"terminal marginals, c = {ratio:.4g}"}
 
 
-def _check_lrd(path, hurst):
+def _check_lrd(path, hurst, ranks):
     """Increment autocovariance slope over lags 2..10, by stats.autocov_slope.
 
     Like the library, it does not remove the sample mean: the increments
@@ -238,7 +256,7 @@ def _check_lrd(path, hurst):
             "detail": "log-log slope of the increment autocovariance, lags 2..10"}
 
 
-def _check_qv(path, hurst):
+def _check_qv(path, hurst, ranks):
     if path.n_paths < 20:
         raise ValueError("qv check needs at least 20 paths")
     per_path, delta = centered_qv(path, hurst=hurst)
@@ -246,8 +264,7 @@ def _check_qv(path, hurst):
     if spread == 0.0:
         raise ValueError("centered quadratic variation has no scatter")
     pvalue = float(sps.normaltest(per_path / spread).pvalue)
-    ranks = path.meta.get("ranks") or [path.meta.get("rank", 1)]
-    gaussian_regime = all(int(r) == 1 for r in ranks) and hurst < 0.75
+    gaussian_regime = all(r == 1 for r in ranks) and hurst < 0.75
     ok = (pvalue > 0.01) if gaussian_regime else (pvalue < 0.01)
     return {"statistic": pvalue,
             "target": "gaussian_limit" if gaussian_regime else "non_gaussian_limit",
@@ -257,7 +274,7 @@ def _check_qv(path, hurst):
                       f"delta {delta:.3e}"}
 
 
-def _check_hurst(path, hurst):
+def _check_hurst(path, hurst, ranks):
     estimate = estimate_hurst(path)
     tol = max(4.0 * estimate.stderr, 0.05)
     return {"statistic": estimate.value, "target": hurst, "tolerance": tol,
@@ -276,10 +293,10 @@ _CHECKS = {
 
 def _cmd_stats(args):
     path = read_path_csv(args.infile)
-    hurst = _sidecar_hurst(path, args.infile)
+    hurst, ranks = _sidecar_law(path, args.infile)
     report = {"check": args.check, "file": args.infile}
     try:
-        report.update(_CHECKS[args.check](path, hurst))
+        report.update(_CHECKS[args.check](path, hurst, ranks))
     except ValueError as exc:
         report.update({"pass": False, "detail": str(exc)})
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -34,6 +34,7 @@ __all__ = [
     "pure_hermite_price_matrix",
     "price_mixed_market",
     "sde_residual",
+    "singular_square_term",
     "synth_riskless",
     "synth_riskless_taxed",
     "bsm_synthetic_rate",
@@ -446,6 +447,9 @@ def _taxed_root(direction, intensities):
 
 def bsm_synthetic_rate(mu1, sigma1, mu2, sigma2):
     """Rate (mu2 sigma1 - mu1 sigma2)/(sigma1 - sigma2) of the two-asset pair."""
+    for name, value in zip(("mu1", "sigma1", "mu2", "sigma2"), (mu1, sigma1, mu2, sigma2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if sigma1 == sigma2:
         raise ValueError("equal volatilities leave the synthetic rate undefined")
     return (mu2 * sigma1 - mu1 * sigma2) / (sigma1 - sigma2)

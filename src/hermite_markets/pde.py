@@ -67,6 +67,12 @@ class PdeGrid:
     def __post_init__(self):
         if not 0 < self.x_min < self.x_max:
             raise ValueError("need 0 < x_min < x_max")
+        if not math.isfinite(self.x_max):
+            raise ValueError(f"x_max must be finite, got {self.x_max}")
+        for name in ("nodes", "time_steps"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nodes < _MIN_NODES:
             raise ValueError(f"need at least {_MIN_NODES} spatial nodes")
         if self.time_steps < _MIN_TIME_STEPS:
@@ -432,7 +438,9 @@ class HeatReduction:
     each price, an exponential tilt in time, and the time flip
     tau = maturity - t.  The per-asset exponents -rate / c_j^2 cancel the
     first-order terms; the commonly quoted shortcut -(rate + sum c_j^2)
-    for their sum does not.
+    for their sum does not.  ``intensities`` is read like a tax, one per
+    asset, and each must be strictly positive; the rate must be finite
+    and the maturity positive and finite.
     """
 
     rate: float
@@ -440,6 +448,18 @@ class HeatReduction:
     intensities: np.ndarray
 
     log_tilt = 0.5
+
+    def __post_init__(self):
+        tax = self.intensities
+        self.intensities = _intensities(tax, np.size(tax))
+        if not self.intensities.all():
+            raise ValueError(f"reduction needs strictly positive tax intensities, got {tax!r}")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
+        if not self.maturity > 0:
+            raise ValueError("maturity must be positive")
+        if not math.isfinite(self.maturity):
+            raise ValueError(f"maturity must be finite, got {self.maturity}")
 
     @property
     def diffusivities(self):
@@ -489,11 +509,7 @@ def reduce_to_heat(tax, rate, maturity):
     """Build the taxed-operator-to-heat-equation change of variables.
 
     One asset per tax intensity, each strictly positive (the per-asset
-    exponent is -rate / c_j^2).
+    exponent is -rate / c_j^2); HeatReduction checks them, the rate and
+    the maturity.
     """
-    intensities = _intensities(tax, np.size(tax))
-    if not intensities.all():
-        raise ValueError(f"reduction needs strictly positive tax intensities, got {tax!r}")
-    if not maturity > 0:
-        raise ValueError("maturity must be positive")
-    return HeatReduction(rate=rate, maturity=maturity, intensities=intensities)
+    return HeatReduction(rate=rate, maturity=maturity, intensities=tax)

@@ -144,7 +144,7 @@ class MixedHermiteSpec:
 
     hurst: float
     components: tuple
-    approx_factor: int = 32
+    approx_factor: int = HermiteSpec.approx_factor
 
     def __post_init__(self):
         _require(len(self.components) >= 1, "at least one component is required")

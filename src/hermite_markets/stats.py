@@ -32,8 +32,9 @@ def theoretical_cov(hurst, t, s):
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    if (t < 0).any() or (s < 0).any():
-        raise ValueError("times must be nonnegative")
+    for name, times in (("t", t), ("s", s)):
+        if not ((times >= 0) & (times < math.inf)).all():
+            raise ValueError(f"{name} must be finite and nonnegative, got {times.tolist()}")
     two_h = 2.0 * hurst
     out = 0.5 * (t ** two_h + s ** two_h - np.abs(t - s) ** two_h)
     return out if out.ndim else float(out)
@@ -133,7 +134,11 @@ def increment_autocov(values, max_lag):
 
 def autocov_slope(values, lags):
     """Log-log slope of the increment autocovariance over the given lags."""
-    lags = np.asarray(lags, dtype=int)
+    lags = np.asarray(lags)
+    if np.unique(lags).size < 2:
+        raise ValueError(f"lags must hold at least two distinct lags, got {lags.tolist()}")
+    if lags.dtype.kind not in "iu":
+        raise ValueError(f"lags must be integers, got {lags.tolist()}")
     if (lags < 1).any():
         raise ValueError("lags must be >= 1")
     acov = increment_autocov(values, int(lags.max()))[lags]

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calculus import GridFunction
-from .markets import _intensities, _mixed_legs
+from .markets import _as_float_array, _intensities, _mixed_legs
 from .processes import (SamplePath, derive_seeds, HermiteSpec, _BLOCK_ENTRIES, _block_rows,
                         _check_grid, _check_memory, _draw_blocks, _require_fbm)
 
@@ -300,7 +300,10 @@ def power_pair_exponents(a, r, sigmas, tax):
     ascending order, each in a form of the quadratic formula that does not
     cancel.  A negative discriminant raises.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
+    for name, value in (("a", a), ("r", r)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    sigmas = _as_float_array(sigmas, "sigmas")
     intensities = _intensities(tax, 2)
     k1 = sigmas[0] ** 2 + r * intensities[0] ** 2
     k2 = sigmas[1] ** 2 + r * intensities[1] ** 2
@@ -378,6 +381,9 @@ def wilson_ci(successes, trials):
     The ends are exactly 0 with no successes and exactly 1 when every
     trial succeeds, where rounding would leave them an ulp or so off.
     """
+    for name, count in (("successes", successes), ("trials", trials)):
+        if type(count) is not int:
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:

@@ -410,7 +410,7 @@ def _cov_worst_by_pairs(path, hurst):
 @pytest.mark.parametrize("hurst", [0.6, 0.85])
 def test_cov_check_is_the_per_pair_z_score(hurst, paths):
     path = gen_fbm(HermiteSpec(hurst), 1.0, 256, paths=paths, seed=paths)
-    statistic = cli._check_cov(path, hurst)["statistic"]
+    statistic = cli._check_cov(path, hurst, [1])["statistic"]
     assert statistic == pytest.approx(_cov_worst_by_pairs(path, hurst), rel=1e-12)
 
 
@@ -513,13 +513,24 @@ def test_cli_names_each_fault(monkeypatch, capsys, tmp_path, env, argv, infile, 
     ('{"hurst": 0.7,', "not valid JSON"),
     ('{"hurst": 0.7, "seed": [1]}', "seed must be an integer, got [1]"),
     ('{"hurst": "abc"}', "hurst must be a number, got 'abc'"),
+    ('{"hurst": NaN}', "hurst must lie in (1/2, 1), got nan"),
+    ('{"hurst": 0.3}', "hurst must lie in (1/2, 1), got 0.3"),
+    ('{"hurst": 1e400}', "hurst must lie in (1/2, 1), got inf"),
+    ('{"hurst": 0.7, "ranks": 5}', "ranks must be a non-empty list of integers >= 1, got 5"),
+    ('{"hurst": 0.7, "ranks": []}', "ranks must be a non-empty list of integers >= 1, got []"),
+    ('{"hurst": 0.7, "ranks": [1, 0]}',
+     "ranks must be a non-empty list of integers >= 1, got [1, 0]"),
+    ('{"hurst": 0.7, "rank": null}', "rank must be an integer >= 1, got None"),
+    ('{"hurst": 0.7, "rank": "x"}', "rank must be an integer >= 1, got 'x'"),
+    ('{"hurst": 0.7, "rank": 2.0}', "rank must be an integer >= 1, got 2.0"),
 ])
 def test_stats_malformed_sidecar_exits_two(tmp_path, capsys, sidecar, message):
     target = tmp_path / "p.csv"
     write_path_csv(gen_fbm(HermiteSpec(0.7), 1.0, 64, seed=1), str(target))
     (tmp_path / "p.csv.json").write_text(sidecar)
     assert main(["stats", "--in", str(target), "--check", "lrd"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {target}.json: {message}")
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {target}.json: {message}")
 
 
 def test_stats_reads_a_sidecar_with_a_normalization_key(tmp_path, capsys):

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.linalg.lapack import dgttrf
 
 from hermite_markets import (
+    HeatReduction,
     IllPosedProblemError,
     PdeGrid,
     TerminalClaim,
@@ -50,6 +51,17 @@ def test_grid_validation():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: PdeGrid(50.0, 200.0, 33, time_steps=0), "need at least 1 time step"),
+    (lambda: PdeGrid(50.0, 200.0, nodes=31.5), "nodes must be an integer, got 31.5"),
+    (lambda: PdeGrid(50.0, 200.0, nodes=True), "nodes must be an integer, got True"),
+    (lambda: PdeGrid(50.0, 200.0, time_steps=64.0), "time_steps must be an integer, got 64.0"),
+    (lambda: PdeGrid(50.0, math.inf), "x_max must be finite, got inf"),
+    (lambda: HeatReduction(0.05, 1.0, np.array([0.0])),
+     "reduction needs strictly positive tax intensities, got array([0.])"),
+    (lambda: HeatReduction(0.05, 1.0, [0.3, math.nan]),
+     "tax intensities must be finite and nonnegative, got [0.3, nan]"),
+    (lambda: HeatReduction(0.05, -1.0, [0.3]), "maturity must be positive"),
+    (lambda: reduce_to_heat(0.3, math.nan, 1.0), "rate must be finite, got nan"),
+    (lambda: reduce_to_heat(0.3, 0.05, math.inf), "maturity must be finite, got inf"),
     # three values for 33 nodes
     (lambda: solve_tax_bsm(TerminalClaim(lambda x: np.zeros(3), 1.0), 0.05, 0.2, 0.0,
                            PdeGrid(50.0, 200.0, 33, 4)),
@@ -618,6 +630,8 @@ def test_reduction_derives_every_coefficient_from_three_fields():
     assert red.time_tilt == float(c_sq.sum()) / 8.0
     assert red.drift_shift == (0.03 * a.sum() - 0.03
                                + 0.5 * float(np.sum(c_sq * a * (a - 1.0))))
+    # built directly, it reads its intensities as a tax, as reduce_to_heat does
+    assert HeatReduction(0.03, 1.0, [0.4, 0.5]).exponents.tobytes() == a.tobytes()
 
 
 def test_reduction_requires_positive_intensities():

@@ -14,13 +14,16 @@ import hermite_markets
 from hermite_markets import (
     HermiteSpec,
     SamplePath,
+    bsm_synthetic_rate,
     centered_qv,
     estimate_hurst,
     gen_bm,
     gen_fbm,
     gen_hermite,
     norm_const,
+    power_pair_exponents,
     theoretical_cov,
+    wilson_ci,
 )
 from hermite_markets.stats import autocov_slope, increment_autocov
 from _oracles import fgn_qv_eigenvalues, quadratic_form_cumulants
@@ -71,18 +74,36 @@ def test_norm_const_rejects_high_rank():
         norm_const(0.7, 3)
 
 
+def _fresh_import(code):
+    """What ``code`` prints in a new interpreter that imports the package from source."""
+    src = os.path.dirname(os.path.dirname(hermite_markets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", "import hermite_markets; " + code], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
 def test_library_import_leaves_out_scipy_special_and_optimize():
     # Closed forms replace scipy's gamma, root finder and, for the
     # pricer's cell-averaged payoff, quadrature; only the CLI's checks
     # still pull in scipy.stats, and with it the first two modules.
-    src = os.path.dirname(os.path.dirname(hermite_markets.__file__))
-    code = ("import sys, hermite_markets; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'scipy.integrate') "
-            "if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _fresh_import("import sys; print(sorted(m for m in ('scipy.optimize', "
+                        "'scipy.special', 'scipy.integrate') if m in sys.modules))")
     assert out.strip() == "[]"
+
+
+_MODULES = ("processes", "stats", "calculus", "markets", "strategies", "pde", "pathio")
+
+
+def test_package_exports_exactly_its_modules_public_names():
+    # A new interpreter, since importing hermite_markets.cli binds ``cli`` in the package.
+    public = set(_fresh_import(
+        "print(*(n for n in vars(hermite_markets) if not n.startswith('_')))").split())
+    union = set()
+    for name in _MODULES:
+        module = getattr(hermite_markets, name)
+        assert all(hasattr(module, exported) for exported in module.__all__), name
+        union.update(module.__all__)
+    assert public == union | set(_MODULES)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +134,18 @@ def test_centered_qv_block_coarsening():
     (lambda: centered_qv(gen_fbm(HermiteSpec(0.7), 1.0, 16, seed=1), block=0),
      "block must be an integer >= 1, got 0"),
     (lambda: autocov_slope(np.arange(16.0), [0, 1, 2]), "lags must be >= 1"),
+    (lambda: autocov_slope(np.arange(16.0), []), "lags must hold at least two distinct lags, got []"),
+    (lambda: autocov_slope(np.arange(16.0), [2, 2]),
+     "lags must hold at least two distinct lags, got [2, 2]"),
+    (lambda: autocov_slope(np.arange(16.0), [2.5, 3.7]), "lags must be integers, got [2.5, 3.7]"),
+    (lambda: theoretical_cov(0.7, math.nan, 1.0), "t must be finite and nonnegative, got nan"),
+    (lambda: theoretical_cov(0.7, 1.0, math.inf), "s must be finite and nonnegative, got inf"),
+    (lambda: wilson_ci(1.5, 3), "successes must be an integer, got 1.5"),
+    (lambda: wilson_ci(1, 3.0), "trials must be an integer, got 3.0"),
+    (lambda: power_pair_exponents(math.nan, 0.05, [0.2, 0.2], 0.0), "a must be finite, got nan"),
+    (lambda: power_pair_exponents(0.8, 0.05, [math.inf, 0.2], 0.0),
+     "sigmas must be finite, got [inf, 0.2]"),
+    (lambda: bsm_synthetic_rate(0.1, math.inf, 0.2, 0.1), "sigma1 must be finite, got inf"),
 ])
 def test_statistics_name_a_bad_argument(call, message):
     with pytest.raises(ValueError) as err:
