@@ -97,7 +97,9 @@ def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
     short-dated or low-volatility claim's kink still spans many nodes.
     A non-finite spot, sigma, maturity or rate, or a maturity that is not
     positive, raises ValueError naming it, and so does a half-width that
-    puts either end of the grid outside the float range.
+    puts either end of the grid outside the float range.  An even ``int``
+    count of ``nodes`` is rounded up to put a node on the spot; any other
+    count goes to PdeGrid as given.
     """
     for name, value in (("spot", spot), ("maturity", maturity)):
         if not 0 < value < math.inf:
@@ -105,7 +107,7 @@ def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
     for name, value in (("sigma", sigma), ("rate", rate)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if nodes % 2 == 0:
+    if type(nodes) is int and nodes % 2 == 0:
         nodes += 1
     center = math.log(spot)
     try:

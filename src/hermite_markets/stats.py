@@ -62,12 +62,14 @@ def centered_qv(path, block=1, hurst=None):
     sum_k [(increment_k)^2 - gamma^2H] for path i with gamma the coarse
     spacing, and ``delta`` is the sample root-mean-square of the statistic
     across paths (the natural normalizer).  ``hurst`` falls back to the
-    path metadata.
+    path metadata and must lie in (0, 1).
     """
     if hurst is None:
         hurst = path.meta.get("hurst")
     if hurst is None:
         raise ValueError("hurst not given and absent from path metadata")
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     if not isinstance(block, int) or block < 1:
         raise ValueError(f"block must be an integer >= 1, got {block}")
     if path.steps % block != 0:
@@ -119,6 +121,8 @@ def increment_autocov(values, max_lag):
     over time and series without demeaning (increments are centered by
     construction).  Returns lags 0..max_lag.
     """
+    if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
+        raise ValueError(f"max_lag must be an integer >= 0, got {max_lag!r}")
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]

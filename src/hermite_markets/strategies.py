@@ -382,7 +382,7 @@ def wilson_ci(successes, trials):
     trial succeeds, where rounding would leave them an ulp or so off.
     """
     for name, count in (("successes", successes), ("trials", trials)):
-        if type(count) is not int:
+        if not isinstance(count, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {count!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -55,6 +55,7 @@ def test_grid_validation():
     (lambda: PdeGrid(50.0, 200.0, nodes=True), "nodes must be an integer, got True"),
     (lambda: PdeGrid(50.0, 200.0, time_steps=64.0), "time_steps must be an integer, got 64.0"),
     (lambda: PdeGrid(50.0, math.inf), "x_max must be finite, got inf"),
+    (lambda: grid_for_spot(100.0, 0.2, 1.0, nodes=64.0), "nodes must be an integer, got 64.0"),
     (lambda: HeatReduction(0.05, 1.0, np.array([0.0])),
      "reduction needs strictly positive tax intensities, got array([0.])"),
     (lambda: HeatReduction(0.05, 1.0, [0.3, math.nan]),

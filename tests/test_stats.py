@@ -133,6 +133,12 @@ def test_centered_qv_block_coarsening():
     (lambda: norm_const(0.4, 1), "hurst must lie in (1/2, 1), got 0.4"),
     (lambda: centered_qv(gen_fbm(HermiteSpec(0.7), 1.0, 16, seed=1), block=0),
      "block must be an integer >= 1, got 0"),
+    (lambda: centered_qv(gen_fbm(HermiteSpec(0.7), 1.0, 16, seed=1), hurst=math.nan),
+     "hurst must lie in (0, 1), got nan"),
+    (lambda: centered_qv(gen_fbm(HermiteSpec(0.7), 1.0, 16, seed=1), hurst=1.5),
+     "hurst must lie in (0, 1), got 1.5"),
+    (lambda: increment_autocov(np.arange(16.0), -1), "max_lag must be an integer >= 0, got -1"),
+    (lambda: increment_autocov(np.arange(16.0), 2.5), "max_lag must be an integer >= 0, got 2.5"),
     (lambda: autocov_slope(np.arange(16.0), [0, 1, 2]), "lags must be >= 1"),
     (lambda: autocov_slope(np.arange(16.0), []), "lags must hold at least two distinct lags, got []"),
     (lambda: autocov_slope(np.arange(16.0), [2, 2]),

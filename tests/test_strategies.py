@@ -534,6 +534,8 @@ def test_wilson_interval_brackets_proportion():
     low, high = wilson_ci(30, 100)
     assert low < 0.3 < high
     assert 0.0 <= low <= high <= 1.0
+    # a count summed by numpy is an integer too
+    assert wilson_ci(np.int64(30), np.int64(100)) == (low, high)
 
 
 def test_wilson_interval_validation():
