@@ -30,7 +30,7 @@ from .pathio import PathFormatError, read_path_csv, write_path_csv, write_sideca
 from .pde import _DEFAULT_NODES, _DEFAULT_TIME_STEPS, IllPosedProblemError, TerminalClaim, \
     _effective_variance, _require_half_grid, grid_for_spot, solve_tax_bsm
 from .processes import HermiteSpec, HouSpec, MixedHermiteSpec, SamplePath, \
-    _check_memory, gen_fbm, gen_hermite, gen_hou, gen_mixed
+    _check_memory, _integer, gen_fbm, gen_hermite, gen_hou, gen_mixed
 from .stats import autocov_slope, centered_qv, estimate_hurst, theoretical_cov
 from .strategies import diffusion_arb_demo, f_strategy_demo, mixed_arb_demo, shiryaev_demo
 
@@ -163,7 +163,7 @@ def _cmd_simulate(args):
     # The calling thread draws the first chunk, so one worker starts no
     # thread, whose own allocator arena would raise the process's peak memory.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rest = [pool.submit(generate, len(idx), int(idx[0])) for idx in chunks[1:]]
+        rest = [pool.submit(generate, len(idx), idx[0]) for idx in chunks[1:]]
         parts = [generate(len(chunks[0]), 0)] + [future.result() for future in rest]
     ensemble = SamplePath(horizon=args.horizon, steps=args.steps,
                           values=np.vstack([p.values for p in parts]),
@@ -180,7 +180,11 @@ def _cmd_simulate(args):
 # stats
 
 def _is_rank(value):
-    return type(value) is int and value >= 1
+    try:
+        _integer("rank", value, 1)
+    except ValueError:
+        return False
+    return True
 
 
 def _sidecar_law(path, filename):
@@ -361,9 +365,12 @@ def _cmd_price(args):
     # x**p is positive, so a value at or below zero, or within its estimate of it, is the
     # scheme failing on a payoff it cannot resolve; a deep call or put may be that small.
     if args.payoff == "power" and not estimate < value:
+        remedy = ("lower the size of --power-exp or raise --grid"
+                  if np.power(args.spot, args.power_exp) > 0 else
+                  f"--spot {args.spot:g} to the power {args.power_exp:g} underflows to 0; "
+                  "move --spot toward 1 or lower the size of --power-exp")
         raise ValueError(f"the grid cannot resolve the power claim: it priced x**{args.power_exp:g} "
-                         f"at {value:.4g} +/- {estimate:.2g}; "
-                         "lower the size of --power-exp or raise --grid")
+                         f"at {value:.4g} +/- {estimate:.2g}; {remedy}")
     if (grid.nodes, grid.time_steps) != (_DEFAULT_NODES, _DEFAULT_TIME_STEPS):
         print(f"note: the error estimate is unvalidated on {grid.nodes} x {grid.time_steps}; "
               f"it was validated on the default {_DEFAULT_NODES} x {_DEFAULT_TIME_STEPS} only "

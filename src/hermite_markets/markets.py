@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import SamplePath
+from .processes import SamplePath, _finite, _hurst
 
 __all__ = [
     "PureHermiteMarket",
@@ -50,17 +50,8 @@ def _as_float_array(x, name):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+    _finite(**{name: arr.tolist()})
     return arr
-
-
-def _require_finite(obj, names):
-    """ValueError naming the first of the fields ``names`` of ``obj`` that is not finite."""
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _intensities(tax, n_assets):
@@ -144,6 +135,7 @@ class TwoAssetDiffusion:
     variant: str = "ordered"
 
     def __post_init__(self):
+        _finite(mu1=self.mu1, sigma1=self.sigma1, mu2=self.mu2, sigma2=self.sigma2)
         if self.variant == "ordered":
             if not (self.sigma1 > self.sigma2 > 0):
                 raise ValueError(
@@ -155,7 +147,6 @@ class TwoAssetDiffusion:
                 raise ValueError("shared_vol variant needs distinct drifts")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
-        _require_finite(self, ("mu1", "sigma1", "mu2", "sigma2"))
 
     @classmethod
     def ordered(cls, mu1, sigma1, mu2, sigma2):
@@ -199,11 +190,11 @@ class MixedMarket:
     s0: float = 1.0
 
     def __post_init__(self):
-        if not 0.5 < self.hurst < 1.0:
-            raise ValueError(f"hurst must lie in (1/2, 1), got {self.hurst}")
+        _hurst(self.hurst)
+        _finite(r=self.r, b=self.b, rho=self.rho, mu=self.mu, sigma=self.sigma,
+                sigma_h=self.sigma_h, s0=self.s0)
         if self.s0 <= 0:
             raise ValueError("initial stock price must be positive")
-        _require_finite(self, ("r", "b", "rho", "mu", "sigma", "sigma_h", "s0"))
 
 
 @dataclass
@@ -447,9 +438,7 @@ def _taxed_root(direction, intensities):
 
 def bsm_synthetic_rate(mu1, sigma1, mu2, sigma2):
     """Rate (mu2 sigma1 - mu1 sigma2)/(sigma1 - sigma2) of the two-asset pair."""
-    for name, value in zip(("mu1", "sigma1", "mu2", "sigma2"), (mu1, sigma1, mu2, sigma2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _finite(mu1=mu1, sigma1=sigma1, mu2=mu2, sigma2=sigma2)
     if sigma1 == sigma2:
         raise ValueError("equal volatilities leave the synthetic rate undefined")
     return (mu2 * sigma1 - mu1 * sigma2) / (sigma1 - sigma2)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .markets import _intensities
-from .processes import _check_memory
+from .processes import _check_memory, _finite, _integer, _require
 
 __all__ = [
     "IllPosedProblemError",
@@ -65,18 +65,11 @@ class PdeGrid:
     time_steps: int = _DEFAULT_TIME_STEPS
 
     def __post_init__(self):
+        _finite(x_min=self.x_min, x_max=self.x_max)
         if not 0 < self.x_min < self.x_max:
             raise ValueError("need 0 < x_min < x_max")
-        if not math.isfinite(self.x_max):
-            raise ValueError(f"x_max must be finite, got {self.x_max}")
-        for name in ("nodes", "time_steps"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.nodes < _MIN_NODES:
-            raise ValueError(f"need at least {_MIN_NODES} spatial nodes")
-        if self.time_steps < _MIN_TIME_STEPS:
-            raise ValueError(f"need at least {_MIN_TIME_STEPS} time step")
+        for name, least in (("nodes", _MIN_NODES), ("time_steps", _MIN_TIME_STEPS)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
 
     @functools.cached_property
     def log_nodes(self):
@@ -95,20 +88,16 @@ def grid_for_spot(spot, sigma, maturity, rate=0.0, nodes=_DEFAULT_NODES,
     (4.4e-16) off.  The half-width covers 8 standard deviations plus the
     drift over the horizon, with a floor of 1e-4 log units, so that a
     short-dated or low-volatility claim's kink still spans many nodes.
-    A non-finite spot, sigma, maturity or rate, or a maturity that is not
-    positive, raises ValueError naming it, and so does a half-width that
-    puts either end of the grid outside the float range.  An even ``int``
-    count of ``nodes`` is rounded up to put a node on the spot; any other
-    count goes to PdeGrid as given.
+    A non-finite spot, sigma, maturity or rate, a spot or maturity that is
+    not positive, or a count of ``nodes`` that PdeGrid refuses raises
+    ValueError naming it, and so does a half-width that puts either end of
+    the grid outside the float range.  An even count of ``nodes`` is
+    rounded up to put a node on the spot.
     """
-    for name, value in (("spot", spot), ("maturity", maturity)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    for name, value in (("sigma", sigma), ("rate", rate)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if type(nodes) is int and nodes % 2 == 0:
-        nodes += 1
+    _finite(spot=spot, maturity=maturity, sigma=sigma, rate=rate)
+    _require(spot > 0, f"spot must be positive, got {spot}")
+    _require(maturity > 0, f"maturity must be positive, got {maturity}")
+    nodes = _integer("nodes", nodes, _MIN_NODES) | 1
     center = math.log(spot)
     try:
         half = max(1e-4, 8.0 * abs(sigma) * math.sqrt(maturity)
@@ -139,8 +128,8 @@ class TerminalClaim:
     power: float = None
 
     def __post_init__(self):
-        if not 0 < self.maturity < math.inf:
-            raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
+        _finite(maturity=self.maturity)
+        _require(self.maturity > 0, f"maturity must be positive, got {self.maturity}")
         if self.kind not in ("call", "put", "power", "custom"):
             raise ValueError(f"unknown claim kind {self.kind!r}")
         if self.kind in ("call", "put") and not 0 < (self.strike or 0) < math.inf:
@@ -212,9 +201,7 @@ def _effective_variance(rate, sigma, tax_hat):
 
     A term that overflows raises ValueError naming the parameter behind it.
     """
-    for name, value in (("rate", rate), ("sigma", sigma)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _finite(rate=rate, sigma=sigma)
     tax = float(_intensities(tax_hat, 1)[0])
     try:
         sig_sq = sigma ** 2
@@ -414,8 +401,8 @@ def heat_kernel(t, x, diffusivities):
     ``diffusivities`` is scalar or per-coordinate.  Integrates to one over
     the full space.
     """
-    if not t > 0:
-        raise ValueError("elapsed time must be positive")
+    _finite(t=t)
+    _require(t > 0, f"t must be positive, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim == 1:
         x = x[None, :]
@@ -456,12 +443,8 @@ class HeatReduction:
         self.intensities = _intensities(tax, np.size(tax))
         if not self.intensities.all():
             raise ValueError(f"reduction needs strictly positive tax intensities, got {tax!r}")
-        if not math.isfinite(self.rate):
-            raise ValueError(f"rate must be finite, got {self.rate}")
-        if not self.maturity > 0:
-            raise ValueError("maturity must be positive")
-        if not math.isfinite(self.maturity):
-            raise ValueError(f"maturity must be finite, got {self.maturity}")
+        _finite(rate=self.rate, maturity=self.maturity)
+        _require(self.maturity > 0, f"maturity must be positive, got {self.maturity}")
 
     @property
     def diffusivities(self):

@@ -49,6 +49,7 @@ rank.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -103,6 +104,25 @@ def _require(condition, message):
         raise ValueError(message)
 
 
+def _finite(**values):
+    """ValueError naming the first of ``values`` that is not finite; a list must be finite throughout."""
+    for name, value in values.items():
+        if not (all(map(math.isfinite, value)) if isinstance(value, list) else math.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _integer(name, value, least):
+    """``value`` as an int: a Python or numpy integer, never a bool, of at least ``least``."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
+def _hurst(value, name="hurst"):
+    """ValueError naming ``name`` unless ``value`` lies in (1/2, 1), the paper's range."""
+    _require(0.5 < value < 1.0, f"{name} must lie in (1/2, 1), got {value}")
+
+
 @dataclass(frozen=True)
 class HermiteSpec:
     """Parameters of one Hermite process.
@@ -123,10 +143,9 @@ class HermiteSpec:
     approx_factor: int = 32
 
     def __post_init__(self):
-        _require(0.5 < self.hurst < 1.0, f"hurst must lie in (1/2, 1), got {self.hurst}")
-        _require(type(self.rank) is int and self.rank >= 1, f"rank must be an integer >= 1, got {self.rank}")
-        _require(type(self.approx_factor) is int and self.approx_factor >= 1,
-                 f"approx_factor must be an integer >= 1, got {self.approx_factor}")
+        _hurst(self.hurst)
+        for name in ("rank", "approx_factor"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
     @property
     def inner_hurst(self):
@@ -149,15 +168,19 @@ class MixedHermiteSpec:
     def __post_init__(self):
         _require(len(self.components) >= 1, "at least one component is required")
         sq = 0.0
+        components = []
         for index, (weight, _) in enumerate(self.components):
             _require(weight > 0, f"component weights must be positive, got {weight}")
-            self.component_spec(index)
+            spec = self.component_spec(index)
+            components.append((weight, spec.rank))
             try:
                 weight = float(weight)
             except OverflowError:  # an int past the float range
                 weight = math.inf
             sq += weight * weight  # inf, not OverflowError, past 1e154
         _require(abs(sq - 1.0) <= 1e-12, f"squared weights must sum to 1 within 1e-12, got {sq!r}")
+        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "approx_factor", spec.approx_factor)
 
     def component_spec(self, index):
         """HermiteSpec of component ``index``; building it validates the component."""
@@ -178,16 +201,14 @@ class HouSpec:
     history_truncation: float = None
 
     def __post_init__(self):
-        _require(math.isfinite(self.lam), f"lam must be finite, got {self.lam}")
+        _finite(lam=self.lam, sigma=self.sigma)
         _require(self.lam > 0, f"lam must be positive, got {self.lam}")
-        _require(math.isfinite(self.sigma), f"sigma must be finite, got {self.sigma}")
         _require(self.sigma >= 0, f"sigma must be nonnegative, got {self.sigma}")
         if self.history_truncation is None:
             object.__setattr__(self, "history_truncation", 20.0 / self.lam)
             _require(math.isfinite(self.history_truncation), "lam must make the default "
                      f"history_truncation, 20 / lam, finite, got {self.lam}")
-        _require(math.isfinite(self.history_truncation),
-                 f"history_truncation must be finite, got {self.history_truncation}")
+        _finite(history_truncation=self.history_truncation)
         _require(self.history_truncation > 0,
                  f"history_truncation must be positive, got {self.history_truncation}")
 
@@ -209,9 +230,9 @@ class SamplePath:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        _finite(horizon=self.horizon)
         _require(self.horizon > 0, f"horizon must be positive, got {self.horizon}")
-        _require(math.isfinite(self.horizon), f"horizon must be finite, got {self.horizon}")
-        _require(self.steps >= 1, f"steps must be >= 1, got {self.steps}")
+        self.steps = _integer("steps", self.steps, 1)
         _require(self.values.ndim == 2, "values must be a 2-D array (series, steps + 1)")
         _require(self.values.shape[1] == self.steps + 1,
                  f"values must have steps + 1 = {self.steps + 1} columns, got {self.values.shape[1]}")
@@ -241,7 +262,9 @@ def path_rng(seed, path_index, component=0):
     calling this per path; they draw the same normals, and this function
     is the reference the tests compare them against.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(path_index), int(component)))
+    ss = np.random.SeedSequence(entropy=_integer("seed", seed, 0),
+                                spawn_key=(_integer("path_index", path_index, 0),
+                                           _integer("component", component, 0)))
     return np.random.default_rng(ss)
 
 
@@ -257,10 +280,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _uint32_words(value, name):
+def _uint32_words(value):
     """SeedSequence's coding of a nonnegative int: 32-bit words, low first."""
-    value = int(value)
-    _require(value >= 0, f"{name} must be a nonnegative integer, got {value}")
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -298,9 +319,10 @@ def _stream_states(seed, path_indices, component):
     indices must lie below 2**64; numpy codes those of 2**32 and above in
     two words, so the rows are hashed in two groups.
     """
-    first = 4 * (_POOL_SIZE + max(0, len(_uint32_words(seed, "seed")) - _POOL_SIZE))
-    tail = _uint32_words(component, "component")
-    start = np.random.SeedSequence(int(seed)).pool[:, None]
+    seed = _integer("seed", seed, 0)
+    first = 4 * (_POOL_SIZE + max(0, len(_uint32_words(seed)) - _POOL_SIZE))
+    tail = _uint32_words(_integer("component", component, 0))
+    start = np.random.SeedSequence(seed).pool[:, None]
     try:
         paths = np.asarray(path_indices, dtype=np.uint64)
     except OverflowError:
@@ -344,8 +366,7 @@ def _fill_normals(out, words):
 
 def derive_seeds(seed, count):
     """Split one base seed into ``count`` independent integer sub-seeds."""
-    _uint32_words(seed, "seed")
-    children = np.random.SeedSequence(int(seed)).spawn(count)
+    children = np.random.SeedSequence(_integer("seed", seed, 0)).spawn(_integer("count", count, 0))
     return [int(child.generate_state(1)[0]) for child in children]
 
 
@@ -419,8 +440,8 @@ def gen_fgn(inner_hurst, count, seed=0):
     embedding has an eigenvalue below -1e-10, and refuses a ``count`` whose
     lattice would not fit in physical memory before it allocates.
     """
-    _require(0.5 < inner_hurst < 1.0, f"inner_hurst must lie in (1/2, 1), got {inner_hurst}")
-    _require(type(count) is int and count >= 1, f"count must be an integer >= 1, got {count}")
+    _hurst(inner_hurst, "inner_hurst")
+    count = _integer("count", count, 1)
     _check_memory(f"gen_fgn of {count} points",
                   _lattice_bytes(HermiteSpec(inner_hurst), count, count, 1), "lower count")
     draws = np.empty((1, 2 * count))
@@ -433,7 +454,7 @@ def gen_fgn(inner_hurst, count, seed=0):
 
 def hermite_poly(order, x):
     """Probabilists' Hermite polynomial He_order(x), three-term recurrence."""
-    _require(type(order) is int and order >= 0, f"order must be an integer >= 0, got {order}")
+    order = _integer("order", order, 0)
     arr = np.asarray(x, dtype=float)
     if order == 0:
         return np.ones_like(arr) if arr.ndim else 1.0
@@ -464,11 +485,12 @@ def _raw_sum_std(inner_hurst, rank, count):
 # ---------------------------------------------------------------------------
 # generators
 
-def _check_grid(horizon, steps, paths):
+def _check_grid(horizon, steps, paths, seed, path_offset=0):
+    """``steps``, ``paths``, ``seed`` and ``path_offset`` as ints, once the grid is checked."""
+    _finite(horizon=horizon)
     _require(horizon > 0, f"horizon must be positive, got {horizon}")
-    _require(math.isfinite(horizon), f"horizon must be finite, got {horizon}")
-    _require(type(steps) is int and steps >= 1, f"steps must be an integer >= 1, got {steps}")
-    _require(type(paths) is int and paths >= 1, f"paths must be an integer >= 1, got {paths}")
+    return (_integer("steps", steps, 1), _integer("paths", paths, 1), _integer("seed", seed, 0),
+            _integer("path_offset", path_offset, 0))
 
 
 def _bm_walk(values, words, dt_root):
@@ -488,6 +510,7 @@ def _meta(process, spec, paths, path_offset, **fields):
 
 def gen_bm(horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     """Standard Brownian motion, W(0) = 0, exact Gaussian increments."""
+    component = _integer("component", component, 0)
     return _drawn("bm", None, [(None, component, 1)], horizon, steps, paths, seed, path_offset,
                   component=component)
 
@@ -505,6 +528,7 @@ def gen_fbm(spec, horizon, steps, paths=1, seed=0, component=0, path_offset=0):
     effect, and the paths equal gen_hermite's for the same seed.
     """
     _require_fbm(spec)
+    component = _integer("component", component, 0)
     return _drawn("fbm", spec, [(spec, component, 1)], horizon, steps, paths, seed, path_offset,
                   rank=1, component=component)
 
@@ -623,7 +647,7 @@ def _drawn(process, spec, drivers, horizon, steps, paths, seed, path_offset, **f
     anything is allocated.  ``process``, ``spec`` and ``fields`` make its
     ``meta``.
     """
-    _check_grid(horizon, steps, paths)
+    steps, paths, seed, path_offset = _check_grid(horizon, steps, paths, seed, path_offset)
     _check_memory(f"drawing {paths} paths of {steps} steps",
                   max(_lattice_bytes(driver, steps, steps, paths) for driver, _, _ in drivers),
                   "lower steps or paths")
@@ -716,10 +740,11 @@ def gen_hou(spec, hermite, horizon, steps, paths=1, seed=0, path_offset=0):
     """
     _require(isinstance(spec, HouSpec), "spec must be a HouSpec")
     _require(isinstance(hermite, HermiteSpec), "hermite must be a HermiteSpec")
-    _check_grid(horizon, steps, paths)
+    steps, paths, seed, path_offset = _check_grid(horizon, steps, paths, seed, path_offset)
     dt = horizon / steps
     history = spec.history_truncation / dt
-    remedy = f"raise ou_lambda ({spec.lam}) or lower history_truncation ({spec.history_truncation})"
+    remedy = (f"raise ou_lambda ({spec.lam}) or horizon ({horizon}), or lower "
+              f"history_truncation ({spec.history_truncation}) or steps ({steps})")
     _require(math.isfinite(history),
              f"gen_hou's history, history_truncation / dt = {spec.history_truncation:.6g} / "
              f"{dt:.6g} steps, is not finite; {remedy}")

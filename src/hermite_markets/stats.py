@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .processes import _hurst, _integer
+
 __all__ = [
     "theoretical_cov",
     "norm_const",
@@ -28,8 +30,7 @@ def theoretical_cov(hurst, t, s):
     Equals (t^2H + s^2H - |t - s|^2H)/2; shared by every Hermite rank at a
     given Hurst index.
     """
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
+    _hurst(hurst)
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     for name, times in (("t", t), ("s", s)):
@@ -42,8 +43,8 @@ def theoretical_cov(hurst, t, s):
 
 def norm_const(hurst, rank):
     """Closed-form unit-variance kernel constant for Hermite ranks 1 and 2."""
-    if not 0.5 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (1/2, 1), got {hurst}")
+    _hurst(hurst)
+    rank = _integer("rank", rank, 1)
     h = float(hurst)
     if rank == 1:
         num = 2.0 * h * math.gamma(1.5 - h)
@@ -70,8 +71,7 @@ def centered_qv(path, block=1, hurst=None):
         raise ValueError("hurst not given and absent from path metadata")
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
-    if not isinstance(block, int) or block < 1:
-        raise ValueError(f"block must be an integer >= 1, got {block}")
+    block = _integer("block", block, 1)
     if path.steps % block != 0:
         raise ValueError(f"block {block} must divide steps {path.steps}")
     gamma_spacing = path.horizon * block / path.steps
@@ -121,8 +121,7 @@ def increment_autocov(values, max_lag):
     over time and series without demeaning (increments are centered by
     construction).  Returns lags 0..max_lag.
     """
-    if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
-        raise ValueError(f"max_lag must be an integer >= 0, got {max_lag!r}")
+    max_lag = _integer("max_lag", max_lag, 0)
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
@@ -145,7 +144,7 @@ def autocov_slope(values, lags):
         raise ValueError(f"lags must be integers, got {lags.tolist()}")
     if (lags < 1).any():
         raise ValueError("lags must be >= 1")
-    acov = increment_autocov(values, int(lags.max()))[lags]
+    acov = increment_autocov(values, lags.max())[lags]
     if (acov <= 0).any():
         raise ValueError("autocovariance not positive at requested lags; "
                          "cannot take logs")

@@ -22,7 +22,7 @@ import numpy as np
 from .calculus import GridFunction
 from .markets import _as_float_array, _intensities, _mixed_legs
 from .processes import (SamplePath, derive_seeds, HermiteSpec, _BLOCK_ENTRIES, _block_rows,
-                        _check_grid, _check_memory, _draw_blocks, _require_fbm)
+                        _check_grid, _check_memory, _draw_blocks, _finite, _integer, _require_fbm)
 
 __all__ = [
     "PortfolioFunction",
@@ -70,8 +70,7 @@ class PortfolioFunction:
     time_dependent: bool = False
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError("arity must be >= 1")
+        self.arity = _integer("arity", self.arity, 1)
         if self.grad is not None and len(self.grad) != self.arity:
             raise ValueError("grad must provide one callable per asset")
 
@@ -300,9 +299,7 @@ def power_pair_exponents(a, r, sigmas, tax):
     ascending order, each in a form of the quadratic formula that does not
     cancel.  A negative discriminant raises.
     """
-    for name, value in (("a", a), ("r", r)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _finite(a=a, r=r)
     sigmas = _as_float_array(sigmas, "sigmas")
     intensities = _intensities(tax, 2)
     k1 = sigmas[0] ** 2 + r * intensities[0] ** 2
@@ -381,12 +378,8 @@ def wilson_ci(successes, trials):
     The ends are exactly 0 with no successes and exactly 1 when every
     trial succeeds, where rounding would leave them an ulp or so off.
     """
-    for name, count in (("successes", successes), ("trials", trials)):
-        if not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
+    successes, trials = _integer("successes", successes, 0), _integer("trials", trials, 1)
+    if successes > trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
     z = _Z95
@@ -447,11 +440,12 @@ def _demo_bytes(paths, steps):
     return 8 * paths + 14 * 8 * max(_BLOCK_ENTRIES, steps + 1)
 
 
-def _check_demo(demo, horizon, steps, paths):
-    """Refuse ``demo``'s grid, or a demo whose ``_demo_bytes`` exceed physical memory."""
-    _check_grid(horizon, steps, paths)
+def _check_demo(demo, horizon, steps, paths, seed):
+    """``steps``, ``paths`` and ``seed`` as ints, once ``demo``'s grid and ``_demo_bytes`` are checked."""
+    steps, paths, seed, _ = _check_grid(horizon, steps, paths, seed)
     _check_memory(f"{demo} of {paths} paths of {steps} steps", _demo_bytes(paths, steps),
                   "lower paths or steps")
+    return steps, paths, seed
 
 
 def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
@@ -465,7 +459,7 @@ def shiryaev_demo(spec, paths=10_000, steps=512, horizon=1.0, seed=42):
     gap itself to zero.  Paths of the rank-1 ``spec`` are drawn a block at
     a time.
     """
-    _check_demo("shiryaev_demo", horizon, steps, paths)
+    steps, paths, seed = _check_demo("shiryaev_demo", horizon, steps, paths, seed)
     _require_fbm(spec)
     tally = _ArbTally(np.zeros(1))  # untaxed: no running cost is charged
     identity_err, gap_ratios = [], []
@@ -512,7 +506,7 @@ def f_strategy_demo(f, df, spec, intensity, paths=10_000, steps=512, horizon=1.0
         raise ValueError(f"intensity must lie in [0, sqrt(2)), got {c}")
     if abs(f(1.0)) > 1e-12:
         raise ValueError("strategy must start worthless: f(1) != 0")
-    _check_demo("f_strategy_demo", horizon, steps, paths)
+    steps, paths, seed = _check_demo("f_strategy_demo", horizon, steps, paths, seed)
     if t is None:
         t = horizon
     if not 0.0 < t <= horizon:
@@ -564,7 +558,7 @@ def diffusion_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42, ta
     if market.variant != "shared_vol":
         raise ValueError("demo needs the shared-volatility two-asset market")
     intensities = _intensities(tax, 2)
-    _check_demo("diffusion_arb_demo", horizon, steps, paths)
+    steps, paths, seed = _check_demo("diffusion_arb_demo", horizon, steps, paths, seed)
     portfolio = sqrt_spread_portfolio_fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
     tally = _ArbTally(intensities)
     t = np.linspace(0.0, horizon, steps + 1)
@@ -611,8 +605,8 @@ def mixed_arb_demo(market, paths=10_000, steps=512, horizon=1.0, seed=42,
         # the legs' t^{1-2H} singular term is the market's, so the driver must share its H
         raise ValueError(f"hermite.hurst ({hermite.hurst}) must equal market.hurst "
                          f"({market.hurst})")
+    steps, paths, seed = _check_demo("mixed_arb_demo", horizon, steps, paths, seed)
     w_seed, h_seed = derive_seeds(seed, 2)
-    _check_demo("mixed_arb_demo", horizon, steps, paths)
     portfolio = mixed_arbitrage_portfolio(market.r)
     tally = _ArbTally(intensities)
     t = np.linspace(0.0, horizon, steps + 1)

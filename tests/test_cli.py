@@ -210,6 +210,13 @@ _EXTREME_INPUTS = [
      2, ["lam must make the default history_truncation, 20 / lam, finite, got 1e-310"]),
     (["arb-demo", "--case", "shiryaev", "--tax", "0.3", "--paths", "8"],
      2, ["--tax", "--case fsquare"]),
+    # a 3.2e302-step history (the suffix's --steps 16 wins) from horizon / steps once
+    # blamed only ou_lambda
+    (["simulate", "--process", "hou", "--hurst", "0.7", "--horizon", "1e-300", "--steps", "8",
+      "--paths", "2"], 2, ["ou_lambda", "history_truncation", "horizon (1e-300)", "steps (16)"]),
+    # spot**2 underflows to 0, which once read as a fault of --power-exp and --grid
+    (["price", "--payoff", "power", "--spot", "1e-300", "--sigma", "0.2"],
+     2, ["--spot 1e-300 to the power 2 underflows to 0"]),
 ]
 
 
@@ -218,9 +225,11 @@ _EXTREME_INPUTS = [
 def test_extreme_inputs_exit_cleanly(tmp_path, capsys, argv, code, named):
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path / "x.csv")]
+    if argv[0] != "price":  # price takes no --steps or --seed
+        argv = argv + ["--steps", "16", "--seed", "1"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(argv + ["--steps", "16", "--seed", "1"]) == code
+        assert main(argv) == code
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "Traceback" not in err and "RuntimeWarning" not in err
@@ -275,7 +284,7 @@ def test_mixed_arb_demo_names_a_negative_seed(monkeypatch, capsys, argv, env):
     assert main(["arb-demo", "--case", "mixed", "--paths", "8", "--steps", "16"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+    assert captured.err == "error: seed must be an integer >= 0, got -1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,8 @@ _NON_FINITE_MARKETS = [
     ("shared_vol", "mu2", lambda: TwoAssetDiffusion.shared_vol(0.05, -math.inf, 0.2)),
     ("shared_vol", "sigma1", lambda: TwoAssetDiffusion.shared_vol(0.05, 0.02, math.inf)),
     ("ordered", "sigma1", lambda: TwoAssetDiffusion.ordered(0.05, math.inf, 0.02, 0.1)),
+    # a NaN sigma1 once read "ordered variant needs sigma1 > sigma2 > 0"
+    ("ordered", "sigma1", lambda: TwoAssetDiffusion(0.1, math.nan, 0.05, 0.1)),
 ] + [(f"mixed-{value}", name,
       lambda name=name, value=value: MixedMarket(**dict(_MIXED, **{name: value})))
      for name in ("r", "b", "rho", "mu", "sigma", "sigma_h", "s0")
@@ -335,15 +337,18 @@ def test_market_names_a_non_finite_coefficient(name, build):
         build()
 
 
-def test_market_checks_keep_their_messages_before_finiteness():
-    with pytest.raises(ValueError, match="equal positive sigmas"):
+def test_market_checks_finiteness_before_sign():
+    # NaN fails every comparison, so a sign check first would blame the wrong rule
+    with pytest.raises(ValueError, match="^sigma1 must be finite, got nan$"):
         TwoAssetDiffusion.shared_vol(0.05, 0.02, math.nan)
-    with pytest.raises(ValueError, match="sigma1 > sigma2 > 0"):
+    with pytest.raises(ValueError, match="^sigma2 must be finite, got inf$"):
         TwoAssetDiffusion.ordered(0.05, 0.2, 0.02, math.inf)
-    with pytest.raises(ValueError, match="hurst must lie"):
+    with pytest.raises(ValueError, match=r"^hurst must lie in \(1/2, 1\), got nan$"):
         MixedMarket(**dict(_MIXED, hurst=math.nan))
-    with pytest.raises(ValueError, match="initial stock price"):
+    with pytest.raises(ValueError, match="^s0 must be finite, got -inf$"):
         MixedMarket(**dict(_MIXED, s0=-math.inf))
+    with pytest.raises(ValueError, match="initial stock price"):
+        MixedMarket(**dict(_MIXED, s0=-1.0))
 
 
 def test_pure_hermite_market_needs_an_asset():

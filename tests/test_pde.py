@@ -50,17 +50,26 @@ def test_grid_validation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: PdeGrid(50.0, 200.0, 33, time_steps=0), "need at least 1 time step"),
-    (lambda: PdeGrid(50.0, 200.0, nodes=31.5), "nodes must be an integer, got 31.5"),
-    (lambda: PdeGrid(50.0, 200.0, nodes=True), "nodes must be an integer, got True"),
-    (lambda: PdeGrid(50.0, 200.0, time_steps=64.0), "time_steps must be an integer, got 64.0"),
+    (lambda: PdeGrid(50.0, 200.0, 33, time_steps=0), "time_steps must be an integer >= 1, got 0"),
+    (lambda: PdeGrid(50.0, 200.0, nodes=15), "nodes must be an integer >= 16, got 15"),
+    (lambda: PdeGrid(50.0, 200.0, nodes=31.5), "nodes must be an integer >= 16, got 31.5"),
+    (lambda: PdeGrid(50.0, 200.0, nodes=True), "nodes must be an integer >= 16, got True"),
+    (lambda: PdeGrid(50.0, 200.0, time_steps=64.0),
+     "time_steps must be an integer >= 1, got 64.0"),
     (lambda: PdeGrid(50.0, math.inf), "x_max must be finite, got inf"),
-    (lambda: grid_for_spot(100.0, 0.2, 1.0, nodes=64.0), "nodes must be an integer, got 64.0"),
+    (lambda: PdeGrid(math.nan, 200.0), "x_min must be finite, got nan"),
+    (lambda: grid_for_spot(100.0, 0.2, 1.0, nodes=64.0), "nodes must be an integer >= 16, got 64.0"),
+    (lambda: TerminalClaim.call(100.0, math.nan), "maturity must be finite, got nan"),
+    (lambda: TerminalClaim.call(100.0, 0.0), "maturity must be positive, got 0.0"),
     (lambda: HeatReduction(0.05, 1.0, np.array([0.0])),
      "reduction needs strictly positive tax intensities, got array([0.])"),
     (lambda: HeatReduction(0.05, 1.0, [0.3, math.nan]),
      "tax intensities must be finite and nonnegative, got [0.3, nan]"),
-    (lambda: HeatReduction(0.05, -1.0, [0.3]), "maturity must be positive"),
+    (lambda: HeatReduction(0.05, -1.0, [0.3]), "maturity must be positive, got -1.0"),
+    # an infinite t once returned 0.0, and a NaN one named no parameter
+    (lambda: heat_kernel(math.inf, [0.0], 1.0), "t must be finite, got inf"),
+    (lambda: heat_kernel(math.nan, [0.0], 1.0), "t must be finite, got nan"),
+    (lambda: heat_kernel(0.0, [0.0], 1.0), "t must be positive, got 0.0"),
     (lambda: reduce_to_heat(0.3, math.nan, 1.0), "rate must be finite, got nan"),
     (lambda: reduce_to_heat(0.3, 0.05, math.inf), "maturity must be finite, got inf"),
     # three values for 33 nodes
@@ -599,7 +608,7 @@ def test_heat_kernel_validation():
         heat_kernel(0.0, [0.0], 1.0)
     with pytest.raises(ValueError):
         heat_kernel(1.0, [0.0], -1.0)
-    with pytest.raises(ValueError, match="elapsed"):
+    with pytest.raises(ValueError, match="^t must be finite"):
         heat_kernel(math.nan, [0.0], 1.0)
     with pytest.raises(ValueError, match="diffusivities"):
         heat_kernel(1.0, [0.0], math.nan)

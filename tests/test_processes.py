@@ -1,5 +1,6 @@
 """Generator-level checks: seeding, marginal laws, scaling, memory."""
 
+import json
 import math
 import os
 import re
@@ -19,14 +20,30 @@ from hermite_markets import (
     HermiteSpec,
     HouSpec,
     MixedHermiteSpec,
+    MixedMarket,
+    PdeGrid,
+    PortfolioFunction,
     SamplePath,
+    TerminalClaim,
+    TwoAssetDiffusion,
+    centered_qv,
+    derive_seeds,
+    diffusion_arb_demo,
     estimate_hurst,
     gen_bm,
     gen_fbm,
     gen_hermite,
     gen_hou,
     gen_mixed,
+    grid_for_spot,
+    increment_autocov,
+    mixed_arb_demo,
+    norm_const,
     path_rng,
+    self_financing_residual,
+    shiryaev_demo,
+    solve_tax_bsm,
+    wilson_ci,
 )
 from hermite_markets import processes
 from hermite_markets.processes import _bm_walk, _draw_blocks, _fft_work, _fgn_autocov, \
@@ -266,15 +283,17 @@ def test_stream_seeding_rejects_negative_integers():
         gen_bm(1.0, 4, seed=-1)
     with pytest.raises(ValueError, match="component"):
         gen_bm(1.0, 4, component=-1)
-    with pytest.raises(ValueError, match="path indices"):
+    with pytest.raises(ValueError, match="path_offset"):
         gen_bm(1.0, 4, path_offset=-1)
+    with pytest.raises(ValueError, match="path indices"):
+        gen_bm(1.0, 4, 2, path_offset=2**64 - 1)
 
 
 def test_derive_seeds_takes_the_stream_seed_rule():
     # numpy's SeedSequence would say "expected non-negative integer", naming nothing
     with pytest.raises(ValueError) as err:
         processes.derive_seeds(-1, 2)
-    assert str(err.value) == "seed must be a nonnegative integer, got -1"
+    assert str(err.value) == "seed must be an integer >= 0, got -1"
 
 
 # Pinned realizations, 3 paths x 8 steps at seed 2024 (t = 0 column
@@ -396,28 +415,107 @@ def test_grid_validation():
         gen_bm(1.0, 0)
 
 
-# Python counts a bool as an int, but True is no count of steps or paths
-# and no rank: each integer parameter refuses one with its own message.
-@pytest.mark.parametrize("make, message", [
-    (lambda: gen_bm(1.0, 8, paths=True), "paths must be an integer >= 1, got True"),
-    (lambda: gen_hermite(HermiteSpec(0.7), 1.0, 8, paths=True),
-     "paths must be an integer >= 1, got True"),
-    (lambda: gen_fbm(HermiteSpec(0.7), 1.0, True), "steps must be an integer >= 1, got True"),
-    (lambda: HermiteSpec(0.7, rank=True), "rank must be an integer >= 1, got True"),
-    (lambda: HermiteSpec(0.7, approx_factor=True), "approx_factor must be an integer >= 1, got True"),
-    (lambda: MixedHermiteSpec(0.75, ((1.0, True),)), "rank must be an integer >= 1, got True"),
-    (lambda: hermite_poly(True, 0.5), "order must be an integer >= 0, got True"),
-    (lambda: gen_fgn(0.8, True), "count must be an integer >= 1, got True"),
-])
-def test_integer_parameters_refuse_bool(make, message):
+def _sidecar(path):
+    """A SamplePath's values and the JSON its sidecar holds, as bytes; a numpy count fails the dump."""
+    meta = dict(path.meta, seed=path.seed, horizon=path.horizon, steps=path.steps)
+    return path.values.tobytes() + json.dumps(meta, sort_keys=True).encode()
+
+
+def _report(report):
+    return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+def _surface(surface):
+    return surface.values.tobytes() + json.dumps(surface.meta, sort_keys=True).encode()
+
+
+def _call_surface(grid):
+    return _surface(solve_tax_bsm(TerminalClaim.call(100.0, 1.0), 0.05, 0.2, 0.0, grid))
+
+
+def _product_field(arity):
+    field = PortfolioFunction(lambda x: x[0] * x[1], arity)
+    return json.dumps([field.arity, float(self_financing_residual(field, [2.0, 3.0]))])
+
+
+_FBM = HermiteSpec(0.7)
+_HALF = 1.0 / math.sqrt(2.0)
+_X = np.linspace(-1.0, 1.0, 5)
+_MARKET = MixedMarket(r=0.01, b=0.2, rho=0.2, mu=0.05, sigma=0.2, sigma_h=0.3, hurst=0.7)
+_PAIR = TwoAssetDiffusion.shared_vol(0.05, 0.02, 0.2)
+
+# Every integer parameter, checked by one rule: (where, name, least, a
+# valid value, call(value) -> its output as bytes or JSON).  Python counts a
+# bool as an int, but True is no count of steps or paths and no rank.
+_INTEGERS = [
+    ("gen_fbm", "steps", 1, 8, lambda v: _sidecar(gen_fbm(_FBM, 1.0, v, 2, seed=1))),
+    ("SamplePath", "steps", 1, 2, lambda v: _sidecar(SamplePath(1.0, v, np.zeros((1, 3))))),
+    ("diffusion_arb_demo", "steps", 1, 8,
+     lambda v: _report(diffusion_arb_demo(_PAIR, 4, v, seed=1, tax=0.3))),
+    ("gen_bm", "paths", 1, 3, lambda v: _sidecar(gen_bm(1.0, 8, v, seed=1))),
+    ("shiryaev_demo", "paths", 1, 3, lambda v: _report(shiryaev_demo(_FBM, v, 8, seed=1))),
+    ("HermiteSpec", "rank", 1, 2,
+     lambda v: _sidecar(gen_hermite(HermiteSpec(0.7, v, 2), 1.0, 8, 2, seed=1))),
+    ("MixedHermiteSpec", "rank", 1, 2, lambda v: _sidecar(
+        gen_mixed(MixedHermiteSpec(0.75, ((_HALF, 1), (_HALF, v)), 2), 1.0, 8, 2, seed=1))),
+    ("HermiteSpec", "approx_factor", 1, 2,
+     lambda v: _sidecar(gen_hermite(HermiteSpec(0.7, 2, v), 1.0, 8, 2, seed=1))),
+    ("MixedHermiteSpec", "approx_factor", 1, 2, lambda v: _sidecar(
+        gen_mixed(MixedHermiteSpec(0.75, ((_HALF, 1), (_HALF, 2)), v), 1.0, 8, 2, seed=1))),
+    ("norm_const", "rank", 1, 2, lambda v: json.dumps(norm_const(0.7, v))),
+    ("gen_fgn", "count", 1, 16, lambda v: gen_fgn(0.8, v, seed=1).tobytes()),
+    ("hermite_poly", "order", 0, 3, lambda v: hermite_poly(v, _X).tobytes()),
+    ("centered_qv", "block", 1, 2,
+     lambda v: np.append(*centered_qv(gen_fbm(_FBM, 1.0, 8, 3, seed=1), block=v)).tobytes()),
+    ("increment_autocov", "max_lag", 0, 3,
+     lambda v: increment_autocov(np.cumsum(_X), v).tobytes()),
+    ("wilson_ci", "successes", 0, 2, lambda v: json.dumps(wilson_ci(v, 5))),
+    ("wilson_ci", "trials", 1, 5, lambda v: json.dumps(wilson_ci(1, v))),
+    ("PdeGrid", "nodes", 16, 33, lambda v: _call_surface(PdeGrid(60.0, 170.0, v, 4))),
+    ("grid_for_spot", "nodes", 16, 32,
+     lambda v: _call_surface(grid_for_spot(100.0, 0.2, 1.0, nodes=v, time_steps=4))),
+    ("PdeGrid", "time_steps", 1, 4, lambda v: _call_surface(PdeGrid(60.0, 170.0, 33, v))),
+    ("PortfolioFunction", "arity", 1, 2, _product_field),
+    ("gen_bm", "seed", 0, 3, lambda v: _sidecar(gen_bm(1.0, 8, 2, seed=v))),
+    ("shiryaev_demo", "seed", 0, 3, lambda v: _report(shiryaev_demo(_FBM, 4, 8, seed=v))),
+    ("mixed_arb_demo", "seed", 0, 3,
+     lambda v: _report(mixed_arb_demo(_MARKET, 4, 8, seed=v, tax=0.3))),
+    ("path_rng", "seed", 0, 3, lambda v: path_rng(v, 1).standard_normal(4).tobytes()),
+    ("derive_seeds", "seed", 0, 3, lambda v: json.dumps(derive_seeds(v, 2))),
+    ("gen_bm", "component", 0, 1, lambda v: _sidecar(gen_bm(1.0, 8, 2, seed=1, component=v))),
+    ("gen_fbm", "component", 0, 1,
+     lambda v: _sidecar(gen_fbm(_FBM, 1.0, 8, 2, seed=1, component=v))),
+    ("path_rng", "component", 0, 1, lambda v: path_rng(1, 1, v).standard_normal(4).tobytes()),
+    ("gen_hermite", "path_offset", 0, 2, lambda v: _sidecar(
+        gen_hermite(HermiteSpec(0.7, 2, 2), 1.0, 8, 2, seed=1, path_offset=v))),
+    ("gen_hou", "path_offset", 0, 2, lambda v: _sidecar(
+        gen_hou(HouSpec(1.0, 1.0), _FBM, 1.0, 8, 2, seed=1, path_offset=v))),
+    ("path_rng", "path_index", 0, 2, lambda v: path_rng(1, v).standard_normal(4).tobytes()),
+    ("derive_seeds", "count", 0, 2, lambda v: json.dumps(derive_seeds(1, v))),
+]
+_INTEGER_IDS = [f"{where}-{name}" for where, name, *_ in _INTEGERS]
+
+
+@pytest.mark.parametrize("where, name, least, valid, call", _INTEGERS, ids=_INTEGER_IDS)
+@pytest.mark.parametrize("bad", ["True", "1.5", "least - 1"])
+def test_integer_parameters_refuse_bool(where, name, least, valid, call, bad):
+    value = {"True": True, "1.5": 1.5, "least - 1": least - 1}[bad]
     with pytest.raises(ValueError) as err:
-        make()
-    assert str(err.value) == message
+        call(value)
+    assert str(err.value) == f"{name} must be an integer >= {least}, got {value}"
+
+
+@pytest.mark.parametrize("where, name, least, valid, call", _INTEGERS, ids=_INTEGER_IDS)
+def test_integer_parameters_take_numpy_integers(where, name, least, valid, call):
+    # the same draws, bit for bit, and the same JSON, byte for byte
+    assert call(np.int64(valid)) == call(valid)
 
 
 @pytest.mark.parametrize("horizon, message", [
     (math.inf, "horizon must be finite, got inf"),
-    (math.nan, "horizon must be positive, got nan"),
+    # NaN fails every comparison, so it once read as "must be positive"
+    (math.nan, "horizon must be finite, got nan"),
+    (0.0, "horizon must be positive, got 0.0"),
 ])
 def test_sample_path_names_a_non_finite_horizon(horizon, message):
     with pytest.raises(ValueError) as err:
@@ -729,7 +827,8 @@ def test_hou_spec_names_a_non_finite_parameter(lam, sigma, history, message):
 def test_hou_history_that_is_not_finite_is_refused():
     # 20 / 1.2e-307 is a finite history, but it overflows to inf steps of 1/16
     with pytest.raises(ValueError, match=r"history.* not finite; raise ou_lambda "
-                                         r"\(1\.2e-307\) or lower history_truncation"):
+                                         r"\(1\.2e-307\) or horizon \(1\.0\), or lower "
+                                         r"history_truncation \(.*\) or steps \(16\)$"):
         gen_hou(HouSpec(1.2e-307, 1.0), HermiteSpec(0.75), 1.0, 16)
 
 

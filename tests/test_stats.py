@@ -146,8 +146,9 @@ def test_centered_qv_block_coarsening():
     (lambda: autocov_slope(np.arange(16.0), [2.5, 3.7]), "lags must be integers, got [2.5, 3.7]"),
     (lambda: theoretical_cov(0.7, math.nan, 1.0), "t must be finite and nonnegative, got nan"),
     (lambda: theoretical_cov(0.7, 1.0, math.inf), "s must be finite and nonnegative, got inf"),
-    (lambda: wilson_ci(1.5, 3), "successes must be an integer, got 1.5"),
-    (lambda: wilson_ci(1, 3.0), "trials must be an integer, got 3.0"),
+    (lambda: wilson_ci(1.5, 3), "successes must be an integer >= 0, got 1.5"),
+    (lambda: wilson_ci(1, 3.0), "trials must be an integer >= 1, got 3.0"),
+    (lambda: wilson_ci(4, 3), "successes must lie in [0, trials]"),
     (lambda: power_pair_exponents(math.nan, 0.05, [0.2, 0.2], 0.0), "a must be finite, got nan"),
     (lambda: power_pair_exponents(0.8, 0.05, [math.inf, 0.2], 0.0),
      "sigmas must be finite, got [inf, 0.2]"),
